@@ -19,9 +19,14 @@ cargo build --release
 echo "==> cargo test (PERSPECTIVE_KERNEL=small)"
 PERSPECTIVE_KERNEL=small cargo test -q --release
 
+# Experiments whose small-kernel --json documents are pinned by a
+# checked-in BENCH_<exp>.json baseline (deterministic at any
+# PERSPECTIVE_THREADS width).
+BASELINED="fig_9_2 table_10_1 fig_9_3 security_poc per_syscall_views"
+
 echo "==> experiment --json output vs checked-in baselines (small kernel)"
 mkdir -p target/bench-json
-for exp in fig_9_2 table_10_1; do
+for exp in $BASELINED; do
     PERSPECTIVE_KERNEL=small PERSPECTIVE_THREADS=4 \
         ./target/release/"$exp" --json >"target/bench-json/$exp.json"
     ./target/release/json_check <"target/bench-json/$exp.json"
@@ -36,7 +41,7 @@ echo "==> fast-vs-slow differential smoke cell (PERSPECTIVE_NO_FASTFWD=1)"
 # The idle-cycle fast-forward must be invisible in every serialized
 # counter: the cycle-by-cycle slow path has to reproduce the checked-in
 # baselines byte for byte.
-for exp in fig_9_2 table_10_1; do
+for exp in $BASELINED; do
     PERSPECTIVE_KERNEL=small PERSPECTIVE_THREADS=4 PERSPECTIVE_NO_FASTFWD=1 \
         ./target/release/"$exp" --json >"target/bench-json/$exp.slow.json"
     ./target/release/json_check <"target/bench-json/$exp.slow.json"

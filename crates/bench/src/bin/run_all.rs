@@ -231,7 +231,7 @@ fn main() {
         if failures.is_empty() {
             // Transcript-only timing note — never in --json, whose
             // documents must stay byte-identical run to run.
-            let ff = std::env::var("PERSPECTIVE_NO_FASTFWD").map_or(true, |v| v.trim() != "1");
+            let ff = runner::core_config_from_env().idle_fastforward;
             println!(
                 "\nAll experiments completed in {:.1} s wall-clock \
                  (idle-cycle fast-forward: {}).",

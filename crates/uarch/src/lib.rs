@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
 pub mod config;
 pub mod hooks;
 pub mod isa;
@@ -57,6 +58,7 @@ pub mod metrics;
 pub mod pipeline;
 pub mod policy;
 pub mod predictor;
+mod rob;
 pub mod sni;
 pub mod stats;
 pub mod testkit;

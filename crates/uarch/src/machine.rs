@@ -8,6 +8,7 @@
 
 use crate::isa::{Inst, Width, NUM_REGS, REG_ZERO};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Privilege mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,10 +27,39 @@ pub type Asid = u16;
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// A fixed multiplicative hash for the machine's `u64`-keyed maps (page
+/// numbers, instruction addresses). Neither map is ever iterated, so
+/// the hash cannot reach any output. The keys are addresses of
+/// simulated programs the reproduction generates itself, so SipHash's
+/// flooding resistance buys nothing, while its cost sits on every fetch
+/// and memory access.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half into the low bits the table
+        // indexes with (instruction addresses are 4-byte aligned).
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
+
 /// Sparse byte-addressable memory backed by 4 KiB pages.
 #[derive(Debug, Default)]
 pub struct SparseMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: AddrMap<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl SparseMemory {
@@ -58,6 +88,12 @@ impl SparseMemory {
 
     /// Read a little-endian u64 (may straddle pages).
     pub fn read_u64(&self, addr: u64) -> u64 {
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off <= PAGE_SIZE - 8 {
+            return self.pages.get(&(addr >> PAGE_SHIFT)).map_or(0, |p| {
+                u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes"))
+            });
+        }
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.read_u8(addr + i as u64);
@@ -67,6 +103,11 @@ impl SparseMemory {
 
     /// Write a little-endian u64.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        if off <= PAGE_SIZE - 8 {
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            return;
+        }
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             self.write_u8(addr + i as u64, *b);
         }
@@ -100,7 +141,7 @@ pub struct Machine {
     regs: [u64; NUM_REGS],
     /// Data memory.
     pub mem: SparseMemory,
-    text: HashMap<u64, Inst>,
+    text: AddrMap<Inst>,
     /// Current privilege mode.
     pub mode: Mode,
     /// Current address-space / context identifier.
@@ -125,7 +166,7 @@ impl Machine {
         Machine {
             regs: [0; NUM_REGS],
             mem: SparseMemory::new(),
-            text: HashMap::new(),
+            text: AddrMap::default(),
             mode: Mode::User,
             asid: 0,
             pc: 0,

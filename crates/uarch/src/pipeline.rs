@@ -19,16 +19,17 @@
 //! dependency-DAG timing model: absolute IPC is approximate, relative
 //! overheads between schemes are meaningful.
 
+use crate::checkpoint::SpecReturns;
 use crate::config::CoreConfig;
 use crate::hooks::{HookAction, HookHandler};
 use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS, REG_SYSNO};
 use crate::machine::{Machine, Mode};
 use crate::policy::{BlockSource, LoadCtx, LoadDecision, SpecPolicy};
-use crate::predictor::{History, Predictors, Rsb};
+use crate::predictor::Predictors;
+use crate::rob::{ReorderBuffer, RobEntry, SrcDep, SrcList, TaintSet};
 use crate::sni::{RetiredInst, SniChecker};
 use crate::stats::SimStats;
 use persp_mem::MemoryHierarchy;
-use std::collections::VecDeque;
 
 /// Errors terminating a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,162 +87,6 @@ pub struct RunSummary {
     pub stats: SimStats,
 }
 
-/// Bounded set of speculative-load "taint roots" for STT-style tracking.
-///
-/// A value is tainted while any of its root loads is still speculative.
-/// The set saturates at four roots; a saturated set is conservatively
-/// treated as tainted whenever the consumer is speculative.
-#[derive(Debug, Clone, Copy, Default)]
-struct TaintSet {
-    roots: [u64; 4],
-    len: u8,
-    saturated: bool,
-}
-
-impl TaintSet {
-    /// Add a root; returns `true` when the set *newly* saturated (the
-    /// root could not be recorded individually), so the caller can count
-    /// the overflow instead of dropping attribution silently.
-    fn add_root(&mut self, seq: u64) -> bool {
-        if self.roots[..self.len as usize].contains(&seq) {
-            return false;
-        }
-        if (self.len as usize) < self.roots.len() {
-            self.roots[self.len as usize] = seq;
-            self.len += 1;
-            false
-        } else if self.saturated {
-            false
-        } else {
-            self.saturated = true;
-            true
-        }
-    }
-
-    /// Merge another set in; returns `true` when the merge *newly*
-    /// saturated this set (saturation itself always propagates).
-    fn merge(&mut self, other: &TaintSet) -> bool {
-        let mut newly = false;
-        for &r in &other.roots[..other.len as usize] {
-            newly |= self.add_root(r);
-        }
-        if other.saturated && !self.saturated {
-            self.saturated = true;
-            newly = true;
-        }
-        newly
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SrcDep {
-    reg: u8,
-    /// Sequence number of the in-flight producer at decode, or `None` if
-    /// the value was architectural at decode time.
-    producer: Option<u64>,
-    /// Snapshot used when `producer` is `None`.
-    snapshot: u64,
-}
-
-/// The source operands of one instruction, inline (no instruction has
-/// more than two register sources — see [`Inst::srcs`]). `Copy` keeps
-/// the execute stage's per-cycle operand gather allocation-free; a
-/// heap `Vec` here was the single hottest allocation in the simulator.
-#[derive(Debug, Clone, Copy)]
-struct SrcList {
-    deps: [SrcDep; 2],
-    len: u8,
-}
-
-impl SrcList {
-    fn new(regs: &[u8], mut resolve: impl FnMut(u8) -> SrcDep) -> Self {
-        assert!(regs.len() <= 2, "at most two register sources");
-        let empty = SrcDep {
-            reg: 0,
-            producer: None,
-            snapshot: 0,
-        };
-        let mut deps = [empty; 2];
-        for (slot, &reg) in deps.iter_mut().zip(regs) {
-            *slot = resolve(reg);
-        }
-        SrcList {
-            deps,
-            len: regs.len() as u8,
-        }
-    }
-
-    fn as_slice(&self) -> &[SrcDep] {
-        &self.deps[..self.len as usize]
-    }
-}
-
-#[derive(Debug)]
-struct RobEntry {
-    seq: u64,
-    pc: u64,
-    inst: Inst,
-    srcs: SrcList,
-    /// Earliest cycle this instruction can begin executing (front-end).
-    fetch_ready: u64,
-    computed: bool,
-    value: u64,
-    ready_at: u64,
-    /// Host-side retry hint: the earliest cycle a failed operand gather
-    /// can turn out differently (the failing producer's `ready_at`; or
-    /// `u64::MAX` while sleeping in that producer's `waiters` list until
-    /// it computes; or `now + 1` when no sound bound exists).
-    /// `try_compute` is provably a side-effect-free no-op before this
-    /// cycle, so the execute stage skips the attempt. Never influences
-    /// simulated behavior.
-    retry_at: u64,
-    /// Host-side wakeup list: seqs of consumers whose operand gather is
-    /// asleep until this entry computes (`wake_waiters` resets their
-    /// `retry_at`). Capacity-bounded — consumers that don't fit keep
-    /// polling every cycle instead, so this is purely an acceleration.
-    waiters: [u64; 4],
-    n_waiters: u8,
-    /// Branch-like bookkeeping (conditional, indirect, return).
-    can_mispredict: bool,
-    pred_target: u64,
-    actual_target: u64,
-    mispred: bool,
-    squash_done: bool,
-    hist_snapshot: History,
-    rsb_snapshot: Option<Rsb>,
-    stack_snapshot: Option<Vec<u64>>,
-    pred_taken: bool,
-    actual_taken: bool,
-    /// Memory bookkeeping.
-    addr: u64,
-    width: Width,
-    store_val: u64,
-    issued_mem: bool,
-    blocked: Option<BlockSource>,
-    /// First blocking source, kept after the VP re-issue clears `blocked`
-    /// so the post-fence memory latency is still attributed to the fence.
-    block_memo: Option<BlockSource>,
-    was_blocked: bool,
-    spec_at_issue: bool,
-    taint: TaintSet,
-    vp_notified: bool,
-    /// Privilege the instruction was fetched in (for BTB privilege tags).
-    in_kernel: bool,
-}
-
-impl RobEntry {
-    fn is_load(&self) -> bool {
-        matches!(self.inst, Inst::Load { .. })
-    }
-    fn is_store(&self) -> bool {
-        matches!(self.inst, Inst::Store { .. })
-    }
-    /// Unresolved = could still redirect/squash younger instructions.
-    fn unresolved_at(&self, now: u64) -> bool {
-        self.can_mispredict && !(self.computed && self.ready_at <= now)
-    }
-}
-
 const DEADLOCK_WINDOW: u64 = 50_000;
 
 /// One stall-attribution class (mirrors the fields of
@@ -273,23 +118,7 @@ pub struct Core {
     policy: Box<dyn SpecPolicy>,
     hooks: Box<dyn HookHandler>,
 
-    rob: VecDeque<RobEntry>,
-    /// Sequence numbers (ascending) of ROB entries the execute stage
-    /// still has to look at. Entries leave the list once *settled* —
-    /// computed with their result ready and unable to affect any
-    /// younger instruction — so the per-cycle execute scan touches only
-    /// the in-flight frontier instead of the whole ROB. Committed and
-    /// squashed entries are dropped lazily (their seq no longer
-    /// resolves). Purely a host-side acceleration: membership never
-    /// influences simulated behavior.
-    exec_active: VecDeque<u64>,
-    /// Mirror of `rob`'s sequence numbers, maintained at every ROB
-    /// push/pop. `index_of_seq` binary-searches this dense array instead
-    /// of probing the wide `RobEntry`s — seq lookup is the single
-    /// hottest operation in the simulator, and 8-byte keys keep the
-    /// whole search window inside a few cache lines.
-    rob_seqs: VecDeque<u64>,
-    next_seq: u64,
+    rob: ReorderBuffer,
     now: u64,
     last_commit_cycle: u64,
     halted: bool,
@@ -305,9 +134,9 @@ pub struct Core {
     last_fetch_line: u64,
 
     rename: [Option<u64>; NUM_REGS],
-    spec_stack: Vec<u64>,
-    lq_used: usize,
-    sq_used: usize,
+    /// Speculative call stack and the RSB's undo log (branch
+    /// checkpoints).
+    returns: SpecReturns,
 
     /// Did the last `step` mutate anything beyond the per-cycle clocks
     /// and stall accounting? Set at every mutation site; a cycle that
@@ -343,10 +172,7 @@ impl Core {
             pred,
             policy,
             hooks,
-            rob: VecDeque::new(),
-            exec_active: VecDeque::new(),
-            rob_seqs: VecDeque::new(),
-            next_seq: 0,
+            rob: ReorderBuffer::default(),
             now: 0,
             last_commit_cycle: 0,
             halted: false,
@@ -357,9 +183,7 @@ impl Core {
             fetch_wait_indirect: None,
             last_fetch_line: u64::MAX,
             rename: [None; NUM_REGS],
-            spec_stack: Vec::new(),
-            lq_used: 0,
-            sq_used: 0,
+            returns: SpecReturns::default(),
             made_progress: false,
             ff_skipped: 0,
             call_trace: None,
@@ -438,8 +262,6 @@ impl Core {
         let start_stats = self.stats;
         let start_cycle = self.now;
         self.rob.clear();
-        self.rob_seqs.clear();
-        self.exec_active.clear();
         self.halted = false;
         self.fetch_pc = entry;
         self.fetch_stall_until = self.now;
@@ -448,9 +270,7 @@ impl Core {
         self.fetch_wait_indirect = None;
         self.last_fetch_line = u64::MAX;
         self.rename = [None; NUM_REGS];
-        self.spec_stack = self.machine.call_stack.clone();
-        self.lq_used = 0;
-        self.sq_used = 0;
+        self.returns.reset(&self.machine.call_stack);
         self.last_commit_cycle = self.now;
         if let Some(sni) = self.sni.as_mut() {
             sni.on_run_start(entry);
@@ -490,6 +310,8 @@ impl Core {
             self.made_progress = true;
         }
         self.fetch_stage()?;
+        #[cfg(debug_assertions)]
+        self.rob.check_invariants();
         if self.machine.mode == Mode::Kernel {
             self.stats.kernel_cycles += 1;
         } else {
@@ -502,26 +324,16 @@ impl Core {
 
     // ----- helpers ------------------------------------------------------
 
-    /// Index of the in-flight entry with sequence number `seq`, if it is
-    /// still in the ROB. Sequence numbers are monotonically increasing but
-    /// *not* contiguous after squashes, so this is a binary search.
-    fn index_of_seq(&self, seq: u64) -> Option<usize> {
-        debug_assert_eq!(self.rob_seqs.len(), self.rob.len());
-        let idx = self.rob_seqs.partition_point(|&s| s < seq);
-        (idx < self.rob_seqs.len() && self.rob_seqs[idx] == seq).then_some(idx)
-    }
-
-    /// Is the source value available at cycle `now`? Returns
-    /// `(ready, value, ready_at, taint)`.
-    fn src_status(&self, dep: &SrcDep) -> Option<(u64, u64, TaintSet)> {
+    /// The source value and its taint, if available at cycle `now`.
+    fn src_status(&self, dep: &SrcDep) -> Option<(u64, TaintSet)> {
         match dep.producer {
-            None => Some((dep.snapshot, 0, TaintSet::default())),
-            Some(seq) => match self.index_of_seq(seq) {
-                None => Some((self.machine.reg(dep.reg), 0, TaintSet::default())),
+            None => Some((dep.snapshot, TaintSet::default())),
+            Some(seq) => match self.rob.index_of(seq) {
+                None => Some((self.machine.reg(dep.reg), TaintSet::default())),
                 Some(idx) => {
                     let p = &self.rob[idx];
                     if p.computed && p.ready_at <= self.now {
-                        Some((p.value, p.ready_at, p.taint))
+                        Some((p.value, p.taint))
                     } else {
                         None
                     }
@@ -533,17 +345,18 @@ impl Core {
     /// Does the taint set contain a root load that is still speculative
     /// (in flight and not at its VP)?
     fn taint_active(&self, taint: &TaintSet, any_older_unresolved: bool) -> bool {
-        if taint.saturated {
+        if taint.saturated() {
             return any_older_unresolved;
         }
-        taint.roots[..taint.len as usize]
+        taint
+            .roots()
             .iter()
-            .any(|&seq| self.index_of_seq(seq).is_some())
+            .any(|&seq| self.rob.index_of(seq).is_some())
     }
 
     // ----- execute ------------------------------------------------------
 
-    /// Walks the in-flight frontier (see `exec_active`) in program
+    /// Walks the in-flight frontier (the ROB's `active` queue) in program
     /// order, oldest first. Behaviorally identical to scanning the whole
     /// ROB: a *settled* entry — computed, result ready, not a fence —
     /// can never recompute (`computed` is sticky and `ready_at` is only
@@ -555,12 +368,13 @@ impl Core {
         let mut older_uncommitted_fence = false;
         let mut older_store_addr_unknown = false;
 
-        let mut active = std::mem::take(&mut self.exec_active);
+        let mut active = self.rob.take_active();
         let mut keep = 0;
         for k in 0..active.len() {
             let seq = active[k];
-            // Committed and squashed entries fall off the list here.
-            let Some(i) = self.index_of_seq(seq) else {
+            // Committed entries fall off the list here (a squash purges
+            // the seqs it drops itself).
+            let Some(i) = self.rob.index_of(seq) else {
                 continue;
             };
             {
@@ -597,7 +411,7 @@ impl Core {
             keep += 1;
         }
         active.truncate(keep);
-        self.exec_active = active;
+        self.rob.set_active(active);
     }
 
     fn try_compute(&mut self, i: usize, speculative: bool, older_store_addr_unknown: bool) {
@@ -605,15 +419,13 @@ impl Core {
         let deps = self.rob[i].srcs;
         let mut vals = [0u64; 2];
         let mut nvals = 0;
-        let mut src_ready = 0u64;
         let mut taint = TaintSet::default();
         let mut bumped = false;
         for dep in deps.as_slice() {
             match self.src_status(dep) {
-                Some((v, r, t)) => {
+                Some((v, t)) => {
                     vals[nvals] = v;
                     nvals += 1;
-                    src_ready = src_ready.max(r);
                     if taint.merge(&t) {
                         // Counted even if a later operand turns out not
                         // ready, so the bump can repeat across cycles:
@@ -640,7 +452,7 @@ impl Core {
                     self.rob[i].retry_at = if bumped {
                         self.now + 1
                     } else {
-                        match dep.producer.and_then(|s| self.index_of_seq(s)) {
+                        match dep.producer.and_then(|s| self.rob.index_of(s)) {
                             Some(p) if self.rob[p].computed => self.rob[p].ready_at,
                             Some(p) => {
                                 // The producer hasn't even computed, so no
@@ -718,10 +530,6 @@ impl Core {
                 }
             }
             Inst::Store { width, .. } => {
-                if older_store_addr_unknown {
-                    // In-order address computation for stores keeps
-                    // forwarding precise; nothing to do this cycle.
-                }
                 let e = &mut self.rob[i];
                 e.store_val = vals[0];
                 e.addr = vals[1].wrapping_add(store_offset(&inst) as u64);
@@ -739,13 +547,13 @@ impl Core {
                 }
                 // Store-to-load forwarding from the youngest matching older
                 // store; overlap without exact match stalls until it drains.
+                // The store queue holds exactly the stores in the ROB.
                 let mut forward: Option<(u64, TaintSet)> = None;
                 let mut must_wait = false;
-                for j in (0..i).rev() {
-                    let s = &self.rob[j];
-                    if !s.is_store() {
-                        continue;
-                    }
+                let stores = self.rob.stores();
+                let older = stores.partition_point(|&s| s < seq);
+                for &sseq in stores.range(..older).rev() {
+                    let s = self.rob.by_seq(sseq);
                     let (sa, sw) = (s.addr, s.width.bytes());
                     let (la, lw) = (addr, width.bytes());
                     if sa == la && sw == lw {
@@ -793,13 +601,13 @@ impl Core {
                                     sni.on_spec_issue(
                                         &ctx,
                                         seq,
-                                        &taint.roots[..taint.len as usize],
-                                        taint.saturated,
+                                        taint.roots(),
+                                        taint.saturated(),
                                         &mut self.stats.sni,
                                     );
                                 }
                             }
-                            self.issue_load(i, addr, width, taint, speculative, src_ready);
+                            self.issue_load(i, addr, width, taint, speculative);
                         }
                         LoadDecision::BlockUntilVp(src) => {
                             let e = &mut self.rob[i];
@@ -809,22 +617,29 @@ impl Core {
                             e.addr = addr;
                             e.width = width;
                             e.taint = taint;
+                            // Park the load until `vp_stage` issues it:
+                            // every further attempt is a no-op (all older
+                            // stores had known addresses and none
+                            // overlapped, which stays true as stores only
+                            // leave; the operands are fixed; the policy is
+                            // not asked again) — unless this gather bumped
+                            // the taint-overflow counter, which then has
+                            // to bump again every cycle.
+                            if !bumped {
+                                e.retry_at = u64::MAX;
+                            }
                             self.stats.loads_fenced += 1;
                             self.made_progress = true;
                         }
                     }
                 }
-                // Blocked loads are re-issued by `vp_stage` once safe.
+                // Blocked loads are issued by `vp_stage` once safe.
             }
             Inst::CacheFlush { offset, .. } => {
                 let addr = vals[0].wrapping_add(offset as u64);
                 if speculative {
                     if let Some(sni) = self.sni.as_mut() {
-                        sni.on_spec_flush(
-                            &taint.roots[..taint.len as usize],
-                            taint.saturated,
-                            &mut self.stats.sni,
-                        );
+                        sni.on_spec_flush(taint.roots(), taint.saturated(), &mut self.stats.sni);
                     }
                 }
                 // Flushes are not policy-gated; they perform at execute.
@@ -855,9 +670,9 @@ impl Core {
     /// Wake consumers sleeping on entry `i`'s result (see
     /// `RobEntry::waiters`): reset their gather-retry hint to this
     /// entry's `ready_at`, the first cycle the operand can be read.
-    /// Must be called at every `computed` transition; entries that have
-    /// since left the ROB (squashed — a sleeper is always younger than
-    /// its producer) no longer resolve and are skipped.
+    /// Must be called at every `computed` transition. Every listed
+    /// sleeper is still in flight: it is younger than this entry, so it
+    /// cannot have committed, and a squash purges the seqs it drops.
     fn wake_waiters(&mut self, i: usize) {
         let n = self.rob[i].n_waiters as usize;
         if n == 0 {
@@ -867,9 +682,9 @@ impl Core {
         let ws = self.rob[i].waiters;
         self.rob[i].n_waiters = 0;
         for &w in &ws[..n] {
-            if let Some(j) = self.index_of_seq(w) {
-                self.rob[j].retry_at = ready_at;
-            }
+            let j = self.rob.index_of(w).expect("sleepers are in flight");
+            debug_assert!(self.rob[j].blocked.is_none(), "parked loads never sleep");
+            self.rob[j].retry_at = ready_at;
         }
     }
 
@@ -880,7 +695,6 @@ impl Core {
         width: Width,
         mut taint: TaintSet,
         speculative: bool,
-        _src_ready: u64,
     ) {
         let (lat, _level) = self.mem.read_classified(addr);
         let value = self.machine.mem.read(addr, width);
@@ -907,16 +721,24 @@ impl Core {
     // ----- squash -------------------------------------------------------
 
     fn squash_stage(&mut self) {
-        let Some(i) = (0..self.rob.len()).find(|&i| {
-            let e = &self.rob[i];
-            e.computed && e.ready_at <= self.now && e.mispred && !e.squash_done
-        }) else {
+        // Only control entries can mispredict.
+        let now = self.now;
+        let Some(i) = self
+            .rob
+            .control()
+            .iter()
+            .map(|&seq| self.rob.index_of(seq).expect("queued control in flight"))
+            .find(|&i| {
+                let e = &self.rob[i];
+                e.computed && e.ready_at <= now && e.mispred && !e.squash_done
+            })
+        else {
             return;
         };
         self.made_progress = true;
 
-        // Restore front-end state from the mispredicting entry's snapshots.
-        let (actual_target, hist_snapshot, actual_taken, is_cond) = {
+        // Restore front-end state to the mispredicting entry's checkpoint.
+        let (actual_target, hist_snapshot, actual_taken, is_cond, checkpoint) = {
             let e = &mut self.rob[i];
             e.squash_done = true;
             (
@@ -924,13 +746,14 @@ impl Core {
                 e.hist_snapshot,
                 e.actual_taken,
                 matches!(e.inst, Inst::Branch { .. }),
+                e.checkpoint,
             )
         };
-        if let Some(rsb) = self.rob[i].rsb_snapshot.clone() {
-            self.pred.rsb = rsb;
-        }
-        if let Some(stack) = self.rob[i].stack_snapshot.clone() {
-            self.spec_stack = stack;
+        self.returns.restore(checkpoint, &mut self.pred.rsb);
+        #[cfg(debug_assertions)]
+        if let Some((rsb, stack)) = &self.rob[i].debug_returns {
+            assert_eq!(&self.pred.rsb, rsb, "RSB restore must match the checkpoint");
+            assert_eq!(self.returns.stack(), &stack[..], "call-stack restore");
         }
         if is_cond {
             self.pred.hist = (hist_snapshot << 1) | u64::from(actual_taken);
@@ -939,28 +762,22 @@ impl Core {
         }
 
         // Drop younger entries.
-        while self.rob.len() > i + 1 {
-            let dropped = self.rob.pop_back().expect("len checked");
-            self.rob_seqs.pop_back();
-            self.stats.squashed_insts += 1;
-            if let Some(sni) = self.sni.as_mut() {
+        let stats = &mut self.stats;
+        let sni = &mut self.sni;
+        self.rob.truncate(i + 1, |dropped| {
+            stats.squashed_insts += 1;
+            if let Some(sni) = sni.as_mut() {
                 sni.on_squash(dropped.seq);
             }
-            if dropped.is_load() {
-                self.lq_used -= 1;
-                if dropped.issued_mem && dropped.spec_at_issue {
-                    self.stats.transient_loads_issued += 1;
-                }
+            if dropped.is_load() && dropped.issued_mem && dropped.spec_at_issue {
+                stats.transient_loads_issued += 1;
             }
-            if dropped.is_store() {
-                self.sq_used -= 1;
-            }
-        }
+        });
         self.stats.squashes += 1;
 
         // Rebuild the rename table from surviving entries.
         self.rename = [None; NUM_REGS];
-        for e in &self.rob {
+        for e in self.rob.iter() {
             if let Some(dst) = e.inst.dst() {
                 self.rename[dst as usize] = Some(e.seq);
             }
@@ -976,47 +793,50 @@ impl Core {
 
     // ----- visibility points ---------------------------------------------
 
+    /// Issue policy-blocked loads and notify the policy of issued loads
+    /// once they reach their visibility point: no older control entry
+    /// is unresolved. Only loads act here, and issuing a load never
+    /// resolves a control entry, so the walk covers exactly the loads
+    /// older than the oldest unresolved control entry, in program order.
     fn vp_stage(&mut self) {
-        let mut older_can_squash = false;
-        for i in 0..self.rob.len() {
-            let at_vp = !older_can_squash;
-            if at_vp {
-                let needs_issue = {
-                    let e = &self.rob[i];
-                    e.is_load() && e.blocked.is_some()
-                };
-                if needs_issue {
-                    let (addr, width, taint) = {
-                        let e = &self.rob[i];
-                        (e.addr, e.width, e.taint)
-                    };
-                    self.issue_load(i, addr, width, taint, false, 0);
-                }
-                let notify = {
-                    let e = &self.rob[i];
-                    e.is_load() && e.computed && e.issued_mem && !e.vp_notified
-                };
-                if notify {
-                    let e = &self.rob[i];
-                    let ctx = LoadCtx {
-                        pc: e.pc,
-                        addr: e.addr,
-                        mode: self.machine.mode,
-                        asid: self.machine.asid,
-                        speculative: false,
-                        tainted_addr: false,
-                        l1_hit: true,
-                        cur_sysno: self.machine.cur_sysno,
-                    };
-                    self.policy.on_load_vp(&ctx);
-                    self.rob[i].vp_notified = true;
-                    // The VP notification mutates policy-side state
-                    // (metadata-cache LRU commits, fence counters).
-                    self.made_progress = true;
-                }
+        let now = self.now;
+        let cutoff = self
+            .rob
+            .control()
+            .iter()
+            .copied()
+            .find(|&seq| self.rob.by_seq(seq).unresolved_at(now))
+            .unwrap_or(u64::MAX);
+        for k in 0..self.rob.loads().len() {
+            let seq = self.rob.loads()[k];
+            if seq >= cutoff {
+                break;
             }
-            if self.rob[i].unresolved_at(self.now) {
-                older_can_squash = true;
+            let i = self.rob.index_of(seq).expect("queued load in flight");
+            if self.rob[i].blocked.is_some() {
+                let (addr, width, taint) = {
+                    let e = &self.rob[i];
+                    (e.addr, e.width, e.taint)
+                };
+                self.issue_load(i, addr, width, taint, false);
+            }
+            let e = &self.rob[i];
+            if e.computed && e.issued_mem && !e.vp_notified {
+                let ctx = LoadCtx {
+                    pc: e.pc,
+                    addr: e.addr,
+                    mode: self.machine.mode,
+                    asid: self.machine.asid,
+                    speculative: false,
+                    tainted_addr: false,
+                    l1_hit: true,
+                    cur_sysno: self.machine.cur_sysno,
+                };
+                self.policy.on_load_vp(&ctx);
+                self.rob[i].vp_notified = true;
+                // The VP notification mutates policy-side state
+                // (metadata-cache LRU commits, fence counters).
+                self.made_progress = true;
             }
         }
     }
@@ -1107,7 +927,7 @@ impl Core {
                 wake = t;
             }
         };
-        for e in &self.rob {
+        for e in self.rob.iter() {
             if e.computed {
                 consider(e.ready_at);
             } else {
@@ -1161,7 +981,7 @@ impl Core {
             // Serializing instructions execute at the head.
             if head.inst.is_serializing() && !head.computed {
                 let inst = head.inst;
-                let e = self.rob.front_mut().expect("nonempty");
+                let e = &mut self.rob[0];
                 if let Inst::RdTsc { .. } = inst {
                     e.value = self.now
                 }
@@ -1183,7 +1003,15 @@ impl Core {
             );
 
             let entry = self.rob.pop_front().expect("nonempty");
-            self.rob_seqs.pop_front();
+            if entry.can_mispredict {
+                // Its checkpoint dies with it: keep only the undo records
+                // the oldest remaining control entry can still need.
+                let oldest = match self.rob.control().front() {
+                    Some(&seq) => self.rob.by_seq(seq).checkpoint,
+                    None => self.returns.checkpoint(),
+                };
+                self.returns.release_before(oldest);
+            }
             self.last_commit_cycle = self.now;
             self.stats.committed_insts += 1;
             committed += 1;
@@ -1220,11 +1048,9 @@ impl Core {
                 Inst::Store { width, .. } => {
                     self.machine.mem.write(entry.addr, entry.store_val, width);
                     self.mem.write(entry.addr);
-                    self.sq_used -= 1;
                     self.stats.committed_stores += 1;
                 }
                 Inst::Load { .. } => {
-                    self.lq_used -= 1;
                     self.stats.committed_loads += 1;
                 }
                 Inst::Branch { .. } => {
@@ -1288,7 +1114,7 @@ impl Core {
                     // view simply restarts from architectural state.
                     debug_assert!(self.rob.is_empty());
                     self.rename = [None; NUM_REGS];
-                    self.spec_stack = self.machine.call_stack.clone();
+                    self.returns.reset(&self.machine.call_stack);
                 }
                 Inst::RdTsc { .. } => {
                     self.fetch_pc = entry.pc + INST_BYTES;
@@ -1323,10 +1149,8 @@ impl Core {
             let pc = self.fetch_pc;
             let Some(inst) = self.machine.inst_at(pc) else {
                 // Wrong-path fetch into unmapped memory simply stalls the
-                // front-end until the squash redirects it. On the committed
-                // path this is a real fault.
-                // Wrong-path fetches stall until the squash redirects;
-                // an empty ROB means the committed path itself is bad.
+                // front-end until the squash redirects it. With an empty
+                // ROB the committed path itself is bad: a real fault.
                 if !self.rob.is_empty() {
                     return Ok(());
                 }
@@ -1348,10 +1172,11 @@ impl Core {
             }
 
             // Capacity checks.
-            if matches!(inst, Inst::Load { .. }) && self.lq_used >= self.cfg.lq_entries {
+            if matches!(inst, Inst::Load { .. }) && self.rob.loads().len() >= self.cfg.lq_entries {
                 break;
             }
-            if matches!(inst, Inst::Store { .. }) && self.sq_used >= self.cfg.sq_entries {
+            if matches!(inst, Inst::Store { .. }) && self.rob.stores().len() >= self.cfg.sq_entries
+            {
                 break;
             }
 
@@ -1370,8 +1195,7 @@ impl Core {
 
     fn decode_one(&mut self, pc: u64, inst: Inst) {
         self.made_progress = true;
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.rob.next_seq();
 
         let srcs = SrcList::new(&inst.srcs(), |reg| {
             let producer = self.rename[reg as usize];
@@ -1406,8 +1230,9 @@ impl Core {
             mispred: false,
             squash_done: false,
             hist_snapshot: self.pred.hist,
-            rsb_snapshot: None,
-            stack_snapshot: None,
+            checkpoint: 0,
+            #[cfg(debug_assertions)]
+            debug_returns: None,
             pred_taken: false,
             actual_taken: false,
             addr: 0,
@@ -1439,8 +1264,6 @@ impl Core {
                 entry.pred_taken = taken;
                 entry.pred_target = if taken { target } else { pc + INST_BYTES };
                 entry.can_mispredict = true;
-                entry.rsb_snapshot = Some(self.pred.rsb.clone());
-                entry.stack_snapshot = Some(self.spec_stack.clone());
                 self.pred.hist = (self.pred.hist << 1) | u64::from(taken);
                 self.fetch_pc = entry.pred_target;
             }
@@ -1450,20 +1273,16 @@ impl Core {
                 self.fetch_pc = target;
             }
             Inst::Call { target } => {
-                self.spec_stack.push(pc + INST_BYTES);
-                self.pred.rsb.push(pc + INST_BYTES);
+                self.returns.call(&mut self.pred.rsb, pc + INST_BYTES);
                 entry.ready_at = fetch_ready + 1;
                 entry.computed = true;
                 self.fetch_pc = target;
             }
             Inst::CallInd { .. } | Inst::JumpInd { .. } => {
                 if matches!(inst, Inst::CallInd { .. }) {
-                    self.spec_stack.push(pc + INST_BYTES);
-                    self.pred.rsb.push(pc + INST_BYTES);
+                    self.returns.call(&mut self.pred.rsb, pc + INST_BYTES);
                 }
                 entry.can_mispredict = true;
-                entry.rsb_snapshot = Some(self.pred.rsb.clone());
-                entry.stack_snapshot = Some(self.spec_stack.clone());
                 let in_kernel = self.machine.mode == Mode::Kernel;
                 let prediction = if self.policy.predict_indirect() {
                     self.pred.btb.predict(pc, self.pred.hist, in_kernel)
@@ -1484,12 +1303,10 @@ impl Core {
                 }
             }
             Inst::Ret => {
-                let actual = self.spec_stack.pop().unwrap_or(u64::MAX);
+                let (actual, rsb_prediction) = self.returns.ret(&mut self.pred.rsb);
+                let actual = actual.unwrap_or(u64::MAX);
                 let in_kernel = self.machine.mode == Mode::Kernel;
-                let predicted = self
-                    .pred
-                    .rsb
-                    .pop()
+                let predicted = rsb_prediction
                     .or_else(|| self.pred.btb.predict(pc, self.pred.hist, in_kernel))
                     .unwrap_or(pc + INST_BYTES);
                 entry.can_mispredict = true;
@@ -1499,29 +1316,25 @@ impl Core {
                 entry.mispred = predicted != actual;
                 entry.ready_at = fetch_ready + self.cfg.ret_resolve_latency;
                 entry.computed = true;
-                entry.rsb_snapshot = Some(self.pred.rsb.clone());
-                entry.stack_snapshot = Some(self.spec_stack.clone());
                 self.fetch_pc = predicted;
-            }
-            Inst::Load { .. } => {
-                self.lq_used += 1;
-                self.fetch_pc = pc + INST_BYTES;
-            }
-            Inst::Store { .. } => {
-                self.sq_used += 1;
-                self.fetch_pc = pc + INST_BYTES;
             }
             _ => {
                 self.fetch_pc = pc + INST_BYTES;
             }
         }
 
+        // A squash by this entry restores the return state as it stands
+        // after the entry's own decode (a call's push, a return's pop).
+        entry.checkpoint = self.returns.checkpoint();
+        #[cfg(debug_assertions)]
+        if entry.can_mispredict {
+            entry.debug_returns = Some((self.pred.rsb.clone(), self.returns.stack().to_vec()));
+        }
+
         if let Some(dst) = inst.dst() {
             self.rename[dst as usize] = Some(seq);
         }
-        self.rob.push_back(entry);
-        self.rob_seqs.push_back(seq);
-        self.exec_active.push_back(seq);
+        self.rob.push(entry);
     }
 }
 

@@ -270,11 +270,21 @@ impl Btb {
 ///
 /// On underflow the predictor falls back to the BTB entry for the `ret`'s
 /// own address — the behavior Retbleed exploits.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rsb {
     slots: Vec<u64>,
     top: usize,
     count: usize,
+}
+
+/// What one RSB push or pop changed, so the speculative front end can
+/// roll it back without a snapshot of the whole buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RsbUndo {
+    top: usize,
+    count: usize,
+    slot: usize,
+    old: u64,
 }
 
 impl Rsb {
@@ -307,6 +317,37 @@ impl Rsb {
         self.top = (self.top + self.slots.len() - 1) % self.slots.len();
         self.count -= 1;
         Some(v)
+    }
+
+    /// [`Rsb::push`], returning the record that undoes it.
+    pub(crate) fn push_undoable(&mut self, ret_addr: u64) -> RsbUndo {
+        let slot = (self.top + 1) % self.slots.len();
+        let undo = RsbUndo {
+            top: self.top,
+            count: self.count,
+            slot,
+            old: self.slots[slot],
+        };
+        self.push(ret_addr);
+        undo
+    }
+
+    /// [`Rsb::pop`], also returning the record that undoes it.
+    pub(crate) fn pop_undoable(&mut self) -> (Option<u64>, RsbUndo) {
+        let undo = RsbUndo {
+            top: self.top,
+            count: self.count,
+            slot: self.top,
+            old: self.slots[self.top],
+        };
+        (self.pop(), undo)
+    }
+
+    /// Roll back one push or pop (records must be undone newest first).
+    pub(crate) fn undo(&mut self, undo: RsbUndo) {
+        self.slots[undo.slot] = undo.old;
+        self.top = undo.top;
+        self.count = undo.count;
     }
 
     /// Number of valid entries.

@@ -264,3 +264,112 @@ fn wrong_path_stores_never_reach_memory() {
         "squashed stores must never write memory"
     );
 }
+
+#[test]
+fn squash_across_loads_stores_calls_and_returns_restores_return_state() {
+    // A slow mispredicted branch inside a callee, whose wrong path stores,
+    // loads, calls 20 deep (overflowing the 16-entry RSB and overwriting
+    // every slot), and returns past the pre-branch RSB entries. The
+    // squash must put the RSB and the speculative call stack back exactly
+    // as they stood after the branch's decode: the correct-path returns
+    // then resolve against the right addresses, and the final RSB equals
+    // a replay of the committed calls and returns alone. (Debug builds
+    // additionally compare every restore against a full copy taken at
+    // the checkpoint.)
+    const MAIN: u64 = 0x1000;
+    const OUTER: u64 = 0x2000;
+    const MID: u64 = 0x3000;
+    const TAKEN: u64 = 0x3800;
+    const CHAIN: u64 = 0x6000;
+    const DEPTH: u64 = 20;
+
+    let mut text = Vec::new();
+    let mut main = Assembler::new(MAIN);
+    main.movi(1, 0x8000);
+    main.push(Inst::Call { target: OUTER });
+    let ret_main = main.here();
+    main.push(Inst::Halt);
+    text.extend(main.finish());
+
+    let mut outer = Assembler::new(OUTER);
+    outer.push(Inst::Call { target: MID });
+    let ret_outer = outer.here();
+    outer.push(Inst::Ret);
+    text.extend(outer.finish());
+
+    // MID: a two-load pointer chase feeds the branch (a long shadow).
+    let mut mid = Assembler::new(MID);
+    mid.load(2, 1, 0);
+    mid.load(3, 2, 0);
+    mid.branch_to(Cond::Ne, 3, 10, TAKEN);
+    mid.movi(7, 1);
+    mid.store(7, 1, 24);
+    mid.push(Inst::Ret);
+    text.extend(mid.finish());
+
+    // The taken side: the wrong path in the final run.
+    let mut taken = Assembler::new(TAKEN);
+    taken.store(5, 1, 8);
+    taken.load(6, 1, 16);
+    taken.push(Inst::Call { target: CHAIN });
+    taken.movi(8, 1);
+    taken.push(Inst::Ret);
+    text.extend(taken.finish());
+
+    for k in 0..DEPTH {
+        let mut link = Assembler::new(CHAIN + k * 0x40);
+        if k + 1 < DEPTH {
+            link.push(Inst::Call {
+                target: CHAIN + (k + 1) * 0x40,
+            });
+        } else {
+            link.load(9, 1, 32);
+        }
+        link.push(Inst::Ret);
+        text.extend(link.finish());
+    }
+
+    for policy in [
+        Box::new(UnsafePolicy::new()) as Box<dyn SpecPolicy>,
+        Box::new(FencePolicy::new()),
+    ] {
+        let name = policy.name();
+        let mut core = core_with(text.clone(), policy);
+        core.machine.mem.write_u64(0x8000, 0x8100);
+        core.machine.mem.write_u64(0x8100, 0);
+        // Train the branch taken (r3 = 0 != r10 = 1); the chain commits.
+        core.machine.set_reg(10, 1);
+        for _ in 0..4 {
+            core.run(MAIN, 100_000).expect("training run");
+        }
+        assert_eq!(core.machine.reg(8), 1, "{name}: the taken side committed");
+
+        // Final run: not taken, predicted taken, with a cold chase.
+        core.machine.set_reg(10, 0);
+        core.machine.set_reg(8, 0);
+        core.mem.flush(0x8000);
+        core.mem.flush(0x8100);
+        let mut expect_rsb = core.pred.rsb.clone();
+        let before = core.stats();
+        core.run(MAIN, 100_000).expect("final run");
+        let delta = core.stats().delta_since(&before);
+
+        assert_eq!(core.machine.reg(7), 1, "{name}: fall-through committed");
+        assert_eq!(core.machine.reg(8), 0, "{name}: wrong path discarded");
+        assert_eq!(core.machine.mem.read_u64(0x8000 + 24), 1);
+        assert!(core.machine.call_stack.is_empty());
+        assert!(delta.squashes >= 1, "{name}: {delta:?}");
+        assert!(
+            delta.squashed_insts >= 2 * DEPTH,
+            "{name}: the wrong path reached into the call chain: {delta:?}"
+        );
+        expect_rsb.push(ret_main);
+        expect_rsb.push(ret_outer);
+        expect_rsb.pop();
+        expect_rsb.pop();
+        assert_eq!(
+            core.pred.rsb, expect_rsb,
+            "{name}: RSB equals a replay of the committed calls and returns"
+        );
+    }
+}

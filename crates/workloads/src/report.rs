@@ -324,15 +324,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing at
-                // the next boundary is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| format!("unterminated string at byte {pos}", pos = *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece. Both delimiters are ASCII, so the run ends on a
+                // char boundary of the (valid UTF-8) input. Validating
+                // only the run keeps parsing linear in the input size.
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
