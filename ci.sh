@@ -60,7 +60,7 @@ echo "==> cell cache: cold, warm, and verify runs are byte-identical (small kern
 # entries re-serialize byte-identically — a forgotten SIM_VERSION bump
 # fails here before it can poison anyone's cache.
 rm -rf target/persp-cache-ci
-for exp in fig_9_2 table_10_1; do
+for exp in fig_9_2 table_10_1 fig_9_3 per_syscall_views; do
     for mode in on on verify; do
         PERSPECTIVE_KERNEL=small PERSPECTIVE_THREADS=4 \
             PERSPECTIVE_CACHE=$mode PERSPECTIVE_CACHE_DIR=target/persp-cache-ci \
@@ -75,6 +75,13 @@ for exp in fig_9_2 table_10_1; do
 done
 if ! ls target/persp-cache-ci/cell-*.json >/dev/null 2>&1; then
     echo "ci: cache runs completed but no cell entries were written" >&2
+    exit 1
+fi
+
+echo "==> audit_pipeline example vs its checked-in transcript"
+cargo run --release -q --example audit_pipeline >target/bench-json/audit_pipeline.txt
+if ! diff -u examples/audit_pipeline.txt target/bench-json/audit_pipeline.txt; then
+    echo "ci: the audit_pipeline example drifted from examples/audit_pipeline.txt" >&2
     exit 1
 fi
 

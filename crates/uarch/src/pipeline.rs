@@ -26,7 +26,7 @@ use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS, REG_SYSNO};
 use crate::machine::{Machine, Mode};
 use crate::policy::{BlockSource, LoadCtx, LoadDecision, SpecPolicy};
 use crate::predictor::Predictors;
-use crate::rob::{ReorderBuffer, RobEntry, SrcDep, SrcList, TaintSet};
+use crate::rob::{ReorderBuffer, RobEntry, Sched, SrcDep, SrcList, TaintSet};
 use crate::sni::{RetiredInst, SniChecker};
 use crate::stats::SimStats;
 use persp_mem::MemoryHierarchy;
@@ -85,6 +85,34 @@ impl std::error::Error for SimError {}
 pub struct RunSummary {
     /// Statistics accumulated during this run only.
     pub stats: SimStats,
+}
+
+/// Host-side counts of the execute stage's rarely taken waits. Like
+/// [`Core::ff_skipped_cycles`], a property of the simulator rather than
+/// of the simulated machine: the fence and forwarding counts grow with
+/// every stepped cycle, so they differ with the fast-forward on and off
+/// and never reach serialized output.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecWaits {
+    /// Visits deferred because an older fence is in flight.
+    pub fence: u64,
+    /// Load attempts stopped by a partially overlapping older store
+    /// (forwarding waits for the store to drain).
+    pub forward: u64,
+    /// Loads parked behind an older store whose address is unknown.
+    pub store_address: u64,
+}
+
+/// What a compute attempt leaves for the execute stage's scheduler.
+enum Attempt {
+    /// Computed, or left its next attempt in `retry_at`: a cycle, or
+    /// `u64::MAX` while asleep in a waiter list or parked until the VP.
+    Hinted,
+    /// Must be tried again next pass.
+    Again,
+    /// Stopped by an older store whose address is unknown, having bumped
+    /// nothing.
+    BehindStore,
 }
 
 const DEADLOCK_WINDOW: u64 = 50_000;
@@ -148,6 +176,7 @@ pub struct Core {
     /// simulated machine, and must never reach serialized output (which
     /// is required to be byte-identical with fast-forward on and off).
     ff_skipped: u64,
+    exec_waits: ExecWaits,
 
     call_trace: Option<std::collections::HashSet<u64>>,
     sni: Option<SniChecker>,
@@ -186,6 +215,7 @@ impl Core {
             returns: SpecReturns::default(),
             made_progress: false,
             ff_skipped: 0,
+            exec_waits: ExecWaits::default(),
             call_trace: None,
             sni: None,
             stats: SimStats::default(),
@@ -247,6 +277,11 @@ impl Core {
     /// fast-forward on and off.
     pub fn ff_skipped_cycles(&self) -> u64 {
         self.ff_skipped
+    }
+
+    /// The execute stage's wait counts so far (see [`ExecWaits`]).
+    pub fn exec_waits(&self) -> ExecWaits {
+        self.exec_waits
     }
 
     /// Run the program at `entry` until a `Halt` commits or `max_cycles`
@@ -311,7 +346,7 @@ impl Core {
         }
         self.fetch_stage()?;
         #[cfg(debug_assertions)]
-        self.rob.check_invariants();
+        self.rob.check_invariants(self.now);
         if self.machine.mode == Mode::Kernel {
             self.stats.kernel_cycles += 1;
         } else {
@@ -356,65 +391,129 @@ impl Core {
 
     // ----- execute ------------------------------------------------------
 
-    /// Walks the in-flight frontier (the ROB's `active` queue) in program
-    /// order, oldest first. Behaviorally identical to scanning the whole
-    /// ROB: a *settled* entry — computed, result ready, not a fence —
-    /// can never recompute (`computed` is sticky and `ready_at` is only
-    /// written on the not-computed → computed transition) and
-    /// contributes nothing to any of the three rolling ordering flags,
-    /// so dropping it from the scan is invisible to the simulation.
-    fn exec_stage(&mut self) {
-        let mut older_unresolved_branch = false;
-        let mut older_uncommitted_fence = false;
-        let mut older_store_addr_unknown = false;
+    /// Seq of the oldest control entry that is unresolved at `now`, or
+    /// `u64::MAX` when none is.
+    fn oldest_unresolved_control(&self) -> u64 {
+        let now = self.now;
+        self.rob
+            .control()
+            .iter()
+            .copied()
+            .find(|&seq| self.rob.by_seq(seq).unresolved_at(now))
+            .unwrap_or(u64::MAX)
+    }
 
-        let mut active = self.rob.take_active();
-        let mut keep = 0;
-        for k in 0..active.len() {
-            let seq = active[k];
-            // Committed entries fall off the list here (a squash purges
-            // the seqs it drops itself).
+    /// Attempt, oldest first, exactly the entries whose attempt can
+    /// change something this cycle. Behaviorally identical to walking
+    /// every in-flight entry in program order and attempting each one
+    /// that is not computed, not serializing, past the front end
+    /// (`fetch_ready`), past its retry hint (`retry_at`) and not behind a
+    /// fence, with the three ordering flags accumulated along the walk.
+    ///
+    /// The work list comes from the ROB's scheduler (see
+    /// `ReorderBuffer::start_pass`); each attempt's outcome decides where
+    /// the entry waits next. The flags are cut-offs in seq order:
+    ///
+    /// * older unresolved control: `seq >` the oldest unresolved control
+    ///   entry. It cannot move during the pass, because a control entry
+    ///   that computes now gets `ready_at > now`;
+    /// * older fence: `seq >` the oldest fence in flight;
+    /// * older unknown-address store: `seq >` the oldest uncomputed
+    ///   store. When that store computes, later in program order than
+    ///   everything visited so far, the cut-off advances, and the loads
+    ///   parked between the old and the new cut-off join this pass.
+    fn exec_stage(&mut self) {
+        let now = self.now;
+        #[cfg(debug_assertions)]
+        let expected = self.debug_attemptable();
+        #[cfg(debug_assertions)]
+        let mut attempted = Vec::new();
+        let control_cut = self.oldest_unresolved_control();
+        let fence_cut = self.rob.fences().front().copied().unwrap_or(u64::MAX);
+        let mut store_cut = self.rob.oldest_unknown_store();
+        self.rob.start_pass(now);
+        while let Some(seq) = self.rob.pop_work() {
+            // A carried entry may have committed since.
             let Some(i) = self.rob.index_of(seq) else {
                 continue;
             };
+            self.rob[i].sched = Sched::Idle;
+            if self.rob[i].computed {
+                continue; // a carried load the VP stage issued
+            }
+            if seq > fence_cut {
+                self.exec_waits.fence += 1;
+                self.rob.carry(i);
+                continue;
+            }
+            #[cfg(debug_assertions)]
             {
                 let e = &self.rob[i];
-                if e.computed && e.ready_at <= self.now && !matches!(e.inst, Inst::Fence) {
-                    continue; // settled — permanently inert to this stage
+                assert!(
+                    e.fetch_ready <= now && e.retry_at <= now && !e.inst.is_serializing(),
+                    "the scheduler attempts only what the full walk would"
+                );
+                assert!(attempted.last() < Some(&seq), "attempts run in seq order");
+                attempted.push(seq);
+            }
+            match self.try_compute(i, seq > control_cut, seq > store_cut) {
+                Attempt::Again => self.rob.carry(i),
+                Attempt::BehindStore => {
+                    self.exec_waits.store_address += 1;
+                    self.rob.park_behind_store(i);
+                }
+                Attempt::Hinted => {
+                    let e = &self.rob[i];
+                    if e.computed {
+                        if seq == store_cut {
+                            store_cut = self.rob.oldest_unknown_store();
+                            self.rob.release_store_waiters(store_cut);
+                        }
+                    } else if e.retry_at != u64::MAX {
+                        let retry_at = e.retry_at;
+                        self.rob.schedule_at(i, retry_at);
+                    }
                 }
             }
-            let (computed, fetch_ready, retry_at, inst) = {
-                let e = &self.rob[i];
-                (e.computed, e.fetch_ready, e.retry_at, e.inst)
-            };
-
-            if !computed
-                && !inst.is_serializing()
-                && !older_uncommitted_fence
-                && fetch_ready <= self.now
-                && retry_at <= self.now
-            {
-                self.try_compute(i, older_unresolved_branch, older_store_addr_unknown);
-            }
-
-            let e = &self.rob[i];
-            if e.unresolved_at(self.now) {
-                older_unresolved_branch = true;
-            }
-            if matches!(e.inst, Inst::Fence) {
-                older_uncommitted_fence = true;
-            }
-            if e.is_store() && !e.computed {
-                older_store_addr_unknown = true;
-            }
-            active[keep] = seq;
-            keep += 1;
         }
-        active.truncate(keep);
-        self.rob.set_active(active);
+        #[cfg(debug_assertions)]
+        for seq in expected {
+            let e = self.rob.by_seq(seq);
+            assert!(
+                attempted.binary_search(&seq).is_ok()
+                    || (e.sched == Sched::StoreWait && seq > store_cut),
+                "seq {seq} was due at cycle {now} but not attempted"
+            );
+        }
     }
 
-    fn try_compute(&mut self, i: usize, speculative: bool, older_store_addr_unknown: bool) {
+    /// Debug builds: the entries the full program-order walk would
+    /// attempt this cycle (ignoring the store flag, which only turns an
+    /// attempt into a no-op).
+    #[cfg(debug_assertions)]
+    fn debug_attemptable(&self) -> Vec<u64> {
+        let mut older_fence = false;
+        let mut due = Vec::new();
+        for e in self.rob.iter() {
+            if !e.computed
+                && !e.inst.is_serializing()
+                && !older_fence
+                && e.fetch_ready <= self.now
+                && e.retry_at <= self.now
+            {
+                due.push(e.seq);
+            }
+            older_fence |= matches!(e.inst, Inst::Fence);
+        }
+        due
+    }
+
+    fn try_compute(
+        &mut self,
+        i: usize,
+        speculative: bool,
+        older_store_addr_unknown: bool,
+    ) -> Attempt {
         // Gather sources (SrcList is Copy — no per-attempt allocation).
         let deps = self.rob[i].srcs;
         let mut vals = [0u64; 2];
@@ -474,7 +573,7 @@ impl Core {
                             None => self.now + 1,
                         }
                     };
-                    return;
+                    return Attempt::Hinted;
                 }
             }
         }
@@ -541,9 +640,17 @@ impl Core {
             Inst::Load { offset, width, .. } => {
                 let addr = vals[0].wrapping_add(offset as u64);
                 // Memory disambiguation: conservative — wait while any older
-                // store address is unknown.
+                // store address is unknown. Until then every attempt is a
+                // no-op (the operands are fixed), so the load parks until
+                // the store computes — unless this gather bumped the
+                // taint-overflow counter, which then has to bump again
+                // every cycle.
                 if older_store_addr_unknown {
-                    return;
+                    return if bumped {
+                        Attempt::Again
+                    } else {
+                        Attempt::BehindStore
+                    };
                 }
                 // Store-to-load forwarding from the youngest matching older
                 // store; overlap without exact match stalls until it drains.
@@ -566,7 +673,8 @@ impl Core {
                     }
                 }
                 if must_wait {
-                    return;
+                    self.exec_waits.forward += 1;
+                    return Attempt::Again;
                 }
                 if let Some((v, t)) = forward {
                     let e = &mut self.rob[i];
@@ -579,7 +687,7 @@ impl Core {
                     e.issued_mem = false;
                     self.made_progress = true;
                     self.wake_waiters(i);
-                    return;
+                    return Attempt::Hinted;
                 }
                 // Policy gate.
                 let tainted_addr = self.taint_active(&taint, speculative) && speculative;
@@ -632,8 +740,16 @@ impl Core {
                             self.made_progress = true;
                         }
                     }
+                } else if !bumped {
+                    // Retried only because an earlier gather bumped; this
+                    // one did not, and fewer roots can only shrink the
+                    // merge, so no later attempt bumps either.
+                    self.rob[i].retry_at = u64::MAX;
                 }
                 // Blocked loads are issued by `vp_stage` once safe.
+                if self.rob[i].blocked.is_some() && bumped {
+                    return Attempt::Again;
+                }
             }
             Inst::CacheFlush { offset, .. } => {
                 let addr = vals[0].wrapping_add(offset as u64);
@@ -664,7 +780,11 @@ impl Core {
         if self.rob[i].computed {
             self.made_progress = true;
             self.wake_waiters(i);
+            if self.rob[i].mispred {
+                self.rob.note_mispredict(i);
+            }
         }
+        Attempt::Hinted
     }
 
     /// Wake consumers sleeping on entry `i`'s result (see
@@ -685,6 +805,7 @@ impl Core {
             let j = self.rob.index_of(w).expect("sleepers are in flight");
             debug_assert!(self.rob[j].blocked.is_none(), "parked loads never sleep");
             self.rob[j].retry_at = ready_at;
+            self.rob.schedule_at(j, ready_at);
         }
     }
 
@@ -720,19 +841,11 @@ impl Core {
 
     // ----- squash -------------------------------------------------------
 
+    /// Squash after the oldest control entry whose misprediction is
+    /// visible at `now`. Only the entries on the ROB's mispredicted list
+    /// can qualify, so the search looks there.
     fn squash_stage(&mut self) {
-        // Only control entries can mispredict.
-        let now = self.now;
-        let Some(i) = self
-            .rob
-            .control()
-            .iter()
-            .map(|&seq| self.rob.index_of(seq).expect("queued control in flight"))
-            .find(|&i| {
-                let e = &self.rob[i];
-                e.computed && e.ready_at <= now && e.mispred && !e.squash_done
-            })
-        else {
+        let Some(i) = self.rob.take_due_mispredict(self.now) else {
             return;
         };
         self.made_progress = true;
@@ -799,14 +912,7 @@ impl Core {
     /// resolves a control entry, so the walk covers exactly the loads
     /// older than the oldest unresolved control entry, in program order.
     fn vp_stage(&mut self) {
-        let now = self.now;
-        let cutoff = self
-            .rob
-            .control()
-            .iter()
-            .copied()
-            .find(|&seq| self.rob.by_seq(seq).unresolved_at(now))
-            .unwrap_or(u64::MAX);
+        let cutoff = self.oldest_unresolved_control();
         for k in 0..self.rob.loads().len() {
             let seq = self.rob.loads()[k];
             if seq >= cutoff {
@@ -1222,6 +1328,7 @@ impl Core {
             value: 0,
             ready_at: u64::MAX,
             retry_at: 0,
+            sched: Sched::Idle,
             waiters: [0; 4],
             n_waiters: 0,
             can_mispredict: false,

@@ -1,4 +1,5 @@
-//! The reorder buffer and its event indexes.
+//! The reorder buffer, its event indexes and the execute stage's
+//! scheduler.
 //!
 //! In-flight instructions live here in program order. Sequence numbers
 //! are contiguous: decode hands out `next_seq`, and a squash, which
@@ -15,18 +16,33 @@
 //!   visibility-point cut-off look only here;
 //! * `loads` and `stores` — the load and store queues: the
 //!   visibility-point stage walks loads, store-to-load forwarding walks
-//!   stores;
-//! * `active` — the execute stage's frontier of entries that are not yet
-//!   settled (see `Core::exec_stage`); it drops committed seqs lazily.
+//!   stores, and a cursor over `stores` finds the oldest store whose
+//!   address is still unknown;
+//! * `fences` — the fences in flight, which hold back every younger
+//!   entry's execution.
+//!
+//! A short unordered list of the control entries that computed a
+//! misprediction and have not squashed yet lets the squash stage find
+//! its next squash without walking `control`.
+//!
+//! It also keeps the execute stage's scheduler (see `Core::exec_stage`):
+//! the fetch frontier (the oldest entry the execute stage has not yet
+//! seen), a calendar of `(cycle, seq)` retries, a carry list of entries
+//! to try again next pass, the loads parked behind the oldest
+//! unknown-address store, and the current pass's work list. Each entry's
+//! [`Sched`] says which of these holds it, so a stale calendar entry is
+//! recognized and dropped.
 //!
 //! Seqs are reused after a squash, so [`ReorderBuffer::truncate`] purges
-//! every dropped seq from all four queues and from the survivors'
-//! waiter lists before a new entry can take the number.
+//! every dropped seq from the queues, the carry and store-wait lists and
+//! the survivors' waiter lists, and pulls the frontier back, before a new
+//! entry can take the number.
 
 use crate::isa::{Inst, Width};
 use crate::policy::BlockSource;
 use crate::predictor::History;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Index, IndexMut};
 
 /// Bounded set of speculative-load "taint roots" for STT-style tracking.
@@ -127,6 +143,22 @@ impl SrcList {
     }
 }
 
+/// Where the execute stage's scheduler holds an entry. Host-side only:
+/// it never influences simulated behavior.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sched {
+    /// Nothing pending: behind the fetch frontier, computed, asleep in
+    /// a producer's `waiters` list, or parked until the visibility-point
+    /// stage issues it.
+    Idle,
+    /// On the current pass's work list or on the carry list.
+    Queued,
+    /// In the calendar for this cycle.
+    At(u64),
+    /// Parked behind the oldest store whose address is unknown.
+    StoreWait,
+}
+
 #[derive(Debug)]
 pub(crate) struct RobEntry {
     pub(crate) seq: u64,
@@ -147,6 +179,8 @@ pub(crate) struct RobEntry {
     /// before this cycle, so the execute stage skips the attempt. Never
     /// influences simulated behavior.
     pub(crate) retry_at: u64,
+    /// Which scheduler list holds the entry.
+    pub(crate) sched: Sched,
     /// Host-side wakeup list: seqs of consumers whose operand gather is
     /// asleep until this entry computes (`wake_waiters` resets their
     /// `retry_at`). Capacity-bounded — consumers that don't fit keep
@@ -200,7 +234,8 @@ impl RobEntry {
 }
 
 /// In-flight instructions in program order, indexed by contiguous
-/// sequence numbers, with per-class seq queues (see the module docs).
+/// sequence numbers, with per-class seq queues and the execute stage's
+/// scheduler (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct ReorderBuffer {
     entries: VecDeque<RobEntry>,
@@ -208,7 +243,25 @@ pub(crate) struct ReorderBuffer {
     control: VecDeque<u64>,
     loads: VecDeque<u64>,
     stores: VecDeque<u64>,
-    active: VecDeque<u64>,
+    fences: VecDeque<u64>,
+    /// Control entries that computed a misprediction and have not
+    /// squashed yet, in no particular order.
+    mispredicted: Vec<u64>,
+    /// How many stores at the front of `stores` are known to be
+    /// computed (a lower bound: [`ReorderBuffer::oldest_unknown_store`]
+    /// advances it lazily).
+    stores_known: usize,
+    /// Seq of the oldest entry the execute stage has not admitted yet.
+    frontier: u64,
+    /// Min-heap of `(cycle, seq)` retries; stale when the entry's
+    /// `sched` is no longer `At(cycle)`.
+    calendar: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Entries to try again next pass.
+    carry: Vec<u64>,
+    /// Loads parked behind the oldest unknown-address store.
+    store_wait: BinaryHeap<Reverse<u64>>,
+    /// The current pass's work list, popped in ascending seq order.
+    work: BinaryHeap<Reverse<u64>>,
 }
 
 impl ReorderBuffer {
@@ -218,7 +271,14 @@ impl ReorderBuffer {
         self.control.clear();
         self.loads.clear();
         self.stores.clear();
-        self.active.clear();
+        self.fences.clear();
+        self.mispredicted.clear();
+        self.stores_known = 0;
+        self.frontier = self.next_seq;
+        self.calendar.clear();
+        self.carry.clear();
+        self.store_wait.clear();
+        self.work.clear();
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -281,14 +341,122 @@ impl ReorderBuffer {
         &self.stores
     }
 
-    /// Take the execute stage's frontier; hand it back with
-    /// [`ReorderBuffer::set_active`].
-    pub(crate) fn take_active(&mut self) -> VecDeque<u64> {
-        std::mem::take(&mut self.active)
+    /// The fences in flight, oldest first.
+    pub(crate) fn fences(&self) -> &VecDeque<u64> {
+        &self.fences
     }
 
-    pub(crate) fn set_active(&mut self, active: VecDeque<u64>) {
-        self.active = active;
+    /// Seq of the oldest store that has not computed (whose address is
+    /// unknown), or `u64::MAX` when every store in flight has.
+    pub(crate) fn oldest_unknown_store(&mut self) -> u64 {
+        while let Some(&seq) = self.stores.get(self.stores_known) {
+            if !self.by_seq(seq).computed {
+                return seq;
+            }
+            self.stores_known += 1;
+        }
+        u64::MAX
+    }
+
+    /// Record that entry `i` computed a misprediction.
+    pub(crate) fn note_mispredict(&mut self, i: usize) {
+        let e = &self.entries[i];
+        debug_assert!(e.computed && e.mispred && !e.squash_done);
+        self.mispredicted.push(e.seq);
+    }
+
+    /// The oldest mispredicted entry whose result is ready at `now`,
+    /// taken off the list: the next squash.
+    pub(crate) fn take_due_mispredict(&mut self, now: u64) -> Option<usize> {
+        let (k, i) = self
+            .mispredicted
+            .iter()
+            .enumerate()
+            .map(|(k, &seq)| (k, self.index_of(seq).expect("mispredicted seq in flight")))
+            .filter(|&(_, i)| self.entries[i].ready_at <= now)
+            .min_by_key(|&(_, i)| i)?;
+        self.mispredicted.swap_remove(k);
+        Some(i)
+    }
+
+    // ----- the execute stage's scheduler ---------------------------------
+
+    /// Fill the work list for the pass at cycle `now`: the carry list,
+    /// the calendar entries that are due, and the entries whose front-end
+    /// latency has just elapsed. `fetch_ready` is nondecreasing in seq,
+    /// so those are a run starting at the frontier. The frontier is first
+    /// clamped to the front, because a serializing head computes, and can
+    /// commit, before its `fetch_ready`.
+    pub(crate) fn start_pass(&mut self, now: u64) {
+        debug_assert!(self.work.is_empty(), "the previous pass drained its work");
+        self.work.extend(self.carry.drain(..).map(Reverse));
+        while let Some(&Reverse((cycle, seq))) = self.calendar.peek() {
+            if cycle > now {
+                break;
+            }
+            self.calendar.pop();
+            if let Some(i) = self.index_of(seq) {
+                if self.entries[i].sched == Sched::At(cycle) {
+                    self.entries[i].sched = Sched::Queued;
+                    self.work.push(Reverse(seq));
+                }
+            }
+        }
+        self.frontier = self.frontier.max(self.front_seq());
+        while let Some(i) = self.index_of(self.frontier) {
+            let e = &mut self.entries[i];
+            if e.fetch_ready > now {
+                break;
+            }
+            if !e.computed && !e.inst.is_serializing() {
+                e.sched = Sched::Queued;
+                self.work.push(Reverse(e.seq));
+            }
+            self.frontier += 1;
+        }
+    }
+
+    /// The oldest entry left on the work list.
+    pub(crate) fn pop_work(&mut self) -> Option<u64> {
+        self.work.pop().map(|Reverse(seq)| seq)
+    }
+
+    /// Try entry `i` again at `cycle`.
+    pub(crate) fn schedule_at(&mut self, i: usize, cycle: u64) {
+        let e = &mut self.entries[i];
+        e.sched = Sched::At(cycle);
+        self.calendar.push(Reverse((cycle, e.seq)));
+    }
+
+    /// Try entry `i` again next pass.
+    pub(crate) fn carry(&mut self, i: usize) {
+        let e = &mut self.entries[i];
+        e.sched = Sched::Queued;
+        self.carry.push(e.seq);
+    }
+
+    /// Park load `i` until the oldest unknown-address store is younger
+    /// than it.
+    pub(crate) fn park_behind_store(&mut self, i: usize) {
+        let e = &mut self.entries[i];
+        e.sched = Sched::StoreWait;
+        self.store_wait.push(Reverse(e.seq));
+    }
+
+    /// The oldest unknown-address store is now `cut`: the loads parked
+    /// below it have no unknown-address store ahead of them any more,
+    /// so move them onto this pass's work list.
+    pub(crate) fn release_store_waiters(&mut self, cut: u64) {
+        while let Some(&Reverse(seq)) = self.store_wait.peek() {
+            if seq >= cut {
+                break;
+            }
+            self.store_wait.pop();
+            let i = self.index_of(seq).expect("parked loads are in flight");
+            debug_assert_eq!(self.entries[i].sched, Sched::StoreWait);
+            self.entries[i].sched = Sched::Queued;
+            self.work.push(Reverse(seq));
+        }
     }
 
     /// Append a decoded entry; its `seq` must be [`ReorderBuffer::next_seq`].
@@ -305,25 +473,36 @@ impl ReorderBuffer {
         if entry.is_store() {
             self.stores.push_back(seq);
         }
-        self.active.push_back(seq);
+        if matches!(entry.inst, Inst::Fence) {
+            self.fences.push_back(seq);
+        }
+        if entry.mispred {
+            // A return, resolved at decode.
+            self.mispredicted.push(seq);
+        }
         self.entries.push_back(entry);
     }
 
-    /// Retire the head. `active` drops the seq lazily.
+    /// Retire the head. The carry list drops the seq lazily.
     pub(crate) fn pop_front(&mut self) -> Option<RobEntry> {
         let entry = self.entries.pop_front()?;
-        for q in [&mut self.control, &mut self.loads, &mut self.stores] {
+        for q in [&mut self.control, &mut self.loads, &mut self.fences] {
             if q.front() == Some(&entry.seq) {
                 q.pop_front();
             }
+        }
+        if self.stores.front() == Some(&entry.seq) {
+            self.stores.pop_front();
+            self.stores_known = self.stores_known.saturating_sub(1);
         }
         Some(entry)
     }
 
     /// Squash every entry from index `keep` on, youngest first, handing
-    /// each to `on_drop`; then rewind `next_seq` and purge the dropped
-    /// seqs from every queue and waiter list, so they can be handed out
-    /// again.
+    /// each to `on_drop`; then rewind `next_seq`, purge the dropped seqs
+    /// from every queue, scheduler list and waiter list, and pull the
+    /// frontier back, so the seqs can be handed out again. Stale calendar
+    /// entries stay: a new entry with a reused seq starts out `Idle`.
     pub(crate) fn truncate(&mut self, keep: usize, mut on_drop: impl FnMut(RobEntry)) {
         let front = self.front_seq();
         while self.entries.len() > keep {
@@ -335,12 +514,17 @@ impl ReorderBuffer {
             &mut self.control,
             &mut self.loads,
             &mut self.stores,
-            &mut self.active,
+            &mut self.fences,
         ] {
             while q.back().is_some_and(|&s| s >= live) {
                 q.pop_back();
             }
         }
+        self.stores_known = self.stores_known.min(self.stores.len());
+        self.frontier = self.frontier.min(live);
+        self.mispredicted.retain(|&s| s < live);
+        self.carry.retain(|&s| s < live);
+        self.store_wait.retain(|&Reverse(s)| s < live);
         for e in &mut self.entries {
             let n = e.n_waiters as usize;
             if n > 0 {
@@ -356,9 +540,11 @@ impl ReorderBuffer {
         }
     }
 
-    /// Debug builds: every index agrees with the entries it summarizes.
+    /// Debug builds: every index agrees with the entries it summarizes,
+    /// and every scheduler list with the entries' `sched` states, at the
+    /// end of the step for cycle `now`.
     #[cfg(debug_assertions)]
-    pub(crate) fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self, now: u64) {
         let front = self.front_seq();
         for (i, e) in self.entries.iter().enumerate() {
             assert_eq!(e.seq, front + i as u64, "ROB seqs must be contiguous");
@@ -368,6 +554,20 @@ impl ReorderBuffer {
                     .all(|&w| w > e.seq && w < self.next_seq),
                 "waiter lists hold only younger in-flight seqs"
             );
+            match e.sched {
+                Sched::Idle => {}
+                Sched::Queued => assert!(self.carry.contains(&e.seq), "queued seq is carried"),
+                Sched::At(cycle) => assert!(
+                    !e.computed
+                        && cycle >= now
+                        && self.calendar.iter().any(|r| r.0 == (cycle, e.seq)),
+                    "scheduled seq is in the calendar"
+                ),
+                Sched::StoreWait => assert!(
+                    !e.computed && e.is_load() && self.store_wait.iter().any(|r| r.0 == e.seq),
+                    "store-waiting seq is parked"
+                ),
+            }
         }
         let filtered = |keep: fn(&RobEntry) -> bool| -> VecDeque<u64> {
             self.entries
@@ -383,13 +583,38 @@ impl ReorderBuffer {
         );
         assert_eq!(self.loads, filtered(RobEntry::is_load), "load queue");
         assert_eq!(self.stores, filtered(RobEntry::is_store), "store queue");
+        assert_eq!(
+            self.fences,
+            filtered(|e| matches!(e.inst, Inst::Fence)),
+            "fence queue"
+        );
+        let mut mispredicted = self.mispredicted.clone();
+        mispredicted.sort_unstable();
+        assert_eq!(
+            VecDeque::from(mispredicted),
+            filtered(|e| e.computed && e.mispred && !e.squash_done),
+            "mispredicted list"
+        );
         assert!(
-            self.active
+            self.stores
                 .iter()
-                .zip(self.active.iter().skip(1))
-                .all(|(a, b)| a < b)
-                && self.active.back().is_none_or(|&s| s < self.next_seq),
-            "active frontier is ascending and in flight"
+                .take(self.stores_known)
+                .all(|&s| self.by_seq(s).computed),
+            "known stores have computed"
+        );
+        assert!(self.frontier <= self.next_seq, "frontier is in flight");
+        assert!(
+            self.entries
+                .iter()
+                .skip(self.frontier.saturating_sub(front) as usize)
+                .all(|e| e.sched == Sched::Idle && e.fetch_ready >= now),
+            "entries at or past the frontier are unseen and still in the front end"
+        );
+        assert!(self.work.is_empty(), "no work outlives its pass");
+        assert!(
+            self.carry.iter().all(|&s| s < self.next_seq)
+                && self.store_wait.iter().all(|r| r.0 < self.next_seq),
+            "scheduler lists hold no squashed seqs"
         );
     }
 }

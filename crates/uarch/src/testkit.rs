@@ -234,10 +234,29 @@ pub struct FastfwdOutcome {
     pub prefetches: u64,
 }
 
-/// Run `text` from `entry` on a fresh core with `idle_fastforward` set to
-/// `fastfwd`, and collect the [`FastfwdOutcome`]. `prepare` runs after
-/// construction (seed registers/memory, pre-warm caches); register 31 is
-/// pre-pointed at [`POOL_BASE`] per the testkit convention.
+/// A fresh paper-default core for `text` with `idle_fastforward` set to
+/// `fastfwd`; register 31 is pre-pointed at [`POOL_BASE`] per the
+/// testkit convention.
+pub fn testkit_core(text: &[(u64, Inst)], fastfwd: bool, policy: Box<dyn SpecPolicy>) -> Core {
+    let cfg = CoreConfig {
+        idle_fastforward: fastfwd,
+        ..CoreConfig::paper_default()
+    };
+    let mut machine = Machine::new();
+    machine.load_text(text.to_vec());
+    machine.set_reg(31, POOL_BASE);
+    Core::new(
+        cfg,
+        machine,
+        MemoryHierarchy::new(HierarchyConfig::paper_default()),
+        policy,
+        Box::new(NullHooks),
+    )
+}
+
+/// Run `text` from `entry` on a [`testkit_core`], and collect the
+/// [`FastfwdOutcome`]. `prepare` runs after construction (seed
+/// registers/memory, pre-warm caches).
 pub fn fastfwd_outcome(
     text: &[(u64, Inst)],
     entry: u64,
@@ -246,20 +265,7 @@ pub fn fastfwd_outcome(
     policy: Box<dyn SpecPolicy>,
     prepare: &dyn Fn(&mut Core),
 ) -> FastfwdOutcome {
-    let cfg = CoreConfig {
-        idle_fastforward: fastfwd,
-        ..CoreConfig::paper_default()
-    };
-    let mut machine = Machine::new();
-    machine.load_text(text.to_vec());
-    machine.set_reg(31, POOL_BASE);
-    let mut core = Core::new(
-        cfg,
-        machine,
-        MemoryHierarchy::new(HierarchyConfig::paper_default()),
-        policy,
-        Box::new(NullHooks),
-    );
+    let mut core = testkit_core(text, fastfwd, policy);
     prepare(&mut core);
     let result = core.run(entry, budget).map(|s| s.stats);
     let mut pool = [0u64; POOL_SLOTS as usize];

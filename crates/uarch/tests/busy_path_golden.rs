@@ -14,19 +14,32 @@
 //! indirect calls into a leaf that calls again (RSB and speculative
 //! call-stack traffic on both paths), and a counted back-edge.
 //!
+//! A second family ([`fence_program`]) covers execute-stage paths the
+//! first one, and the benchmark workloads, leave cold: `Fence`s in the
+//! loop body (every younger entry waits for the fence to commit), byte
+//! stores into quadwords that younger quad loads then read (a partial
+//! overlap, so forwarding stalls until the store drains), and stores
+//! whose data and address come off load chains (so younger loads wait
+//! behind a store with an unknown address).
+//!
 //! When a pipeline change is *meant* to alter timing, the test writes
 //! the new rendering next to the build output and prints the `cp`
 //! command that blesses it.
 
-use persp_uarch::isa::{AluOp, Assembler, Cond, Inst, Width};
+use persp_uarch::isa::{AluOp, Assembler, Cond, Inst, Width, INST_BYTES};
 use persp_uarch::metrics::{MetricsRegistry, MetricsSource};
+use persp_uarch::pipeline::{Core, ExecWaits};
 use persp_uarch::policy::{DomPolicy, FencePolicy, SpecPolicy, SttPolicy, UnsafePolicy};
-use persp_uarch::testkit::{build_program, fastfwd_outcome, Template, POOL_BASE, POOL_SLOTS};
+use persp_uarch::testkit::{
+    build_program, fastfwd_outcome, testkit_core, Template, POOL_BASE, POOL_SLOTS,
+};
 use std::fmt::Write as _;
 use std::path::Path;
 
 const GOLDEN: &str = "tests/golden/busy_path_simstats.txt";
+const FENCE_GOLDEN: &str = "tests/golden/fence_overlap_simstats.txt";
 const SEEDS: std::ops::Range<u64> = 1..7;
+const FENCE_SEEDS: std::ops::Range<u64> = 1..5;
 const BODY_BASE: u64 = 0x1000;
 const LEAF: u64 = 0x8000;
 const INNER_LEAF: u64 = 0x9000;
@@ -181,6 +194,118 @@ fn program(seed: u64) -> Vec<(u64, Inst)> {
     text
 }
 
+/// The fence/overlap family: a looped body of fences, byte stores into
+/// quadwords followed by quad loads of them, load chains that feed a
+/// store's data and address, plain loads, short forward skips and ALU
+/// operations, closed by a counted back-edge. Registers 1–12 belong to
+/// the body, 13 and 14 to the chains, 20 is the loop counter and 31 the
+/// pool base.
+fn fence_program(seed: u64) -> Vec<(u64, Inst)> {
+    let mut rng = Rng(seed);
+    let mut text = Vec::new();
+
+    let mut pro = Assembler::new(ENTRY);
+    pro.movi(20, ITERS);
+    pro.push(Inst::Jump { target: BODY_BASE });
+    text.extend(pro.finish());
+
+    // Forward skips are laid out once the body length is known; until
+    // then a `Branch`'s `target` holds how many instructions it skips.
+    let mut body: Vec<Inst> = Vec::new();
+    for _ in 0..40 {
+        let slot = 8 * rng.below(POOL_SLOTS) as i64;
+        match rng.below(25) {
+            0 => body.push(Inst::Fence),
+            1..=5 => {
+                body.push(Inst::Store {
+                    src: rng.reg(),
+                    base: 31,
+                    offset: slot + 1 + rng.below(7) as i64,
+                    width: Width::B,
+                });
+                body.push(Inst::Load {
+                    dst: rng.reg(),
+                    base: 31,
+                    offset: slot,
+                    width: Width::Q,
+                });
+            }
+            6..=10 => {
+                body.push(Inst::Load {
+                    dst: 13,
+                    base: 31,
+                    offset: slot,
+                    width: Width::Q,
+                });
+                body.push(Inst::AluImm {
+                    op: AluOp::And,
+                    dst: 13,
+                    a: 13,
+                    imm: 0x38,
+                });
+                body.push(Inst::Alu {
+                    op: AluOp::Add,
+                    dst: 13,
+                    a: 13,
+                    b: 31,
+                });
+                body.push(Inst::Load {
+                    dst: 14,
+                    base: 13,
+                    offset: 0,
+                    width: Width::Q,
+                });
+                body.push(Inst::Store {
+                    src: 14,
+                    base: 13,
+                    offset: 0,
+                    width: rng.width(),
+                });
+            }
+            11..=15 => body.push(Inst::Load {
+                dst: rng.reg(),
+                base: 31,
+                offset: slot,
+                width: rng.width(),
+            }),
+            16..=19 => body.push(Inst::Branch {
+                cond: CONDS[rng.below(CONDS.len() as u64) as usize],
+                a: rng.reg(),
+                b: rng.reg(),
+                target: 1 + rng.below(4),
+            }),
+            _ => body.push(Inst::Alu {
+                op: OPS[rng.below(OPS.len() as u64) as usize],
+                dst: rng.reg(),
+                a: rng.reg(),
+                b: rng.reg(),
+            }),
+        }
+    }
+    let mut looped = Assembler::new(BODY_BASE);
+    let len = body.len() as u64;
+    for (k, inst) in body.into_iter().enumerate() {
+        let inst = match inst {
+            Inst::Branch { cond, a, b, target } => {
+                let skip = target.min(len - 1 - k as u64);
+                Inst::Branch {
+                    cond,
+                    a,
+                    b,
+                    target: looped.here() + (1 + skip) * INST_BYTES,
+                }
+            }
+            other => other,
+        };
+        looped.push(inst);
+    }
+    looped.alui(AluOp::Sub, 20, 20, 1);
+    looped.branch_to(Cond::Ne, 20, 0, BODY_BASE);
+    looped.push(Inst::Halt);
+    text.extend(looped.finish());
+    text
+}
+
 const POLICIES: [&str; 4] = ["UNSAFE", "FENCE", "DOM", "STT"];
 
 fn policy(name: &str) -> Box<dyn SpecPolicy> {
@@ -193,19 +318,23 @@ fn policy(name: &str) -> Box<dyn SpecPolicy> {
     }
 }
 
-fn render_all() -> String {
+/// Run every seed of a program family under every policy, with the
+/// fast-forward on and off, and render the outcomes.
+/// The seeded pool contents every program of a seed starts from.
+fn fill_pool(seed: u64, core: &mut Core) {
+    let mut rng = Rng(seed ^ 0xA5A5);
+    for i in 0..POOL_SLOTS {
+        core.machine
+            .mem
+            .write_u64(POOL_BASE + 8 * i, rng.below(256));
+    }
+}
+
+fn render_all(seeds: std::ops::Range<u64>, program: fn(u64) -> Vec<(u64, Inst)>) -> String {
     let mut out = String::new();
-    for seed in SEEDS {
+    for seed in seeds {
         let text = program(seed);
-        let pool: Vec<u64> = {
-            let mut rng = Rng(seed ^ 0xA5A5);
-            (0..POOL_SLOTS).map(|_| rng.below(256)).collect()
-        };
-        let prepare = |core: &mut persp_uarch::pipeline::Core| {
-            for (i, v) in pool.iter().enumerate() {
-                core.machine.mem.write_u64(POOL_BASE + 8 * i as u64, *v);
-            }
-        };
+        let prepare = |core: &mut Core| fill_pool(seed, core);
         for name in POLICIES {
             let fast = fastfwd_outcome(&text, ENTRY, 2_000_000, true, policy(name), &prepare);
             let slow = fastfwd_outcome(&text, ENTRY, 2_000_000, false, policy(name), &prepare);
@@ -239,7 +368,10 @@ fn check_golden(rel: &str, actual: &str) {
     if golden == actual {
         return;
     }
-    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("busy_path_simstats.actual");
+    let name = Path::new(rel).file_stem().expect("golden file name");
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(name)
+        .with_extension("actual");
     std::fs::write(&out, actual).expect("write actual rendering");
     let first = golden
         .lines()
@@ -260,7 +392,7 @@ fn check_golden(rel: &str, actual: &str) {
 
 #[test]
 fn seeded_programs_match_the_cycle_exact_golden() {
-    let actual = render_all();
+    let actual = render_all(SEEDS, program);
     // Guard against a vacuous pin: the programs must squash, fence,
     // issue transient loads and saturate taint sets.
     for needle in [
@@ -278,4 +410,30 @@ fn seeded_programs_match_the_cycle_exact_golden() {
         );
     }
     check_golden(GOLDEN, &actual);
+}
+
+#[test]
+fn fence_and_overlap_programs_match_the_cycle_exact_golden() {
+    // Guard against a vacuous pin: across the family, the execute stage
+    // must defer work behind a fence, stall forwarding behind a partially
+    // overlapping store, and park loads behind an unknown store address.
+    let mut waits = ExecWaits::default();
+    for seed in FENCE_SEEDS {
+        for name in POLICIES {
+            let mut core = testkit_core(&fence_program(seed), false, policy(name));
+            fill_pool(seed, &mut core);
+            core.run(ENTRY, 2_000_000)
+                .unwrap_or_else(|e| panic!("seed {seed} {name}: {e}"));
+            let w = core.exec_waits();
+            waits.fence += w.fence;
+            waits.forward += w.forward;
+            waits.store_address += w.store_address;
+        }
+    }
+    assert!(
+        waits.fence > 0 && waits.forward > 0 && waits.store_address > 0,
+        "every wait path is hit: {waits:?}"
+    );
+    let actual = render_all(FENCE_SEEDS, fence_program);
+    check_golden(FENCE_GOLDEN, &actual);
 }

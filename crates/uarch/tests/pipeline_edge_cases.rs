@@ -373,3 +373,134 @@ fn squash_across_loads_stores_calls_and_returns_restores_return_state() {
         );
     }
 }
+
+/// A core on the edge-case hierarchy with the idle fast-forward on or off.
+fn core_with_fastfwd(text: Vec<(u64, Inst)>, fastfwd: bool) -> Core {
+    let mut machine = Machine::new();
+    machine.load_text(text);
+    Core::new(
+        CoreConfig {
+            idle_fastforward: fastfwd,
+            ..CoreConfig::paper_default()
+        },
+        machine,
+        MemoryHierarchy::new(HierarchyConfig::no_prefetch()),
+        Box::new(UnsafePolicy::new()),
+        Box::new(NullHooks),
+    )
+}
+
+#[test]
+fn a_store_computing_earlier_in_a_cycle_releases_a_younger_load_that_cycle() {
+    // The store's address comes off a cold load, so the younger load,
+    // whose own address is ready at once, waits behind an older store
+    // with an unknown address. The store computes in the cycle the cold
+    // value arrives, and the load, later in program order, must issue in
+    // that same cycle. The load's own cold miss is the critical path, so
+    // a release one cycle late would end the run one cycle late: the
+    // final cycle is pinned.
+    let mut a = Assembler::new(0x1000);
+    a.movi(1, 0x8000);
+    a.movi(4, 77);
+    a.load(2, 1, 0); // cold: r2 = 0x9000
+    a.store(4, 2, 0); // address unknown until r2 arrives
+    a.load(5, 1, 0x2000); // cold, from 0xA000
+    a.push(Inst::Halt);
+    let text = a.finish();
+    for fastfwd in [true, false] {
+        let mut core = core_with_fastfwd(text.clone(), fastfwd);
+        core.machine.mem.write_u64(0x8000, 0x9000);
+        core.machine.mem.write_u64(0xA000, 5);
+        core.run(0x1000, 10_000).expect("runs");
+        assert_eq!(core.machine.reg(5), 5);
+        assert_eq!(core.machine.mem.read_u64(0x9000), 77);
+        assert_eq!(core.exec_waits().store_address, 1, "the load parked once");
+        assert_eq!(core.now(), 337, "fast-forward {fastfwd}: final cycle");
+    }
+}
+
+#[test]
+fn a_squash_drops_parked_and_carried_entries_and_their_seqs_run_normally() {
+    // The wrong path of a slow mispredicted branch holds a quad load
+    // stalled behind a partially overlapping byte store, a load parked
+    // behind a store whose address comes off a two-hop pointer chase,
+    // and work behind a fence. All of it is still waiting when the branch
+    // resolves. The squash drops it, and the correct path, which takes
+    // over the dropped sequence numbers, loads, stores and forwards
+    // normally.
+    const MAIN: u64 = 0x1000;
+    const TAKEN: u64 = 0x2000;
+    let mut a = Assembler::new(MAIN);
+    a.movi(1, 0x8000);
+    a.movi(4, 0x44);
+    a.load(2, 1, 0); // cold branch condition
+    a.branch_to(Cond::Ne, 2, 10, TAKEN);
+    a.push(Inst::Store {
+        src: 4,
+        base: 1,
+        offset: 0x41,
+        width: Width::B,
+    });
+    a.load(6, 1, 0x40); // overlaps the byte store: forwarding stalls
+    a.load(3, 1, 0x100); // cold pointer chase: 0x8100 -> 0x8200 -> 0x9000
+    a.load(3, 3, 0);
+    a.store(4, 3, 0); // address unknown until the chase ends
+    a.load(5, 1, 0x80); // parked behind that store
+    a.push(Inst::Fence);
+    a.alui(AluOp::Add, 7, 1, 1); // waits behind the fence
+    a.push(Inst::Halt);
+    let mut taken = Assembler::new(TAKEN);
+    taken.load(8, 1, 0xC0);
+    taken.alui(AluOp::Add, 9, 8, 1);
+    taken.store(9, 1, 0xC8);
+    taken.load(11, 1, 0xC8); // forwarded from the store above
+    taken.alu(AluOp::Add, 12, 11, 8);
+    taken.push(Inst::Halt);
+    let mut text = a.finish();
+    text.extend(taken.finish());
+
+    for fastfwd in [true, false] {
+        let mut core = core_with_fastfwd(text.clone(), fastfwd);
+        core.machine.mem.write_u64(0x8100, 0x8200);
+        core.machine.mem.write_u64(0x8200, 0x9000);
+        core.machine.mem.write_u64(0x80C0, 20);
+        // Train the branch not taken (r2 = 0 == r10 = 0).
+        for _ in 0..4 {
+            core.run(MAIN, 100_000).expect("training run");
+        }
+        assert_eq!(core.machine.reg(7), 0x8001, "the fall-through committed");
+        for reg in [5, 6, 7] {
+            core.machine.set_reg(reg, 0);
+        }
+        core.machine.mem.write_u64(0x8040, 0);
+        core.machine.mem.write_u64(0x9000, 0);
+        core.machine.set_reg(10, 1);
+        for line in [0x8000, 0x8100, 0x8200, 0x80C0] {
+            core.mem.flush(line);
+        }
+        let before = core.stats();
+        let waits_before = core.exec_waits();
+        let start = core.now();
+        core.run(MAIN, 100_000).expect("final run");
+        let delta = core.stats().delta_since(&before);
+        let waits = core.exec_waits();
+        assert!(
+            waits.fence > waits_before.fence
+                && waits.forward > waits_before.forward
+                && waits.store_address > waits_before.store_address,
+            "the wrong path waited behind the fence, the byte store and the \
+             unknown store address: {waits_before:?} -> {waits:?}"
+        );
+
+        assert!(delta.squashes >= 1, "the branch mispredicted: {delta:?}");
+        for reg in [5, 6, 7] {
+            assert_eq!(core.machine.reg(reg), 0, "r{reg}: wrong path discarded");
+        }
+        assert_eq!(core.machine.mem.read_u64(0x8040), 0, "byte store squashed");
+        assert_eq!(core.machine.mem.read_u64(0x9000), 0, "store squashed");
+        assert_eq!(core.machine.reg(11), 21);
+        assert_eq!(core.machine.reg(12), 41);
+        assert_eq!(core.machine.mem.read_u64(0x80C8), 21);
+        assert_eq!(core.now() - start, 244, "fast-forward {fastfwd}: cycles");
+    }
+}

@@ -69,7 +69,7 @@ fn main() {
     );
 
     // 4. Runtime CVE response through the pliable interface.
-    let victim_func = *hardened.funcs().iter().next().expect("nonempty view");
+    let victim_func = *hardened.funcs().iter().min().expect("nonempty view");
     drop(kernel);
     let perspective = inst.perspective.as_ref().expect("perspective scheme");
     perspective.install_isv(inst.asid, hardened);
