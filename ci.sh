@@ -21,8 +21,9 @@ PERSPECTIVE_KERNEL=small cargo test -q --release
 
 # Experiments whose small-kernel --json documents are pinned by a
 # checked-in BENCH_<exp>.json baseline (deterministic at any
-# PERSPECTIVE_THREADS width).
-BASELINED="fig_9_2 table_10_1 fig_9_3 security_poc per_syscall_views"
+# PERSPECTIVE_THREADS width). The cache cell below covers only the ones
+# that go through the cell cache; table_8_1 and table_8_2 do not.
+BASELINED="fig_9_2 table_10_1 fig_9_3 security_poc per_syscall_views table_8_1 table_8_2"
 
 echo "==> experiment --json output vs checked-in baselines (small kernel)"
 mkdir -p target/bench-json

@@ -21,12 +21,12 @@
 //! zero.
 
 use persp_bench::report::{self, Json};
-use persp_bench::{header, kernel_config, lebench_union_workload, norm, pct};
+use persp_bench::{header, kernel_image, lebench_union_workload, norm, pct};
 use persp_kernel::syscalls::Sysno;
 use persp_workloads::apps;
 use persp_workloads::lebench;
 use persp_workloads::spec::Workload;
-use persp_workloads::{measure, measure_per_syscall};
+use persp_workloads::{measure_image, measure_per_syscall_image};
 use perspective::isv::Isv;
 use perspective::scheme::Scheme;
 use std::collections::HashMap;
@@ -51,13 +51,12 @@ struct CostRow {
 }
 
 fn main() {
-    let kcfg = kernel_config();
+    // One image serves the view analysis and every enforcement-cost cell.
+    let image = kernel_image();
     let mut workloads = vec![lebench_union_workload()];
     workloads.extend(apps::apps().into_iter().map(|a| a.workload));
 
-    let inst = persp_workloads::SimInstance::new(Scheme::Unsafe, kcfg);
-    let kernel = inst.kernel.borrow();
-    let graph = &kernel.graph;
+    let graph = &image.graph;
     let total = graph.len() as f64;
 
     // Per-syscall static closures are workload-independent: compute once.
@@ -94,8 +93,6 @@ fn main() {
     // Where the floor is: the shared part every view must contain.
     let min_view = Sysno::ALL.iter().map(|s| per_sys[s]).min().unwrap_or(0) as f64;
     let max_view = Sysno::ALL.iter().map(|s| per_sys[s]).max().unwrap_or(0) as f64;
-    drop(kernel);
-    drop(inst);
 
     // Enforcement cost: the conservative flush-on-dispatch implementation
     // (`measure_per_syscall`) vs. the paper's process-wide static views.
@@ -112,12 +109,12 @@ fn main() {
         .map(|n| lebench::by_name(n).expect("suite test"));
     let mut cost_rows = Vec::new();
     for w in singles.chain([mixed]) {
-        let base = measure(Scheme::Unsafe, kcfg, &w).stats.cycles as f64;
+        let base = measure_image(Scheme::Unsafe, &image, &w).stats.cycles as f64;
         // (single-syscall tests never switch views mid-run: identical
         // columns there are the sanity check; the mixed row pays for
         // real dispatch switching.)
-        let wide = measure(Scheme::PerspectiveStatic, kcfg, &w);
-        let narrow = measure_per_syscall(Scheme::Perspective, kcfg, &w);
+        let wide = measure_image(Scheme::PerspectiveStatic, &image, &w);
+        let narrow = measure_per_syscall_image(Scheme::Perspective, &image, &w);
         cost_rows.push(CostRow {
             name: w.name,
             wide_norm: norm(wide.stats.cycles as f64 / base),

@@ -34,18 +34,14 @@ pub fn kernel_config() -> KernelConfig {
 
 /// Generate the experiment kernel image once; see [`kernel_config`].
 /// Every (scheme, workload) cell of an experiment shares this image
-/// instead of regenerating the call graph.
+/// (graph, text segment and boot memory) instead of regenerating it.
 ///
-/// The image is deliberately **rebuilt per bin process rather than
-/// cached on disk** like the simulation cells are: generation is a
-/// single-digit fraction of any bin's runtime (measured in
-/// EXPERIMENTS.md — ~1.2 s at paper scale against multi-second to
-/// minute-scale bins), while a lossless on-disk codec would have to
-/// round-trip the full call graph and emitted text (tens of MB of
-/// instructions and per-function metadata) and would plausibly parse
-/// slower than the generator runs. Set `PERSPECTIVE_IMAGE_TIMING=1` to
-/// print the measured build time on stderr (observability only — never
-/// on stdout, so transcripts stay byte-identical).
+/// The image is rebuilt per bin process, not cached on disk like the
+/// simulation cells are: building it takes about 40 ms at paper scale
+/// and 2 ms on the small kernel (measured in EXPERIMENTS.md), so there
+/// is nothing to save. Set `PERSPECTIVE_IMAGE_TIMING=1` to print the
+/// measured build time on stderr (observability only — never on stdout,
+/// so transcripts stay byte-identical).
 pub fn kernel_image() -> KernelImage {
     let t0 = std::time::Instant::now();
     let image = KernelImage::build(kernel_config());

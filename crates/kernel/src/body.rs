@@ -12,13 +12,15 @@
 //! temporaries and leave the argument registers intact so nested calls and
 //! gadgets can observe them.
 
-use crate::callgraph::{BodyOp, CallGraph, GadgetKind};
+use crate::callgraph::{BodyOp, CallGraph, GadgetKind, GadgetSite};
 use crate::context::TASK_FIELDS;
 use crate::layout::{
     CURRENT_TASK_PTR, EBPF_MAP_PTR, KTEXT_BASE, LAST_ALLOC_PTR, OPS_TABLES, SYSCALL_SEQ,
     SYSCALL_TABLE,
 };
 use persp_uarch::isa::{AluOp, Cond, Inst, Width, INST_BYTES};
+use persp_uarch::machine::TextSegment;
+use std::collections::HashMap;
 
 /// Task-struct field index of the fd-array pointer.
 pub const F_FDARRAY: u8 = 5;
@@ -76,21 +78,26 @@ pub fn body_len(body: &[BodyOp]) -> u32 {
 
 /// Emit the kernel: assigns `entry_va`/`len_insts` on every function,
 /// fills the `va_index`, records gadget sequence addresses, and returns
-/// the full text image (including the entry stub).
-pub fn emit_kernel(graph: &mut CallGraph) -> Vec<(u64, Inst)> {
+/// the full text image (including the entry stub) as one dense segment.
+pub fn emit_kernel(graph: &mut CallGraph) -> TextSegment {
     // Pass 1: addresses.
     let mut va = FUNCS_BASE;
+    let mut text_end = FUNCS_BASE;
     for f in &mut graph.funcs {
         f.entry_va = va;
         f.len_insts = body_len(&f.body);
         va += u64::from(f.len_insts) * INST_BYTES;
+        text_end = va;
         va = (va + 63) & !63; // 64-byte align the next function
     }
     graph.va_index = graph.funcs.iter().map(|f| (f.entry_va, f.id)).collect();
     graph.va_map = std::sync::Arc::new(crate::callgraph::VaFuncMap::build(&graph.funcs));
 
     // Pass 2: emission.
-    let mut text = emit_entry_stub();
+    let mut text = TextSegment::new(ENTRY_STUB_VA, text_end);
+    for (addr, inst) in emit_entry_stub() {
+        text.insert(addr, inst);
+    }
     let entry_vas: Vec<u64> = graph.funcs.iter().map(|f| f.entry_va).collect();
     let ops_table_vas: Vec<u64> = graph
         .ops_table
@@ -98,50 +105,42 @@ pub fn emit_kernel(graph: &mut CallGraph) -> Vec<(u64, Inst)> {
         .map(|t| entry_vas[t.0 as usize])
         .collect();
 
-    let mut gadget_seqs: Vec<(u64, u64)> = Vec::new(); // (bound_ptr_va, seq_va)
-    for fi in 0..graph.funcs.len() {
-        let entry = graph.funcs[fi].entry_va;
-        let body = graph.funcs[fi].body.clone();
-        let mut pc = entry;
-        for op in &body {
-            let start = pc;
-            let insts = emit_op(op, pc, &entry_vas, &ops_table_vas);
+    // bound_ptr_va -> seq_va of the last gadget emitted with that pointer.
+    let mut gadget_seqs: HashMap<u64, u64> = HashMap::new();
+    let mut insts = Vec::new();
+    for f in &graph.funcs {
+        let mut pc = f.entry_va;
+        for op in &f.body {
+            insts.clear();
+            emit_op(op, pc, &entry_vas, &ops_table_vas, &mut insts);
             debug_assert_eq!(
                 insts.len() as u32,
                 op_len(op),
                 "op_len out of sync for {op:?}"
             );
-            text.extend(
-                insts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, inst)| (start + k as u64 * INST_BYTES, inst)),
-            );
-            pc = start + u64::from(op_len(op)) * INST_BYTES;
             if let BodyOp::Gadget(site) = op {
-                gadget_seqs.push((site.bound_ptr_va, start));
+                gadget_seqs.insert(site.bound_ptr_va, pc);
+            }
+            for &inst in &insts {
+                text.insert(pc, inst);
+                pc += INST_BYTES;
             }
         }
-        debug_assert_eq!(
-            pc - entry,
-            u64::from(graph.funcs[fi].len_insts) * INST_BYTES
-        );
+        debug_assert_eq!(pc - f.entry_va, u64::from(f.len_insts) * INST_BYTES);
     }
 
-    // Back-patch gadget sequence addresses into the graph metadata.
-    for (bound_ptr, seq_va) in gadget_seqs {
-        for (_, site) in &mut graph.gadgets {
-            if site.bound_ptr_va == bound_ptr {
-                site.seq_va = seq_va;
-            }
+    // Back-patch gadget sequence addresses into the graph metadata: every
+    // site sharing a bound pointer gets that pointer's last sequence.
+    let patch = |site: &mut GadgetSite| {
+        if let Some(&seq_va) = gadget_seqs.get(&site.bound_ptr_va) {
+            site.seq_va = seq_va;
         }
-        for f in &mut graph.funcs {
-            for op in &mut f.body {
-                if let BodyOp::Gadget(site) = op {
-                    if site.bound_ptr_va == bound_ptr {
-                        site.seq_va = seq_va;
-                    }
-                }
+    };
+    graph.gadgets.iter_mut().for_each(|(_, site)| patch(site));
+    for f in &mut graph.funcs {
+        for op in &mut f.body {
+            if let BodyOp::Gadget(site) = op {
+                patch(site);
             }
         }
     }
@@ -198,8 +197,7 @@ pub fn emit_entry_stub() -> Vec<(u64, Inst)> {
     out
 }
 
-fn emit_op(op: &BodyOp, pc: u64, entry_vas: &[u64], ops_table_vas: &[u64]) -> Vec<Inst> {
-    let mut out = Vec::new();
+fn emit_op(op: &BodyOp, pc: u64, entry_vas: &[u64], ops_table_vas: &[u64], out: &mut Vec<Inst>) {
     match op {
         BodyOp::AluBurst(n) => {
             for k in 0..*n {
@@ -740,7 +738,6 @@ fn emit_op(op: &BodyOp, pc: u64, entry_vas: &[u64], ops_table_vas: &[u64]) -> Ve
         BodyOp::Hook(id) => out.push(Inst::KHook { id: *id }),
         BodyOp::Ret => out.push(Inst::Ret),
     }
-    out
 }
 
 #[cfg(test)]
@@ -760,11 +757,19 @@ mod tests {
 
     #[test]
     fn no_overlapping_addresses() {
+        // The segment panics on a second insert at one address; here every
+        // slot of each function's range must be filled.
         let mut g = CallGraph::generate(KernelConfig::test_small());
         let text = emit_kernel(&mut g);
         let mut seen = HashSet::new();
-        for (addr, _) in &text {
-            assert!(seen.insert(*addr), "address {addr:#x} emitted twice");
+        for (addr, _) in text.iter() {
+            assert!(seen.insert(addr), "address {addr:#x} listed twice");
+        }
+        for f in &g.funcs {
+            let end = f.entry_va + u64::from(f.len_insts) * INST_BYTES;
+            assert!((f.entry_va..end)
+                .step_by(INST_BYTES as usize)
+                .all(|a| text.get(a).is_some()));
         }
     }
 

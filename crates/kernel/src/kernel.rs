@@ -12,7 +12,7 @@ use crate::mm::{BuddyAllocator, SlabAllocator};
 use crate::sink::{AllocSink, NullSink, Owner};
 use crate::syscalls::Sysno;
 use persp_uarch::hooks::{HookHandler, HookResult};
-use persp_uarch::machine::Machine;
+use persp_uarch::machine::{Machine, SparseMemory, TextSegment};
 use persp_uarch::Asid;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,19 +27,27 @@ pub type SharedSink = Rc<RefCell<dyn AllocSink>>;
 /// DSV.
 pub const KERNEL_CGROUP: CgroupId = 0;
 
-/// A pre-built kernel image: the generated call graph plus the emitted
-/// text, shareable read-only between simulation instances. Generating the
-/// paper-scale graph (~28 K functions) is by far the most expensive part
-/// of building a [`Kernel`]; the experiment matrix builds one image per
-/// configuration and hands cheap [`Arc`] clones to every worker thread.
+/// A pre-built kernel image: the generated call graph, the emitted text
+/// and the boot-time memory, built once and shared read-only by every
+/// instance that runs this kernel.
+///
+/// Instances share all three instead of copying them: the graph and the
+/// text segment through [`Arc`]s, the boot memory as copy-on-write pages.
+/// Building the paper-scale image (~28 K functions) takes about 40 ms;
+/// an instance built from it costs well under a millisecond. The
+/// experiment matrix builds one image per configuration and hands cheap
+/// clones to every worker thread.
 #[derive(Clone)]
 pub struct KernelImage {
     /// Generator configuration.
     pub cfg: KernelConfig,
     /// The synthetic call graph (post-emission: addresses assigned).
     pub graph: Arc<CallGraph>,
-    /// The emitted kernel text.
-    pub text: Arc<Vec<(u64, persp_uarch::isa::Inst)>>,
+    /// The emitted kernel text, entry stub included.
+    pub text: Arc<TextSegment>,
+    /// Memory after the graph-derived boot writes: syscall table, ops
+    /// tables, globals and the next-allocation pointer.
+    boot_mem: Arc<SparseMemory>,
 }
 
 impl KernelImage {
@@ -47,10 +55,28 @@ impl KernelImage {
     pub fn build(cfg: KernelConfig) -> Self {
         let mut graph = CallGraph::generate(cfg);
         let text = emit_kernel(&mut graph);
+        let mut boot_mem = SparseMemory::new();
+        // Syscall dispatch table.
+        for (&sys, &fid) in &graph.entries {
+            let va = graph.func(fid).entry_va;
+            boot_mem.write_u64(SYSCALL_TABLE + (sys as u16 as u64) * 8, va);
+        }
+        // Ops (function-pointer) tables for indirect calls.
+        for (slot, target) in graph.ops_table.iter().enumerate() {
+            let va = graph.func(*target).entry_va;
+            boot_mem.write_u64(OPS_TABLES + slot as u64 * 8, va);
+        }
+        // Boot-time globals (flags, gadget bounds).
+        for &(va, value) in &graph.globals {
+            boot_mem.write_u64(va, value);
+        }
+        // The next-allocation pointer starts at a harmless shared target.
+        boot_mem.write_u64(LAST_ALLOC_PTR, CURRENT_TASK_PTR);
         KernelImage {
             cfg,
             graph: Arc::new(graph),
             text: Arc::new(text),
+            boot_mem: Arc::new(boot_mem),
         }
     }
 }
@@ -60,6 +86,7 @@ impl std::fmt::Debug for KernelImage {
         f.debug_struct("KernelImage")
             .field("functions", &self.graph.len())
             .field("text_insts", &self.text.len())
+            .field("boot_pages", &self.boot_mem.populated_pages())
             .finish()
     }
 }
@@ -80,7 +107,8 @@ pub struct Kernel {
     /// Per-syscall invocation counts (the tracing subsystem's coarse view).
     pub syscall_counts: HashMap<Sysno, u64>,
     sink: SharedSink,
-    text: Arc<Vec<(u64, persp_uarch::isa::Inst)>>,
+    /// The image this kernel installs (its text segment and boot memory).
+    image: KernelImage,
     next_pid: Pid,
     /// Next free address in the extension-program text region.
     pub(crate) next_ebpf_va: u64,
@@ -114,10 +142,11 @@ impl Kernel {
         Self::from_image(&KernelImage::build(cfg), sink)
     }
 
-    /// Build a kernel from a pre-generated image, sharing its call graph
-    /// and text instead of regenerating them. This is what the parallel
-    /// experiment matrix uses: one [`KernelImage::build`] per kernel
-    /// configuration, one `from_image` per (scheme, workload) cell.
+    /// Build a kernel from a pre-generated image, sharing its call graph,
+    /// text and boot memory instead of regenerating them. This is what
+    /// the parallel experiment matrix uses: one [`KernelImage::build`]
+    /// per kernel configuration, one `from_image` per (scheme, workload)
+    /// cell.
     pub fn from_image(image: &KernelImage, sink: SharedSink) -> Self {
         Kernel {
             buddy: BuddyAllocator::new(image.cfg.num_frames),
@@ -125,7 +154,7 @@ impl Kernel {
             procs: HashMap::new(),
             syscall_counts: HashMap::new(),
             sink,
-            text: image.text.clone(),
+            image: image.clone(),
             next_pid: 1,
             next_ebpf_va: layout::EBPF_TEXT_BASE,
             graph: image.graph.clone(),
@@ -138,30 +167,24 @@ impl Kernel {
         Self::build(cfg, Rc::new(RefCell::new(NullSink)))
     }
 
-    /// Install the kernel into a machine: text image, syscall dispatch
-    /// table, ops tables, boot-time globals, and the shared-region
-    /// ownership registrations.
+    /// Install the kernel into a machine: attaches the shared text
+    /// segment, gives the machine the image's boot memory (syscall
+    /// dispatch table, ops tables, boot-time globals) as copy-on-write
+    /// pages, and registers the shared-region ownership.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `machine` is fresh: no data memory written and no
+    /// text loaded or attached.
     pub fn install(&self, machine: &mut Machine) {
-        machine.load_text(self.text.iter().copied());
+        assert_eq!(
+            machine.mem.populated_pages(),
+            0,
+            "the kernel installs into a fresh machine"
+        );
+        machine.attach_text(self.image.text.clone());
+        machine.mem = SparseMemory::clone(&self.image.boot_mem);
         machine.kernel_entry = ENTRY_STUB_VA;
-        // Syscall dispatch table.
-        for (&sys, &fid) in &self.graph.entries {
-            let va = self.graph.func(fid).entry_va;
-            machine
-                .mem
-                .write_u64(SYSCALL_TABLE + (sys as u16 as u64) * 8, va);
-        }
-        // Ops (function-pointer) tables for indirect calls.
-        for (slot, target) in self.graph.ops_table.iter().enumerate() {
-            let va = self.graph.func(*target).entry_va;
-            machine.mem.write_u64(OPS_TABLES + slot as u64 * 8, va);
-        }
-        // Boot-time globals (flags, gadget bounds).
-        for &(va, value) in &self.graph.globals {
-            machine.mem.write_u64(va, value);
-        }
-        // The next-allocation pointer starts at a harmless shared target.
-        machine.mem.write_u64(LAST_ALLOC_PTR, CURRENT_TASK_PTR);
         // Ownership of boot-time regions: per-cpu variables and dispatch
         // tables are in every DSV; kernel-private globals belong to the
         // kernel's own context and are in *no* process DSV.

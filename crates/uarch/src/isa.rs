@@ -260,6 +260,38 @@ pub enum Inst {
     Halt,
 }
 
+/// The source registers of one instruction, held inline (no instruction
+/// reads more than two). Dereferences to a slice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Srcs {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl Srcs {
+    fn one(a: Reg) -> Self {
+        Srcs {
+            regs: [a, 0],
+            len: 1,
+        }
+    }
+
+    fn two(a: Reg, b: Reg) -> Self {
+        Srcs {
+            regs: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Srcs {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
 impl Inst {
     /// Destination register written by this instruction, if any.
     pub fn dst(&self) -> Option<Reg> {
@@ -281,16 +313,16 @@ impl Inst {
 
     /// Source registers read by this instruction. `r0` appears here like
     /// any other register (it always reads zero and never has a producer).
-    pub fn srcs(&self) -> Vec<Reg> {
+    pub fn srcs(&self) -> Srcs {
         match *self {
-            Inst::Alu { a, b, .. } => vec![a, b],
-            Inst::AluImm { a, .. } => vec![a],
-            Inst::Load { base, .. } => vec![base],
-            Inst::Store { src, base, .. } => vec![src, base],
-            Inst::Branch { a, b, .. } => vec![a, b],
-            Inst::JumpInd { base } | Inst::CallInd { base } => vec![base],
-            Inst::CacheFlush { base, .. } => vec![base],
-            _ => vec![],
+            Inst::Alu { a, b, .. } => Srcs::two(a, b),
+            Inst::AluImm { a, .. } => Srcs::one(a),
+            Inst::Load { base, .. } => Srcs::one(base),
+            Inst::Store { src, base, .. } => Srcs::two(src, base),
+            Inst::Branch { a, b, .. } => Srcs::two(a, b),
+            Inst::JumpInd { base } | Inst::CallInd { base } => Srcs::one(base),
+            Inst::CacheFlush { base, .. } => Srcs::one(base),
+            _ => Srcs::default(),
         }
     }
 
@@ -550,7 +582,7 @@ mod tests {
             b: 2,
         };
         assert_eq!(i.dst(), None, "r0 destination is discarded");
-        assert_eq!(i.srcs(), vec![REG_ZERO, 2], "r0 sources still listed");
+        assert_eq!(*i.srcs(), [REG_ZERO, 2], "r0 sources still listed");
     }
 
     #[test]

@@ -5,10 +5,16 @@
 //! The pipeline maintains its own speculative view on top and only writes
 //! back here at retirement, so a squash can never corrupt architectural
 //! state.
+//!
+//! Two parts of a machine can be shared with other machines built from
+//! the same kernel image: a read-only [`TextSegment`] holding the kernel
+//! text, and the boot-time pages of its [`SparseMemory`], which are
+//! copy-on-write.
 
-use crate::isa::{Inst, Width, NUM_REGS, REG_ZERO};
+use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS, REG_ZERO};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Privilege mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,9 +63,14 @@ impl Hasher for AddrHasher {
 type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 
 /// Sparse byte-addressable memory backed by 4 KiB pages.
-#[derive(Debug, Default)]
+///
+/// Pages are reference-counted and copy-on-write: cloning a memory shares
+/// every page, and the first write to a shared page gives the writer its
+/// own copy. A write therefore never reaches another clone, and after it
+/// the written page aliases no other memory.
+#[derive(Debug, Default, Clone)]
 pub struct SparseMemory {
-    pages: AddrMap<Box<[u8; PAGE_SIZE]>>,
+    pages: AddrMap<Arc<[u8; PAGE_SIZE]>>,
 }
 
 impl SparseMemory {
@@ -69,9 +80,11 @@ impl SparseMemory {
     }
 
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+        Arc::make_mut(
+            self.pages
+                .entry(addr >> PAGE_SHIFT)
+                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE])),
+        )
     }
 
     /// Read one byte (unmapped memory reads as zero).
@@ -135,12 +148,96 @@ impl SparseMemory {
     }
 }
 
+/// A dense run of instructions: one slot per [`INST_BYTES`]-aligned
+/// address in `[base, end)`, empty slots for padding.
+///
+/// This is how kernel text is held: built once per kernel image and
+/// attached, read-only behind an [`Arc`], to every machine that runs that
+/// kernel ([`Machine::attach_text`]), so a fetch is an index instead of a
+/// hash probe and building a machine copies no instructions.
+pub struct TextSegment {
+    base: u64,
+    slots: Vec<Option<Inst>>,
+    len: usize,
+}
+
+impl TextSegment {
+    /// An empty segment covering `[base, end)`.
+    pub fn new(base: u64, end: u64) -> Self {
+        let slots = end.saturating_sub(base).div_ceil(INST_BYTES);
+        TextSegment {
+            base,
+            slots: vec![None; slots as usize],
+            len: 0,
+        }
+    }
+
+    fn slot(&self, addr: u64) -> Option<usize> {
+        let off = addr.wrapping_sub(self.base);
+        (off.is_multiple_of(INST_BYTES) && off / INST_BYTES < self.slots.len() as u64)
+            .then_some((off / INST_BYTES) as usize)
+    }
+
+    /// Place `inst` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not an instruction slot of the segment, or if
+    /// the slot is already occupied.
+    pub fn insert(&mut self, addr: u64, inst: Inst) {
+        let i = self
+            .slot(addr)
+            .unwrap_or_else(|| panic!("{addr:#x} is not an instruction slot of this segment"));
+        assert!(
+            self.slots[i].replace(inst).is_none(),
+            "address {addr:#x} emitted twice"
+        );
+        self.len += 1;
+    }
+
+    /// The instruction at `addr`, if the segment holds one.
+    pub fn get(&self, addr: u64) -> Option<Inst> {
+        self.slot(addr).and_then(|i| self.slots[i])
+    }
+
+    /// Number of instructions held (padding slots excluded).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the segment holds no instruction.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every `(address, instruction)` in ascending address order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Inst)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|inst| (self.base + i as u64 * INST_BYTES, inst)))
+    }
+}
+
+impl std::fmt::Debug for TextSegment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TextSegment")
+            .field("base", &format_args!("{:#x}", self.base))
+            .field("slots", &self.slots.len())
+            .field("insts", &self.len)
+            .finish()
+    }
+}
+
 /// The committed architectural state.
 #[derive(Debug)]
 pub struct Machine {
     regs: [u64; NUM_REGS],
     /// Data memory.
     pub mem: SparseMemory,
+    /// Shared kernel text, consulted first on every fetch.
+    segment: Option<Arc<TextSegment>>,
+    /// Every other instruction: user, extension and test programs.
     text: AddrMap<Inst>,
     /// Current privilege mode.
     pub mode: Mode,
@@ -166,6 +263,7 @@ impl Machine {
         Machine {
             regs: [0; NUM_REGS],
             mem: SparseMemory::new(),
+            segment: None,
             text: AddrMap::default(),
             mode: Mode::User,
             asid: 0,
@@ -205,24 +303,47 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if an address is already occupied by a *different*
-    /// instruction (overlapping identical installs are permitted so that
-    /// shared stubs can be loaded twice).
+    /// instruction, in the attached segment or among earlier loads
+    /// (overlapping identical installs are permitted so that shared stubs
+    /// can be loaded twice).
     pub fn load_text(&mut self, insts: impl IntoIterator<Item = (u64, Inst)>) {
         for (addr, inst) in insts {
-            if let Some(prev) = self.text.insert(addr, inst) {
+            if let Some(prev) = self.segment.as_ref().and_then(|s| s.get(addr)) {
+                assert_eq!(prev, inst, "conflicting instruction at {addr:#x}");
+            } else if let Some(prev) = self.text.insert(addr, inst) {
                 assert_eq!(prev, inst, "conflicting instruction at {addr:#x}");
             }
         }
     }
 
-    /// Fetch the instruction at `addr`, if mapped.
-    pub fn inst_at(&self, addr: u64) -> Option<Inst> {
-        self.text.get(&addr).copied()
+    /// Attach a shared text segment (the kernel's). Later
+    /// [`Machine::load_text`] calls are checked against it, so every
+    /// address lives in exactly one layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment is already attached or any text was loaded
+    /// before it.
+    pub fn attach_text(&mut self, segment: Arc<TextSegment>) {
+        assert!(
+            self.segment.is_none() && self.text.is_empty(),
+            "a text segment is attached to a machine with no text yet"
+        );
+        self.segment = Some(segment);
     }
 
-    /// Number of instructions in the text image.
+    /// Fetch the instruction at `addr`, if mapped: the attached segment
+    /// first, then the per-machine map.
+    pub fn inst_at(&self, addr: u64) -> Option<Inst> {
+        self.segment
+            .as_ref()
+            .and_then(|s| s.get(addr))
+            .or_else(|| self.text.get(&addr).copied())
+    }
+
+    /// Number of instructions in the text image (both layers).
     pub fn text_len(&self) -> usize {
-        self.text.len()
+        self.segment.as_ref().map_or(0, |s| s.len()) + self.text.len()
     }
 }
 
@@ -284,5 +405,106 @@ mod tests {
             m.load_text([(0x0, Inst::Halt)]);
         }));
         assert!(result.is_err(), "conflicting install must panic");
+    }
+
+    /// A segment at 0x1000 holding `Nop`s at 0x1000 and 0x1008, with a
+    /// hole at 0x1004.
+    fn holed_segment() -> Arc<TextSegment> {
+        let mut seg = TextSegment::new(0x1000, 0x100c);
+        seg.insert(0x1000, Inst::Nop);
+        seg.insert(0x1008, Inst::Nop);
+        Arc::new(seg)
+    }
+
+    #[test]
+    fn segment_reinstalls_are_checked_against_the_segment() {
+        let mut m = Machine::new();
+        m.attach_text(holed_segment());
+        m.load_text([(0x1000, Inst::Nop)]); // identical re-install OK
+        assert_eq!(m.text_len(), 2, "the re-install adds nothing");
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.load_text([(0x1008, Inst::Halt)]);
+        }));
+        assert!(
+            result.is_err(),
+            "conflicting install over the segment must panic"
+        );
+        assert_eq!(m.inst_at(0x1008), Some(Inst::Nop));
+    }
+
+    #[test]
+    fn holes_and_outside_addresses_resolve_through_the_overlay() {
+        let mut m = Machine::new();
+        m.attach_text(holed_segment());
+        m.load_text([
+            (0x1004, Inst::Halt),
+            (0x0ffc, Inst::Fence),
+            (0x100c, Inst::Ret),
+        ]);
+        assert_eq!(m.inst_at(0x1000), Some(Inst::Nop));
+        assert_eq!(m.inst_at(0x1004), Some(Inst::Halt), "hole inside the range");
+        assert_eq!(m.inst_at(0x0ffc), Some(Inst::Fence), "below the base");
+        assert_eq!(m.inst_at(0x100c), Some(Inst::Ret), "past the end");
+        assert_eq!(m.inst_at(0x1002), None, "misaligned address");
+        assert_eq!(m.text_len(), 5, "text_len counts both layers");
+    }
+
+    #[test]
+    fn a_segment_attaches_only_to_a_machine_without_text() {
+        let mut m = Machine::new();
+        m.load_text([(0x2000, Inst::Halt)]);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.attach_text(holed_segment());
+        }));
+        assert!(result.is_err(), "attaching after a load must panic");
+        let mut m = Machine::new();
+        m.attach_text(holed_segment());
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.attach_text(holed_segment());
+        }));
+        assert!(result.is_err(), "a second segment must panic");
+    }
+
+    #[test]
+    fn segment_iterates_in_address_order_and_rejects_bad_inserts() {
+        let seg = holed_segment();
+        let all: Vec<_> = seg.iter().collect();
+        assert_eq!(all, vec![(0x1000, Inst::Nop), (0x1008, Inst::Nop)]);
+        assert_eq!(seg.len(), 2);
+        for (addr, what) in [
+            (0x1004, "an address filled twice"),
+            (0x1010, "an address past the end"),
+            (0x0ffc, "an address below the base"),
+            (0x1006, "a misaligned address"),
+        ] {
+            let result = std::panic::catch_unwind(|| {
+                let mut seg = TextSegment::new(0x1000, 0x1010);
+                seg.insert(0x1004, Inst::Nop);
+                seg.insert(addr, Inst::Nop);
+            });
+            assert!(result.is_err(), "{what} must panic");
+        }
+    }
+
+    #[test]
+    fn writes_to_a_cloned_memory_stay_private() {
+        let mut original = SparseMemory::new();
+        original.write_u64(0x1000, 1);
+        original.write_u64(0x5000, 5);
+        let mut a = original.clone();
+        let mut b = original.clone();
+        a.write_u64(0x1000, 2);
+        b.write_u64(0x1008, 3);
+        b.write_u8(0x9000, 9);
+        assert_eq!(original.read_u64(0x1000), 1);
+        assert_eq!(original.read_u64(0x1008), 0);
+        assert_eq!(original.read_u8(0x9000), 0);
+        assert_eq!(original.populated_pages(), 2);
+        assert_eq!((a.read_u64(0x1000), a.read_u64(0x1008)), (2, 0));
+        assert_eq!((b.read_u64(0x1000), b.read_u64(0x1008)), (1, 3));
+        assert_eq!(a.read_u8(0x9000), 0, "a sibling's new page is invisible");
+        assert_eq!(b.read_u8(0x9000), 9);
+        original.write_u64(0x5000, 6);
+        assert_eq!((a.read_u64(0x5000), b.read_u64(0x5000)), (5, 5));
     }
 }
