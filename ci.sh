@@ -22,8 +22,13 @@ PERSPECTIVE_KERNEL=small cargo test -q --release
 # Experiments whose small-kernel --json documents are pinned by a
 # checked-in BENCH_<exp>.json baseline (deterministic at any
 # PERSPECTIVE_THREADS width). The cache cell below covers only the ones
-# that go through the cell cache; table_8_1 and table_8_2 do not.
-BASELINED="fig_9_2 table_10_1 fig_9_3 security_poc per_syscall_views table_8_1 table_8_2"
+# that go through the cell cache; security_poc, table_8_1, table_8_2,
+# fig_9_1 and sni_check do not. sni_check also exits nonzero unless clean
+# Perspective runs show zero SNI violations, the UNSAFE baseline is
+# flagged, the attack scenario leaks only under UNSAFE, and 100% of
+# injected faults are detected.
+BASELINED="fig_9_2 table_10_1 fig_9_3 security_poc per_syscall_views table_8_1 table_8_2 \
+    fig_9_1 sensitivity ablation cache_sweep sni_check"
 
 echo "==> experiment --json output vs checked-in baselines (small kernel)"
 mkdir -p target/bench-json
@@ -61,7 +66,7 @@ echo "==> cell cache: cold, warm, and verify runs are byte-identical (small kern
 # entries re-serialize byte-identically — a forgotten SIM_VERSION bump
 # fails here before it can poison anyone's cache.
 rm -rf target/persp-cache-ci
-for exp in fig_9_2 table_10_1 fig_9_3 per_syscall_views; do
+for exp in fig_9_2 table_10_1 fig_9_3 per_syscall_views ablation cache_sweep sensitivity; do
     for mode in on on verify; do
         PERSPECTIVE_KERNEL=small PERSPECTIVE_THREADS=4 \
             PERSPECTIVE_CACHE=$mode PERSPECTIVE_CACHE_DIR=target/persp-cache-ci \
@@ -79,19 +84,13 @@ if ! ls target/persp-cache-ci/cell-*.json >/dev/null 2>&1; then
     exit 1
 fi
 
-echo "==> audit_pipeline example vs its checked-in transcript"
-cargo run --release -q --example audit_pipeline >target/bench-json/audit_pipeline.txt
-if ! diff -u examples/audit_pipeline.txt target/bench-json/audit_pipeline.txt; then
-    echo "ci: the audit_pipeline example drifted from examples/audit_pipeline.txt" >&2
-    exit 1
-fi
-
-echo "==> sni_check smoke run (small kernel): clean + canned fault plans"
-# The binary exits nonzero unless clean Perspective runs show zero SNI
-# violations, the UNSAFE baseline is flagged, the attack scenario leaks
-# only under UNSAFE, and 100% of injected faults are detected.
-PERSPECTIVE_KERNEL=small PERSPECTIVE_THREADS=4 \
-    ./target/release/sni_check --json >target/bench-json/sni_check.json
-./target/release/json_check <target/bench-json/sni_check.json
+echo "==> examples vs their checked-in transcripts"
+for example in audit_pipeline quickstart datacenter; do
+    cargo run --release -q --example "$example" >"target/bench-json/$example.txt"
+    if ! diff -u "examples/$example.txt" "target/bench-json/$example.txt"; then
+        echo "ci: the $example example drifted from examples/$example.txt" >&2
+        exit 1
+    fi
+done
 
 echo "ci: all gates passed"

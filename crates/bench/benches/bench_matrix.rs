@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
 use persp_workloads::{lebench, runner, Workload};
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use std::hint::black_box;
 
@@ -19,14 +21,8 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn matrix_cells(image: &KernelImage, threads: usize) -> usize {
-    let jobs: Vec<(usize, usize)> = (0..workloads().len())
-        .flat_map(|w| (0..SCHEMES.len()).map(move |s| (w, s)))
-        .collect();
-    let ws = workloads();
-    runner::run_parallel_with(threads, jobs, |(w, s)| {
-        runner::measure_image(SCHEMES[s], image, &ws[w])
-    })
-    .len()
+    let core = CoreConfig::paper_default();
+    runner::run_matrix(threads, image, &SCHEMES, &workloads(), core).len()
 }
 
 fn bench_image_build(c: &mut Criterion) {
@@ -44,7 +40,10 @@ fn bench_single_cell(c: &mut Criterion) {
     let mut group = c.benchmark_group("matrix");
     group.sample_size(10);
     group.bench_function("cell-getpid-unsafe", |b| {
-        b.iter(|| black_box(runner::measure_image(Scheme::Unsafe, &image, &w)))
+        b.iter(|| {
+            let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+            black_box(runner::measure(Scheme::Unsafe, &image, &w, pcfg, core).unwrap())
+        })
     });
     group.finish();
 }

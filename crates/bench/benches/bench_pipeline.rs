@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_workloads::{lebench, SimInstance};
 use perspective::scheme::Scheme;
 
@@ -14,9 +15,9 @@ fn bench_schemes(c: &mut Criterion) {
             BenchmarkId::from_parameter(scheme.name()),
             &scheme,
             |b, &scheme| {
-                let kcfg = KernelConfig::test_small();
+                let image = KernelImage::build(KernelConfig::test_small());
                 let w = lebench::by_name("getpid").unwrap();
-                let mut inst = SimInstance::new(scheme, kcfg);
+                let mut inst = SimInstance::from_image(scheme, &image);
                 let text = inst.text_base();
                 let data = inst.data_base();
                 inst.core.machine.load_text(w.compile(text, data));
@@ -37,9 +38,9 @@ fn bench_select_loop(c: &mut Criterion) {
             BenchmarkId::from_parameter(scheme.name()),
             &scheme,
             |b, &scheme| {
-                let kcfg = KernelConfig::test_small();
+                let image = KernelImage::build(KernelConfig::test_small());
                 let w = lebench::by_name("select").unwrap();
-                let mut inst = SimInstance::new(scheme, kcfg);
+                let mut inst = SimInstance::from_image(scheme, &image);
                 let text = inst.text_base();
                 let data = inst.data_base();
                 inst.core.machine.load_text(w.compile(text, data));

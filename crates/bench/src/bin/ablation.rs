@@ -5,13 +5,14 @@
 //! disjoint attack classes; this ablation shows their costs are largely
 //! additive and individually small.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, pct};
+use persp_workloads::report::{self, Json};
 use persp_workloads::{lebench, runner};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 
 fn main() {
+    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
     let image = kernel_image();
     let configs: [(&str, PerspectiveConfig); 3] = [
         (
@@ -46,12 +47,13 @@ fn main() {
             std::iter::once((w, None)).chain(configs.iter().map(move |&(_, cfg)| (w, Some(cfg))))
         })
         .collect();
-    let cells = runner::run_parallel(jobs, |(w, cfg)| {
+    let cells = runner::run_parallel(threads, jobs, |(w, cfg)| {
         let workload = lebench::by_name(names[w]).unwrap();
-        match cfg {
-            None => runner::measure_image(Scheme::Unsafe, &image, &workload),
-            Some(cfg) => runner::measure_image_cfg(Scheme::Perspective, &image, &workload, cfg),
-        }
+        let (scheme, pcfg) = match cfg {
+            None => (Scheme::Unsafe, PerspectiveConfig::default()),
+            Some(cfg) => (Scheme::Perspective, cfg),
+        };
+        runner::measure(scheme, &image, &workload, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
     });
 
     if report::json_mode() {

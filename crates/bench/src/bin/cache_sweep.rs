@@ -4,9 +4,9 @@
 //! this sweep shows how much headroom the design point has in either
 //! direction — the justification a hardware architect would ask for.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, norm, pct};
 use persp_workloads::lebench;
+use persp_workloads::report::{self, Json};
 use persp_workloads::runner;
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
@@ -14,6 +14,7 @@ use perspective::scheme::Scheme;
 const SIZES: [usize; 5] = [16, 32, 64, 128, 256];
 
 fn main() {
+    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
     let image = kernel_image();
     // A syscall-mixing workload stresses the caches hardest: union the
     // pools of three LEBench tests.
@@ -29,16 +30,19 @@ fn main() {
     let jobs: Vec<Option<usize>> = std::iter::once(None)
         .chain(SIZES.into_iter().map(Some))
         .collect();
-    let mut cells = runner::run_parallel(jobs, |entries| match entries {
-        None => runner::measure_image(Scheme::Unsafe, &image, &w),
-        Some(entries) => {
-            let cfg = PerspectiveConfig {
-                isv_cache_entries: entries,
-                dsvmt_cache_entries: entries,
-                ..PerspectiveConfig::default()
-            };
-            runner::measure_image_cfg(Scheme::Perspective, &image, &w, cfg)
-        }
+    let mut cells = runner::run_parallel(threads, jobs, |entries| {
+        let (scheme, pcfg) = match entries {
+            None => (Scheme::Unsafe, PerspectiveConfig::default()),
+            Some(entries) => (
+                Scheme::Perspective,
+                PerspectiveConfig {
+                    isv_cache_entries: entries,
+                    dsvmt_cache_entries: entries,
+                    ..PerspectiveConfig::default()
+                },
+            ),
+        };
+        runner::measure(scheme, &image, &w, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
     })
     .into_iter();
     let base = cells.next().expect("baseline cell").stats.cycles as f64;

@@ -7,9 +7,9 @@
 //! under the deployed ISV (the audit targets, §8.2); work is simulated
 //! execution cycles plus taint-analysis instructions.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, lebench_union_workload, trace_workload};
 use persp_scanner::fuzzer::compare_bounded;
+use persp_workloads::report::{self, Json};
 use persp_workloads::{apps, SimInstance};
 use perspective::isv::Isv;
 use perspective::scheme::Scheme;

@@ -6,13 +6,14 @@
 //! `--json` emits the measurement rows and derived normalizations as a
 //! single machine-readable document instead of the transcript.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, norm};
+use persp_workloads::report::{self, Json};
 use persp_workloads::{lebench, runner};
 use perspective::scheme::Scheme;
 
 fn main() {
     let all = std::env::args().any(|a| a == "--all");
+    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
     let image = kernel_image();
     let schemes: Vec<Scheme> = if all {
         Scheme::ALL.to_vec()
@@ -20,7 +21,7 @@ fn main() {
         Scheme::MAIN.to_vec()
     };
     let suite = lebench::suite();
-    let matrix = runner::run_matrix(&image, &schemes, &suite);
+    let matrix = runner::run_matrix(threads, &image, &schemes, &suite, core);
 
     if report::json_mode() {
         let mut normalized = Vec::new();

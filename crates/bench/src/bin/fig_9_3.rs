@@ -1,14 +1,15 @@
 //! Experiment E7 — Figure 9.3: datacenter application throughput
 //! (requests per second) normalized to the UNSAFE baseline.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, norm};
 use persp_uarch::config::CoreConfig;
+use persp_workloads::report::{self, Json};
 use persp_workloads::{apps, runner};
 use perspective::scheme::Scheme;
 
 fn main() {
     let all = std::env::args().any(|a| a == "--all");
+    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
     let image = kernel_image();
     let schemes: Vec<Scheme> = if all {
         Scheme::ALL.to_vec()
@@ -19,7 +20,7 @@ fn main() {
     let freq = CoreConfig::paper_default().freq_ghz;
     let the_apps = apps::apps();
     let workloads: Vec<_> = the_apps.iter().map(|a| a.workload.clone()).collect();
-    let matrix = runner::run_matrix(&image, &schemes, &workloads);
+    let matrix = runner::run_matrix(threads, &image, &schemes, &workloads, core);
 
     if report::json_mode() {
         let mut json_rows = Vec::new();

@@ -2,7 +2,7 @@
 //! reader accepts (`ci.sh` pipes each experiment's `--json` output
 //! through this before diffing it against the checked-in baseline).
 
-use persp_bench::report::Json;
+use persp_workloads::report::Json;
 use std::io::Read;
 
 fn main() {

@@ -20,14 +20,15 @@
 //! saturates near the pool-to-utility ratio rather than approaching
 //! zero.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, lebench_union_workload, norm, pct};
 use persp_kernel::syscalls::Sysno;
 use persp_workloads::apps;
 use persp_workloads::lebench;
+use persp_workloads::report::{self, Json};
+use persp_workloads::runner;
 use persp_workloads::spec::Workload;
-use persp_workloads::{measure_image, measure_per_syscall_image};
 use perspective::isv::Isv;
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use std::collections::HashMap;
 
@@ -53,6 +54,14 @@ struct CostRow {
 fn main() {
     // One image serves the view analysis and every enforcement-cost cell.
     let image = kernel_image();
+    let core = runner::core_config_from_env();
+    let cell = |scheme, w: &Workload, pcfg| {
+        runner::measure(scheme, &image, w, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+    };
+    let per_syscall = PerspectiveConfig {
+        per_syscall_isv: true,
+        ..PerspectiveConfig::default()
+    };
     let mut workloads = vec![lebench_union_workload()];
     workloads.extend(apps::apps().into_iter().map(|a| a.workload));
 
@@ -95,7 +104,7 @@ fn main() {
     let max_view = Sysno::ALL.iter().map(|s| per_sys[s]).max().unwrap_or(0) as f64;
 
     // Enforcement cost: the conservative flush-on-dispatch implementation
-    // (`measure_per_syscall`) vs. the paper's process-wide static views.
+    // (`PerspectiveConfig::per_syscall_isv`) vs. the paper's process-wide static views.
     let mut mixed = lebench::by_name("small-read").expect("suite test");
     mixed
         .steps
@@ -109,12 +118,14 @@ fn main() {
         .map(|n| lebench::by_name(n).expect("suite test"));
     let mut cost_rows = Vec::new();
     for w in singles.chain([mixed]) {
-        let base = measure_image(Scheme::Unsafe, &image, &w).stats.cycles as f64;
+        let base = cell(Scheme::Unsafe, &w, PerspectiveConfig::default())
+            .stats
+            .cycles as f64;
         // (single-syscall tests never switch views mid-run: identical
         // columns there are the sanity check; the mixed row pays for
         // real dispatch switching.)
-        let wide = measure_image(Scheme::PerspectiveStatic, &image, &w);
-        let narrow = measure_per_syscall_image(Scheme::Perspective, &image, &w);
+        let wide = cell(Scheme::PerspectiveStatic, &w, PerspectiveConfig::default());
+        let narrow = cell(Scheme::Perspective, &w, per_syscall);
         cost_rows.push(CostRow {
             name: w.name,
             wide_norm: norm(wide.stats.cycles as f64 / base),

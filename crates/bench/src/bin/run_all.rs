@@ -26,7 +26,7 @@
 //! document stays byte-identical with and without a warm cache; the
 //! same rule as wall clock).
 
-use persp_bench::report::{self, Json};
+use persp_workloads::report::{self, Json};
 use persp_workloads::runner;
 use std::path::PathBuf;
 use std::process::Command;
@@ -164,7 +164,7 @@ fn main() {
     let total = runner::num_threads();
     let outer = total.clamp(1, 4);
     let inner = (total / outer).max(1);
-    let runs = runner::run_parallel_with(outer, selected.clone(), |bin| {
+    let runs = runner::run_parallel(outer, selected.clone(), |bin| {
         let stats_file = stats_dir.join(format!("persp-cache-stats-{pid}-{bin}.txt"));
         let _ = std::fs::remove_file(&stats_file);
         let mut cmd = Command::new(dir.join(bin));

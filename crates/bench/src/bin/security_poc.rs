@@ -11,8 +11,8 @@ use persp_attacks::bhi::{plain_v2_fails_under_ibrs, run_bhi};
 use persp_attacks::ebpf_attack::run_ebpf_attack;
 use persp_attacks::passive::{run_btb_hijack, run_retbleed};
 use persp_bench::header;
-use persp_bench::report::{self, Json};
 use persp_kernel::callgraph::KernelConfig;
+use persp_workloads::report::{self, Json};
 use perspective::scheme::Scheme;
 use perspective::taxonomy::AttackOutcome;
 

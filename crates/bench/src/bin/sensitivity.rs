@@ -2,12 +2,13 @@
 //! rates, the cost of blocking unknown allocations, secure-slab memory
 //! fragmentation, and domain-reassignment frequency.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, pct};
 use persp_kernel::context::CgroupId;
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::mm::{BuddyAllocator, SlabAllocator, SlabStats};
 use persp_kernel::sink::NullSink;
+use persp_uarch::config::CoreConfig;
+use persp_workloads::report::{self, Json};
 use persp_workloads::runner::Measurement;
 use persp_workloads::{apps, lebench, runner};
 use perspective::policy::PerspectiveConfig;
@@ -18,10 +19,12 @@ use rand::{Rng, SeedableRng};
 const HIT_RATE_NAMES: [&str; 5] = ["getpid", "select", "small-read", "big-write", "poll"];
 const UNKNOWN_NAMES: [&str; 4] = ["getpid", "small-read", "poll", "page-fault"];
 
-fn hit_rates(image: &KernelImage) -> Vec<(f64, f64)> {
-    runner::run_parallel(HIT_RATE_NAMES.to_vec(), |name| {
+fn hit_rates(image: &KernelImage, threads: usize, core: CoreConfig) -> Vec<(f64, f64)> {
+    runner::run_parallel(threads, HIT_RATE_NAMES.to_vec(), |name| {
         let w = lebench::by_name(name).unwrap();
-        let m = runner::measure_image(Scheme::Perspective, image, &w);
+        let pcfg = PerspectiveConfig::default();
+        let m = runner::measure(Scheme::Perspective, image, &w, pcfg, core)
+            .unwrap_or_else(|e| panic!("{e}"));
         (
             m.isv_cache.unwrap().hit_rate(),
             m.dsvmt_cache.unwrap().hit_rate(),
@@ -54,17 +57,18 @@ fn print_hit_rates(rates: &[(f64, f64)]) {
 
 /// Two cells per workload — blocking on, blocking off — run as one
 /// parallel batch; chunked pairwise by the consumers.
-fn unknown_allocations(image: &KernelImage) -> Vec<Measurement> {
+fn unknown_allocations(image: &KernelImage, threads: usize, core: CoreConfig) -> Vec<Measurement> {
     let jobs: Vec<(usize, bool)> = (0..UNKNOWN_NAMES.len())
         .flat_map(|w| [(w, true), (w, false)])
         .collect();
-    runner::run_parallel(jobs, |(w, block)| {
+    runner::run_parallel(threads, jobs, |(w, block)| {
         let workload = lebench::by_name(UNKNOWN_NAMES[w]).unwrap();
         let cfg = PerspectiveConfig {
             block_unknown: block,
             ..Default::default()
         };
-        runner::measure_image_cfg(Scheme::Perspective, image, &workload, cfg)
+        runner::measure(Scheme::Perspective, image, &workload, cfg, core)
+            .unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
@@ -94,7 +98,7 @@ fn print_unknown_allocations(cells: &[Measurement]) {
 /// allocations from four mutually distrusting cgroups, measured with
 /// `slabtop`-style utilization on the baseline vs. the secure allocator.
 /// Returns `[(active, total, page_op_ratio); 2]` for baseline, secure.
-fn fragmentation() -> Vec<(u64, u64, f64)> {
+fn fragmentation(threads: usize) -> Vec<(u64, u64, f64)> {
     let run = |secure: bool| -> (u64, u64, f64) {
         // Per-run rng so the two configurations see identical traffic
         // (and so both can run concurrently).
@@ -121,7 +125,7 @@ fn fragmentation() -> Vec<(u64, u64, f64)> {
         let (active, total) = slab.utilization();
         (active, total, slab.stats().page_op_ratio())
     };
-    runner::run_parallel(vec![false, true], run)
+    runner::run_parallel(threads, vec![false, true], run)
 }
 
 /// Derived fragmentation figures: baseline/secure utilization, memory
@@ -146,8 +150,8 @@ fn print_fragmentation(runs: &[(u64, u64, f64)]) {
     println!();
 }
 
-fn domain_reassignment(image: &KernelImage) -> Vec<(&'static str, SlabStats)> {
-    runner::run_parallel(apps::apps(), |app| {
+fn domain_reassignment(image: &KernelImage, threads: usize) -> Vec<(&'static str, SlabStats)> {
+    runner::run_parallel(threads, apps::apps(), |app| {
         let mut inst = persp_workloads::SimInstance::from_image(Scheme::Perspective, image);
         let text = inst.text_base();
         let data = inst.data_base();
@@ -244,20 +248,21 @@ fn main() {
     if !json {
         header("Sensitivity analyses", "paper §9.2");
     }
+    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
     let image = kernel_image();
-    let rates = hit_rates(&image);
+    let rates = hit_rates(&image, threads, core);
     if !json {
         print_hit_rates(&rates);
     }
-    let cells = unknown_allocations(&image);
+    let cells = unknown_allocations(&image, threads, core);
     if !json {
         print_unknown_allocations(&cells);
     }
-    let runs = fragmentation();
+    let runs = fragmentation(threads);
     if !json {
         print_fragmentation(&runs);
     }
-    let reassign = domain_reassignment(&image);
+    let reassign = domain_reassignment(&image, threads);
     if json {
         report::emit(&json_doc(&rates, &cells, &runs, &reassign));
     } else {

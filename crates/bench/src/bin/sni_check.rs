@@ -24,8 +24,8 @@
 //! property fails, so the CI smoke run is a real check.
 
 use persp_attacks::active::run_active_attack_sni;
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_config, kernel_image};
+use persp_workloads::report::{self, Json};
 use persp_workloads::sni::{run_sni_workload, SniReport, DEFAULT_SHADOW_BUDGET};
 use persp_workloads::{lebench, runner};
 use perspective::fault::FaultPlan;
@@ -97,6 +97,7 @@ fn fault_json(r: &SniReport, seed: u64) -> Json {
 }
 
 fn main() {
+    let threads = runner::num_threads();
     let image = kernel_image();
     let suite = lebench::suite();
     let pcfg = PerspectiveConfig::default();
@@ -105,7 +106,7 @@ fn main() {
     let clean_jobs: Vec<(usize, Scheme)> = (0..suite.len())
         .flat_map(|w| [(w, Scheme::Unsafe), (w, Scheme::Perspective)])
         .collect();
-    let clean: Vec<SniReport> = runner::run_parallel(clean_jobs, |(w, scheme)| {
+    let clean: Vec<SniReport> = runner::run_parallel(threads, clean_jobs, |(w, scheme)| {
         run_sni_workload(scheme, &image, &suite[w], pcfg, None, DEFAULT_SHADOW_BUDGET)
     });
 
@@ -122,7 +123,7 @@ fn main() {
             (w, FAULT_SEED_BASE + i as u64)
         })
         .collect();
-    let faulted: Vec<(SniReport, u64)> = runner::run_parallel(fault_jobs, |(w, seed)| {
+    let faulted: Vec<(SniReport, u64)> = runner::run_parallel(threads, fault_jobs, |(w, seed)| {
         (
             run_sni_workload(
                 Scheme::Perspective,

@@ -4,8 +4,8 @@
 //! `--json` emits the measurement rows and the derived shares/rates as a
 //! single machine-readable document instead of the transcript.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, kernel_image, lebench_union_workload, pct};
+use persp_workloads::report::{self, Json};
 use persp_workloads::runner::Measurement;
 use persp_workloads::{apps, runner, Workload};
 use perspective::scheme::Scheme;
@@ -36,10 +36,11 @@ fn row(w: &Workload, ms: &[Measurement]) {
 }
 
 fn main() {
+    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
     let image = kernel_image();
     let mut workloads = vec![lebench_union_workload()];
     workloads.extend(apps::apps().into_iter().map(|a| a.workload));
-    let matrix = runner::run_matrix(&image, &SCHEMES, &workloads);
+    let matrix = runner::run_matrix(threads, &image, &SCHEMES, &workloads, core);
 
     if report::json_mode() {
         let mut shares = Vec::new();

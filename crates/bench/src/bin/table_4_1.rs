@@ -2,8 +2,8 @@
 //! vulnerabilities targeting the Linux kernel.
 
 use persp_bench::header;
-use persp_bench::report::{self, Json};
 use persp_workloads::cve_study::table_4_1;
+use persp_workloads::report::{self, Json};
 
 fn main() {
     if report::json_mode() {

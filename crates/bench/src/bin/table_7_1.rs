@@ -1,9 +1,9 @@
 //! Experiment E2 — Table 7.1: full-system simulation parameters.
 
 use persp_bench::header;
-use persp_bench::report::{self, Json};
 use persp_mem::hierarchy::HierarchyConfig;
 use persp_uarch::config::CoreConfig;
+use persp_workloads::report::{self, Json};
 use perspective::hwcache::HwCacheConfig;
 
 fn main() {

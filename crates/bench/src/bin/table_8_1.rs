@@ -5,8 +5,8 @@
 //! declared syscall profiles; dynamic ISVs (ISV) come from real execution
 //! traces on the simulator.
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, isv_trio, kernel_image, lebench_union_workload, pct};
+use persp_workloads::report::{self, Json};
 use persp_workloads::{apps, runner};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
 
     // One worker per workload; each derives its views against the shared
     // image and returns the row's numbers (instances stay thread-local).
-    let rows = runner::run_parallel(workloads.clone(), |w| {
+    let rows = runner::run_parallel(runner::num_threads(), workloads.clone(), |w| {
         let profile = w.syscall_profile();
         let (isv_s, isv_d, _pp, _inst) = isv_trio(&image, &w, &profile);
         (

@@ -6,9 +6,9 @@
 //! function is outside the view (its transmitters cannot execute
 //! speculatively).
 
-use persp_bench::report::{self, Json};
 use persp_bench::{header, isv_trio, kernel_image, lebench_union_workload, pct};
 use persp_kernel::callgraph::GadgetKind;
+use persp_workloads::report::{self, Json};
 use persp_workloads::{apps, runner};
 use perspective::isv::Isv;
 
@@ -35,7 +35,7 @@ fn main() {
     let mut workloads = vec![lebench_union_workload()];
     workloads.extend(apps::apps().into_iter().map(|a| a.workload));
 
-    let rows = runner::run_parallel(workloads.clone(), |w| {
+    let rows = runner::run_parallel(runner::num_threads(), workloads.clone(), |w| {
         let profile = w.syscall_profile();
         let (isv_s, isv_d, isv_pp, _inst) = isv_trio(&image, &w, &profile);
         let g = &image.graph;

@@ -2,8 +2,8 @@
 //! ISV and DSV caches at 22 nm (CACTI-style analytical model).
 
 use persp_bench::header;
-use persp_bench::report::{self, Json};
 use persp_mem::sram::{characterize_22nm, SramConfig};
+use persp_workloads::report::{self, Json};
 
 fn main() {
     if report::json_mode() {

@@ -5,8 +5,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod report;
-
 use persp_kernel::callgraph::{FuncId, KernelConfig};
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;

@@ -6,7 +6,7 @@
 //! environment (set on the spawned `Command`); this test never touches
 //! the parent process environment.
 
-use persp_bench::report::Json;
+use persp_workloads::report::Json;
 use std::process::Command;
 
 fn fig_9_2_json(threads: &str) -> String {

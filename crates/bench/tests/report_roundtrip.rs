@@ -1,9 +1,9 @@
-//! Property tests for `persp_bench::report::Json`: the writer is a
+//! Property tests for `persp_workloads::report::Json`: the writer is a
 //! fixed point of the parser over arbitrary documents (non-ASCII,
 //! escapes, nesting), and a malformed-document corpus always comes back
 //! as `Err` — never a panic.
 
-use persp_bench::report::Json;
+use persp_workloads::report::Json;
 use proptest::prelude::*;
 use proptest::strategy::boxed_arm;
 

@@ -43,7 +43,7 @@ pub fn measure_fastfwd_pair(
     workload: &Workload,
 ) -> (Measurement, Measurement) {
     let (fast_cfg, slow_cfg) = fastfwd_pair();
-    let fast = runner::try_measure_image_full(
+    let fast = runner::measure(
         scheme,
         image,
         workload,
@@ -51,7 +51,7 @@ pub fn measure_fastfwd_pair(
         fast_cfg,
     )
     .unwrap_or_else(|e| panic!("fast-path {} under {scheme} failed: {e}", workload.name));
-    let slow = runner::try_measure_image_full(
+    let slow = runner::measure(
         scheme,
         image,
         workload,

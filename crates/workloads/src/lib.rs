@@ -23,9 +23,7 @@ pub mod spec;
 
 pub use apps::App;
 pub use runner::{
-    core_config_from_env, measure, measure_cfg, measure_image, measure_image_cfg,
-    measure_image_full, measure_image_uncached, measure_per_syscall, measure_per_syscall_image,
-    measure_schemes, num_threads, overhead, run_matrix, run_matrix_core, run_parallel,
-    run_parallel_with, trace_to_funcs, Measurement, SimInstance,
+    core_config_from_env, measure, measure_image_uncached, num_threads, overhead, run_matrix,
+    run_parallel, trace_to_funcs, Measurement, SimInstance,
 };
 pub use spec::{ArgVal, SyscallStep, Workload};

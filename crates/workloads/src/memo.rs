@@ -89,9 +89,10 @@ pub const SIM_VERSION: u32 = 1;
 const FORMAT_VERSION: u64 = 1;
 
 /// Which measurement protocol produced a cell. The per-syscall protocol
-/// ([`crate::runner::measure_per_syscall_image`]) installs a different
-/// view configuration than the standard warmup→ISV→ROI protocol, so the
-/// two must never share entries even for identical configs.
+/// (selected by [`PerspectiveConfig::per_syscall_isv`], see
+/// [`crate::runner::measure`]) installs a different view configuration
+/// than the standard warmup→ISV→ROI protocol, so the two must never share
+/// entries even for identical configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// The standard warmup → install-ISV → ROI protocol.
@@ -101,6 +102,16 @@ pub enum Protocol {
 }
 
 impl Protocol {
+    /// The protocol a cell's Perspective configuration selects — the one
+    /// place the choice is made.
+    pub(crate) fn of(pcfg: &PerspectiveConfig) -> Self {
+        if pcfg.per_syscall_isv {
+            Protocol::PerSyscall
+        } else {
+            Protocol::Standard
+        }
+    }
+
     fn tag(self) -> &'static str {
         match self {
             Protocol::Standard => "standard",

@@ -12,7 +12,7 @@
 
 use crate::runner::SimInstance;
 use crate::spec::Workload;
-use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_uarch::stats::SimStats;
 use persp_uarch::Asid;
 use perspective::isv::Isv;
@@ -36,10 +36,10 @@ pub struct PingPong {
 }
 
 impl PingPong {
-    /// Build a two-process instance. Process A is in cgroup 1 (created by
-    /// [`SimInstance::new`]), process B in cgroup 2.
-    pub fn new(scheme: Scheme, kcfg: KernelConfig) -> Self {
-        let mut instance = SimInstance::new(scheme, kcfg);
+    /// Build a two-process instance on `image`. Process A is in cgroup 1
+    /// (created by [`SimInstance::from_image`]), process B in cgroup 2.
+    pub fn new(scheme: Scheme, image: &KernelImage) -> Self {
+        let mut instance = SimInstance::from_image(scheme, image);
         let pid_b = {
             let mut kernel = instance.kernel.borrow_mut();
             kernel.create_process(2, &mut instance.core.machine)
@@ -124,13 +124,15 @@ mod tests {
     use crate::lebench;
     use perspective::policy::PerspectivePolicy;
 
-    fn kcfg() -> KernelConfig {
-        KernelConfig::test_small()
+    use persp_kernel::callgraph::KernelConfig;
+
+    fn image() -> KernelImage {
+        KernelImage::build(KernelConfig::test_small())
     }
 
     #[test]
     fn ping_pong_completes_under_unsafe() {
-        let mut pp = PingPong::new(Scheme::Unsafe, kcfg());
+        let mut pp = PingPong::new(Scheme::Unsafe, &image());
         let a = lebench::by_name("getpid").unwrap();
         let b = lebench::by_name("small-read").unwrap();
         let r = pp.run(&a, &b, 3);
@@ -145,7 +147,7 @@ mod tests {
     fn asid_tagging_survives_context_switches() {
         // Under Perspective, both contexts' ISV-cache entries coexist:
         // the second round of each process should mostly hit.
-        let mut pp = PingPong::new(Scheme::Perspective, kcfg());
+        let mut pp = PingPong::new(Scheme::Perspective, &image());
         let a = lebench::by_name("getpid").unwrap();
         let b = lebench::by_name("small-read").unwrap();
         pp.install_isvs(&a, &b);
@@ -168,7 +170,7 @@ mod tests {
     fn cross_context_ownership_is_preserved() {
         // After interleaved runs, each process's kernel objects still
         // belong to its own cgroup (the allocators never mix domains).
-        let mut pp = PingPong::new(Scheme::Perspective, kcfg());
+        let mut pp = PingPong::new(Scheme::Perspective, &image());
         let a = lebench::by_name("mmap").unwrap();
         let b = lebench::by_name("brk").unwrap();
         pp.install_isvs(&a, &b);
@@ -193,7 +195,7 @@ mod tests {
         let b = lebench::by_name("poll").unwrap();
         let mut cycles = Vec::new();
         for scheme in [Scheme::Unsafe, Scheme::Fence, Scheme::Perspective] {
-            let mut pp = PingPong::new(scheme, kcfg());
+            let mut pp = PingPong::new(scheme, &image());
             pp.install_isvs(&a, &b);
             pp.run(&a, &b, 1); // warmup
             let r = pp.run(&a, &b, 1);

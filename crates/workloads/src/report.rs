@@ -1,11 +1,9 @@
 //! Machine-readable measurement output: a minimal JSON value, writer and
 //! parser built on `std` alone (the workspace is offline — no serde).
 //!
-//! This module started life as `persp_bench::report`; it lives here so
-//! the simulation-memoization layer ([`crate::memo`]) can serialize full
-//! [`Measurement`]s without a `persp-bench → persp-workloads` dependency
-//! cycle. `persp_bench::report` re-exports everything, so the experiment
-//! binaries keep their import paths.
+//! It lives in this crate, not in `persp-bench`, so the
+//! simulation-memoization layer ([`crate::memo`]) can serialize full
+//! [`Measurement`]s; the experiment binaries import it from here.
 //!
 //! Every experiment binary accepts `--json` and serializes its
 //! measurement rows plus the per-measurement [`MetricsRegistry`] through

@@ -2,21 +2,32 @@
 //! a workload's warmup + region of interest, and collects every statistic
 //! the evaluation chapters report.
 //!
-//! Protocol per (scheme, workload):
+//! Protocol per (scheme, workload) cell:
 //!
 //! 1. build kernel + process; for Perspective schemes the framework's
 //!    sink is wired into the allocators;
 //! 2. **warmup run** with call tracing enabled — this is both the cache/
 //!    predictor warmup and, for the PERSPECTIVE scheme, the dynamic-ISV
 //!    profiling run (§5.3's kernel-level tracing);
-//! 3. install the scheme's ISV (static from the declared syscall profile,
-//!    dynamic from the trace, ISV++ hardened with a bounded scan);
+//! 3. install the scheme's view: ISV-S static from the declared syscall
+//!    profile, ISV dynamic from the trace, ISV++ hardened with a bounded
+//!    scan — or, under [`PerspectiveConfig::per_syscall_isv`] (§11), one
+//!    static view per profile syscall;
 //! 4. **ROI run**, measured as a statistics delta (LEBench methodology).
+//!
+//! Steps 2–3 are shared with the SNI harness ([`crate::sni`]). The entry
+//! points are [`measure`] (one cell, through the cell cache in
+//! [`crate::memo`]), [`run_matrix`] (a workload × scheme matrix),
+//! [`run_parallel`] (any batch of jobs on a worker pool) and
+//! [`measure_image_uncached`] (the protocol without the cache). They take
+//! the pool width and core configuration as arguments; binaries read both
+//! once from the environment with [`num_threads`] and
+//! [`core_config_from_env`].
 
 use crate::memo;
 use crate::spec::Workload;
-use persp_kernel::callgraph::{CallGraph, FuncId, KernelConfig};
-use persp_kernel::kernel::{Kernel, KernelImage, SharedKernel};
+use persp_kernel::callgraph::{CallGraph, FuncId};
+use persp_kernel::kernel::{Kernel, KernelImage, SharedKernel, SharedSink};
 use persp_kernel::layout;
 use persp_kernel::sink::NullSink;
 use persp_mem::hierarchy::{HierarchyConfig, MemoryHierarchy};
@@ -24,6 +35,7 @@ use persp_scanner::scanner::scan_bounded;
 use persp_uarch::config::CoreConfig;
 use persp_uarch::machine::Machine;
 use persp_uarch::pipeline::Core;
+use persp_uarch::policy::SpecPolicy;
 use persp_uarch::stats::SimStats;
 use persp_uarch::{Asid, MetricsRegistry, MetricsSource};
 use perspective::framework::Perspective;
@@ -35,7 +47,10 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+/// Cycle budget of one simulated run (warmup or ROI).
+const RUN_BUDGET: u64 = 80_000_000;
 
 /// One measured region of interest.
 #[derive(Debug, Clone)]
@@ -79,7 +94,7 @@ pub struct SimInstance {
     pub core: Core,
     /// The kernel handle.
     pub kernel: SharedKernel,
-    /// The framework (Perspective schemes only).
+    /// The framework (Perspective schemes and instrumented instances).
     pub perspective: Option<Perspective>,
     /// The workload process.
     pub asid: Asid,
@@ -88,70 +103,30 @@ pub struct SimInstance {
 }
 
 impl SimInstance {
-    /// Build an instance with a single workload process (cgroup 1).
-    pub fn new(scheme: Scheme, kcfg: KernelConfig) -> Self {
-        Self::with_config(scheme, kcfg, PerspectiveConfig::default())
-    }
-
-    /// Build with an explicit Perspective configuration (for the §9.2
-    /// ablations, e.g. disabling unknown-allocation blocking).
-    pub fn with_config(scheme: Scheme, kcfg: KernelConfig, pcfg: PerspectiveConfig) -> Self {
-        Self::from_image_cfg(scheme, &KernelImage::build(kcfg), pcfg)
-    }
-
-    /// Build an instance from a pre-generated kernel image (cgroup 1).
+    /// Build an instance with a single workload process (cgroup 1) from a
+    /// pre-generated kernel image, with the default Perspective
+    /// configuration and the core configuration of
+    /// [`core_config_from_env`].
     pub fn from_image(scheme: Scheme, image: &KernelImage) -> Self {
-        Self::from_image_cfg(scheme, image, PerspectiveConfig::default())
+        Self::from_image_core(
+            scheme,
+            image,
+            PerspectiveConfig::default(),
+            core_config_from_env(),
+        )
     }
 
-    /// [`SimInstance::from_image`] with an explicit Perspective
-    /// configuration. The image's call graph and text are shared, not
-    /// regenerated — this is the constructor the parallel experiment
-    /// matrix uses for every cell. The core configuration is taken from
-    /// the environment ([`core_config_from_env`]).
-    pub fn from_image_cfg(scheme: Scheme, image: &KernelImage, pcfg: PerspectiveConfig) -> Self {
-        Self::from_image_core(scheme, image, pcfg, core_config_from_env())
-    }
-
-    /// [`SimInstance::from_image_cfg`] with an explicit core
-    /// configuration — the environment-free entry point; the fast-vs-slow
-    /// differential harness drives this directly instead of mutating
-    /// `PERSPECTIVE_NO_FASTFWD`.
+    /// [`SimInstance::from_image`] with explicit Perspective and core
+    /// configurations — the environment-free constructor the measurement
+    /// protocol uses for every cell. The image's call graph, text and boot
+    /// memory are shared, not regenerated.
     pub fn from_image_core(
         scheme: Scheme,
         image: &KernelImage,
         pcfg: PerspectiveConfig,
         core_cfg: CoreConfig,
     ) -> Self {
-        let perspective = scheme.is_perspective().then(Perspective::new);
-        let kernel = match &perspective {
-            Some(p) => Kernel::from_image(image, p.sink()),
-            None => Kernel::from_image(image, Rc::new(RefCell::new(NullSink))),
-        };
-        let shared = SharedKernel::new(kernel);
-        let mut machine = Machine::new();
-        shared.borrow().install(&mut machine);
-        let pid = shared.borrow_mut().create_process(1, &mut machine);
-        let asid = pid as Asid;
-        shared.borrow().set_current(asid, &mut machine);
-        let policy: Box<dyn persp_uarch::policy::SpecPolicy> = match &perspective {
-            Some(p) => Box::new(p.policy(pcfg)),
-            None => scheme.build_policy(None),
-        };
-        let core = Core::new(
-            core_cfg,
-            machine,
-            MemoryHierarchy::new(HierarchyConfig::paper_default()),
-            policy,
-            Box::new(shared.clone()),
-        );
-        SimInstance {
-            core,
-            kernel: shared,
-            perspective,
-            asid,
-            scheme,
-        }
+        Self::build(scheme, image, pcfg, core_cfg, false, |policy, _| policy)
     }
 
     /// Build an *instrumented* instance for the SNI checker: the
@@ -165,35 +140,51 @@ impl SimInstance {
         scheme: Scheme,
         image: &KernelImage,
         pcfg: PerspectiveConfig,
-        wrap: impl FnOnce(
-            Box<dyn persp_uarch::policy::SpecPolicy>,
-            &Perspective,
-        ) -> Box<dyn persp_uarch::policy::SpecPolicy>,
+        wrap: impl FnOnce(Box<dyn SpecPolicy>, &Perspective) -> Box<dyn SpecPolicy>,
     ) -> Self {
-        let perspective = Perspective::new();
-        let kernel = Kernel::from_image(image, perspective.sink());
-        let shared = SharedKernel::new(kernel);
+        Self::build(scheme, image, pcfg, core_config_from_env(), true, wrap)
+    }
+
+    /// The one construction body: boot the kernel (feeding a Perspective
+    /// framework's sink for Perspective schemes, or for any scheme when
+    /// `instrument` is set), create the workload process, and assemble the
+    /// core around the scheme's policy, passed through `wrap` when a
+    /// framework is present.
+    fn build(
+        scheme: Scheme,
+        image: &KernelImage,
+        pcfg: PerspectiveConfig,
+        core_cfg: CoreConfig,
+        instrument: bool,
+        wrap: impl FnOnce(Box<dyn SpecPolicy>, &Perspective) -> Box<dyn SpecPolicy>,
+    ) -> Self {
+        let perspective = (instrument || scheme.is_perspective()).then(Perspective::new);
+        let sink: SharedSink = match &perspective {
+            Some(p) => p.sink(),
+            None => Rc::new(RefCell::new(NullSink)),
+        };
+        let shared = SharedKernel::new(Kernel::from_image(image, sink));
         let mut machine = Machine::new();
         shared.borrow().install(&mut machine);
         let pid = shared.borrow_mut().create_process(1, &mut machine);
         let asid = pid as Asid;
         shared.borrow().set_current(asid, &mut machine);
-        let policy: Box<dyn persp_uarch::policy::SpecPolicy> = if scheme.is_perspective() {
-            Box::new(perspective.policy(pcfg))
-        } else {
-            scheme.build_policy(None)
+        let policy: Box<dyn SpecPolicy> = match &perspective {
+            Some(p) if scheme.is_perspective() => wrap(Box::new(p.policy(pcfg)), p),
+            Some(p) => wrap(scheme.build_policy(None), p),
+            None => scheme.build_policy(None),
         };
         let core = Core::new(
-            core_config_from_env(),
+            core_cfg,
             machine,
             MemoryHierarchy::new(HierarchyConfig::paper_default()),
-            wrap(policy, &perspective),
+            policy,
             Box::new(shared.clone()),
         );
         SimInstance {
             core,
             kernel: shared,
-            perspective: Some(perspective),
+            perspective,
             asid,
             scheme,
         }
@@ -250,11 +241,7 @@ pub fn trace_to_funcs(graph: &CallGraph, trace: &HashSet<u64>) -> HashSet<FuncId
 
 /// The per-scheme ISV used for a workload: static from the declared
 /// profile, dynamic from the warmup trace, ISV++ audit-hardened.
-pub(crate) fn build_isv(
-    instance: &SimInstance,
-    workload: &Workload,
-    trace: &HashSet<FuncId>,
-) -> Option<Isv> {
+fn build_isv(instance: &SimInstance, workload: &Workload, trace: &HashSet<FuncId>) -> Option<Isv> {
     let kernel = instance.kernel.borrow();
     let graph = &kernel.graph;
     match instance.scheme {
@@ -271,72 +258,86 @@ pub(crate) fn build_isv(
     }
 }
 
-/// Run the full measurement protocol for one (scheme, workload) pair.
-///
-/// # Panics
-///
-/// Panics if the simulation errors (generated workloads are well-formed,
-/// so an error is a harness bug).
-pub fn measure(scheme: Scheme, kcfg: KernelConfig, workload: &Workload) -> Measurement {
-    measure_cfg(scheme, kcfg, workload, PerspectiveConfig::default())
-}
-
-/// [`measure`] with an explicit Perspective configuration (§9.2 ablations).
-pub fn measure_cfg(
-    scheme: Scheme,
-    kcfg: KernelConfig,
+/// Run the loaded workload once from the top of its text; `phase` names
+/// the run in the error message.
+pub(crate) fn run_phase(
+    instance: &mut SimInstance,
     workload: &Workload,
-    pcfg: PerspectiveConfig,
-) -> Measurement {
-    measure_image_cfg(scheme, &KernelImage::build(kcfg), workload, pcfg)
+    phase: &str,
+) -> Result<(), String> {
+    let text = instance.text_base();
+    instance.core.run(text, RUN_BUDGET).map(drop).map_err(|e| {
+        format!(
+            "{phase} of {} under {} failed: {e}",
+            workload.name, instance.scheme
+        )
+    })
 }
 
-/// [`measure`] against a pre-generated kernel image.
-pub fn measure_image(scheme: Scheme, image: &KernelImage, workload: &Workload) -> Measurement {
-    measure_image_cfg(scheme, image, workload, PerspectiveConfig::default())
-}
-
-/// [`measure_cfg`] against a pre-generated kernel image.
-///
-/// # Panics
-///
-/// Panics if the simulation errors; use [`try_measure_image_cfg`] for a
-/// harness that must degrade gracefully (e.g. under fault injection).
-pub fn measure_image_cfg(
-    scheme: Scheme,
-    image: &KernelImage,
+/// Protocol steps 2–3, shared by [`measure_image_uncached`] and the SNI
+/// harness: load the workload, run the warmup with call tracing, and
+/// install the scheme's view. Returns the number of functions in the
+/// installed view(s), `None` when the scheme installs none.
+pub(crate) fn warm_up_and_install_view(
+    instance: &mut SimInstance,
     workload: &Workload,
-    pcfg: PerspectiveConfig,
-) -> Measurement {
-    try_measure_image_cfg(scheme, image, workload, pcfg)
-        .unwrap_or_else(|e| panic!("measuring {} under {scheme} failed: {e}", workload.name))
+    pcfg: &PerspectiveConfig,
+) -> Result<Option<usize>, String> {
+    let (text, data) = (instance.text_base(), instance.data_base());
+    instance
+        .core
+        .machine
+        .load_text(workload.compile(text, data));
+    instance.core.enable_call_trace();
+    run_phase(instance, workload, "warmup")?;
+    let raw_trace = instance.core.take_call_trace();
+    if pcfg.per_syscall_isv {
+        return Ok(install_per_syscall_views(instance, workload));
+    }
+    let trace = trace_to_funcs(&instance.kernel.borrow().graph, &raw_trace);
+    let isv = build_isv(instance, workload, &trace);
+    let isv_funcs = isv.as_ref().map(Isv::num_funcs);
+    if let (Some(p), Some(view)) = (&instance.perspective, isv) {
+        p.install_isv(instance.asid, view);
+    }
+    Ok(isv_funcs)
 }
 
-/// [`measure_image_cfg`] that reports simulation failures as `Err`
-/// instead of panicking — a run that dies mid-ROI (a corrupted policy,
-/// an injected fault cascading into a machine error) comes back as a
-/// describable failure the caller can record.
-pub fn try_measure_image_cfg(
-    scheme: Scheme,
-    image: &KernelImage,
-    workload: &Workload,
-    pcfg: PerspectiveConfig,
-) -> Result<Measurement, String> {
-    try_measure_image_full(scheme, image, workload, pcfg, core_config_from_env())
+/// The §11 per-syscall views: one static closure per profile syscall,
+/// switched at dispatch, plus the profile's union as the process-wide
+/// fallback for code outside any syscall (none in our workloads, but the
+/// resolution path requires the process-wide entry). Returns the summed
+/// size of the per-syscall views, `None` without a framework.
+fn install_per_syscall_views(instance: &SimInstance, workload: &Workload) -> Option<usize> {
+    let p = instance.perspective.as_ref()?;
+    let kernel = instance.kernel.borrow();
+    let profile = workload.syscall_profile();
+    let mut total_funcs = 0;
+    for &sys in &profile {
+        let view = Isv::static_for(&kernel.graph, &[sys]);
+        total_funcs += view.num_funcs();
+        p.install_isv_per_syscall(instance.asid, sys as u16, view);
+    }
+    p.install_isv(instance.asid, Isv::static_for(&kernel.graph, &profile));
+    Some(total_funcs)
 }
 
-/// [`try_measure_image_cfg`] with an explicit core configuration — the
-/// environment-free entry point used by the fast-vs-slow differential
-/// harness ([`crate::differential`]) to run the identical measurement
-/// protocol under both stepping modes.
+/// Measure one cell: `scheme` running `workload` on `image` under the
+/// Perspective configuration `pcfg` and core configuration `core_cfg`.
+/// Setting [`PerspectiveConfig::per_syscall_isv`] selects the per-syscall
+/// view protocol (§11 future work), in which the policy switches views at
+/// dispatch and flushes the ISV cache on each switch.
 ///
-/// All simulated experiment cells funnel through here, so this is where
-/// the content-addressed cell cache ([`crate::memo`]) is consulted:
-/// under `PERSPECTIVE_CACHE=on|verify` a cell whose complete input
-/// fingerprint matches a stored entry is served from (or verified
-/// against) disk. With the cache off — the default — behavior is
-/// unchanged.
-pub fn try_measure_image_full(
+/// The cell goes through the content-addressed cell cache
+/// ([`crate::memo`]): under `PERSPECTIVE_CACHE=on|verify` a cell whose
+/// complete input fingerprint matches a stored entry is served from (or
+/// verified against) disk. With the cache off — the default — it is
+/// simulated by [`measure_image_uncached`].
+///
+/// A simulation that fails (a corrupted policy, an injected fault
+/// cascading into a machine error) or a cache verify mismatch comes back
+/// as `Err` with a message naming the cell.
+pub fn measure(
     scheme: Scheme,
     image: &KernelImage,
     workload: &Workload,
@@ -345,7 +346,7 @@ pub fn try_measure_image_full(
 ) -> Result<Measurement, String> {
     memo::cached_measure(
         &memo::CacheConfig::from_env(),
-        memo::Protocol::Standard,
+        memo::Protocol::of(&pcfg),
         scheme,
         &image.cfg,
         &pcfg,
@@ -355,9 +356,9 @@ pub fn try_measure_image_full(
     )
 }
 
-/// The actual measurement protocol behind [`try_measure_image_full`],
-/// always simulating (never consulting the cell cache). The verify-mode
-/// recomputation and the cache's own tests call this directly.
+/// The measurement protocol behind [`measure`], always simulating (never
+/// consulting the cell cache). The verify-mode recomputation and the
+/// cache's own tests call this directly.
 pub fn measure_image_uncached(
     scheme: Scheme,
     image: &KernelImage,
@@ -366,26 +367,7 @@ pub fn measure_image_uncached(
     core_cfg: CoreConfig,
 ) -> Result<Measurement, String> {
     let mut instance = SimInstance::from_image_core(scheme, image, pcfg, core_cfg);
-    let text = instance.text_base();
-    let data = instance.data_base();
-
-    // Warmup + dynamic-ISV profiling run.
-    let warm_prog = workload.compile(text, data);
-    instance.core.machine.load_text(warm_prog);
-    instance.core.enable_call_trace();
-    instance
-        .core
-        .run(text, 80_000_000)
-        .map_err(|e| format!("warmup of {} under {scheme} failed: {e}", workload.name))?;
-    let raw_trace = instance.core.take_call_trace();
-    let trace = trace_to_funcs(&image.graph, &raw_trace);
-
-    // Install the scheme's view.
-    let isv = build_isv(&instance, workload, &trace);
-    let isv_funcs = isv.as_ref().map(|v| v.num_funcs());
-    if let (Some(p), Some(view)) = (&instance.perspective, isv) {
-        p.install_isv(instance.asid, view);
-    }
+    let isv_funcs = warm_up_and_install_view(&mut instance, workload, &pcfg)?;
 
     // Reset measurement state.
     instance.core.policy_mut().reset_counters();
@@ -393,10 +375,7 @@ pub fn measure_image_uncached(
 
     // Region of interest (same program, measured as a delta).
     let before = instance.core.stats();
-    instance
-        .core
-        .run(text, 80_000_000)
-        .map_err(|e| format!("ROI of {} under {scheme} failed: {e}", workload.name))?;
+    run_phase(&mut instance, workload, "ROI")?;
     let stats = instance.core.stats().delta_since(&before);
 
     Ok(Measurement {
@@ -411,126 +390,6 @@ pub fn measure_image_uncached(
     })
 }
 
-/// [`measure`] under per-syscall ISV enforcement (§11 future work): a
-/// static per-syscall view is installed for every syscall in the
-/// workload's profile and the policy switches views at dispatch,
-/// flushing the ISV cache on each switch. Only meaningful for
-/// Perspective schemes.
-pub fn measure_per_syscall(scheme: Scheme, kcfg: KernelConfig, workload: &Workload) -> Measurement {
-    measure_per_syscall_image(scheme, &KernelImage::build(kcfg), workload)
-}
-
-/// [`measure_per_syscall`] against a pre-generated kernel image.
-///
-/// # Panics
-///
-/// Panics if the simulation errors; use
-/// [`try_measure_per_syscall_image`] for graceful degradation.
-pub fn measure_per_syscall_image(
-    scheme: Scheme,
-    image: &KernelImage,
-    workload: &Workload,
-) -> Measurement {
-    try_measure_per_syscall_image(scheme, image, workload)
-        .unwrap_or_else(|e| panic!("measuring {} under {scheme} failed: {e}", workload.name))
-}
-
-/// [`measure_per_syscall_image`] that reports simulation failures as
-/// `Err` instead of panicking. Cells are memoized under the cell cache
-/// with the distinct `per_syscall` protocol tag, so they never alias
-/// the standard protocol's entries.
-pub fn try_measure_per_syscall_image(
-    scheme: Scheme,
-    image: &KernelImage,
-    workload: &Workload,
-) -> Result<Measurement, String> {
-    let pcfg = PerspectiveConfig {
-        per_syscall_isv: true,
-        ..PerspectiveConfig::default()
-    };
-    let core_cfg = core_config_from_env();
-    memo::cached_measure(
-        &memo::CacheConfig::from_env(),
-        memo::Protocol::PerSyscall,
-        scheme,
-        &image.cfg,
-        &pcfg,
-        &core_cfg,
-        workload,
-        || measure_per_syscall_uncached(scheme, image, workload, pcfg, core_cfg),
-    )
-}
-
-fn measure_per_syscall_uncached(
-    scheme: Scheme,
-    image: &KernelImage,
-    workload: &Workload,
-    pcfg: PerspectiveConfig,
-    core_cfg: CoreConfig,
-) -> Result<Measurement, String> {
-    let mut instance = SimInstance::from_image_core(scheme, image, pcfg, core_cfg);
-    let text = instance.text_base();
-    let data = instance.data_base();
-
-    let warm_prog = workload.compile(text, data);
-    instance.core.machine.load_text(warm_prog);
-    instance
-        .core
-        .run(text, 80_000_000)
-        .map_err(|e| format!("warmup of {} under {scheme} failed: {e}", workload.name))?;
-
-    // One static closure per profile syscall, switched at dispatch.
-    let mut total_funcs = 0;
-    if let Some(p) = &instance.perspective {
-        let kernel = instance.kernel.borrow();
-        for &sys in &workload.syscall_profile() {
-            let view = Isv::static_for(&kernel.graph, &[sys]);
-            total_funcs += view.num_funcs();
-            p.install_isv_per_syscall(instance.asid, sys as u16, view);
-        }
-        drop(kernel);
-        // Fallback for code outside any syscall (none in our workloads,
-        // but the resolution path requires the process-wide entry).
-        let kernel = instance.kernel.borrow();
-        let profile = workload.syscall_profile();
-        let union = Isv::static_for(&kernel.graph, &profile);
-        drop(kernel);
-        p.install_isv(instance.asid, union);
-    }
-
-    instance.core.policy_mut().reset_counters();
-    instance.with_policy(|p| p.reset_measurement());
-
-    let before = instance.core.stats();
-    instance
-        .core
-        .run(text, 80_000_000)
-        .map_err(|e| format!("ROI of {} under {scheme} failed: {e}", workload.name))?;
-    let stats = instance.core.stats().delta_since(&before);
-
-    Ok(Measurement {
-        scheme,
-        workload: workload.name,
-        stats,
-        fences: instance.policy_view(|p| p.fence_breakdown()),
-        isv_cache: instance.policy_view(|p| p.isv_cache_stats()),
-        dsvmt_cache: instance.policy_view(|p| p.dsvmt_cache_stats()),
-        isv_funcs: Some(total_funcs),
-        metrics: collect_metrics(&instance, &stats),
-    })
-}
-
-/// Measure a workload under every scheme in `schemes`; returns
-/// measurements in the same order.
-pub fn measure_schemes(
-    schemes: &[Scheme],
-    kcfg: KernelConfig,
-    workload: &Workload,
-) -> Vec<Measurement> {
-    let image = KernelImage::build(kcfg);
-    run_parallel(schemes.to_vec(), |s| measure_image(s, &image, workload))
-}
-
 /// Core configuration honoring the `PERSPECTIVE_NO_FASTFWD` environment
 /// variable: the paper configuration, with the idle-cycle fast-forward
 /// disabled when `PERSPECTIVE_NO_FASTFWD=1`. The fast-forward is
@@ -538,20 +397,24 @@ pub fn measure_schemes(
 /// validation (`ci.sh` re-runs the experiments under it and diffs the
 /// JSON output against the same baselines). `0`, empty, or unset keeps
 /// the default; any other value is rejected with a one-line warning on
-/// stderr naming the bad value, and the default is used.
+/// stderr naming the bad value, and the default is used. The variable is
+/// read once per process.
 pub fn core_config_from_env() -> CoreConfig {
-    let mut cfg = CoreConfig::paper_default();
-    if let Ok(v) = std::env::var("PERSPECTIVE_NO_FASTFWD") {
-        match v.trim() {
-            "1" => cfg.idle_fastforward = false,
-            "" | "0" => {}
-            _ => eprintln!(
-                "warning: ignoring invalid PERSPECTIVE_NO_FASTFWD={v:?} \
-                 (expected 0 or 1); keeping the fast-forward enabled"
-            ),
+    static CFG: OnceLock<CoreConfig> = OnceLock::new();
+    *CFG.get_or_init(|| {
+        let mut cfg = CoreConfig::paper_default();
+        if let Ok(v) = std::env::var("PERSPECTIVE_NO_FASTFWD") {
+            match v.trim() {
+                "1" => cfg.idle_fastforward = false,
+                "" | "0" => {}
+                _ => eprintln!(
+                    "warning: ignoring invalid PERSPECTIVE_NO_FASTFWD={v:?} \
+                     (expected 0 or 1); keeping the fast-forward enabled"
+                ),
+            }
         }
-    }
-    cfg
+        cfg
+    })
 }
 
 /// Worker-pool width: the `PERSPECTIVE_THREADS` environment variable when
@@ -559,22 +422,26 @@ pub fn core_config_from_env() -> CoreConfig {
 /// `1` forces fully serial execution), else the machine's available
 /// parallelism. A value that is set but invalid — zero, negative, or
 /// not a number — is rejected with a one-line warning on stderr naming
-/// the bad value, and the default width is used instead.
+/// the bad value, and the default width is used instead. The variable is
+/// read once per process.
 pub fn num_threads() -> usize {
-    let fallback = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match std::env::var("PERSPECTIVE_THREADS") {
-        Err(_) => fallback,
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring invalid PERSPECTIVE_THREADS={v:?} \
-                     (expected an integer >= 1); using {fallback} threads"
-                );
-                fallback
-            }
-        },
-    }
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        let fallback = std::thread::available_parallelism().map_or(1, |n| n.get());
+        match std::env::var("PERSPECTIVE_THREADS") {
+            Err(_) => fallback,
+            Ok(v) => match v.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => n,
+                _ => {
+                    eprintln!(
+                        "warning: ignoring invalid PERSPECTIVE_THREADS={v:?} \
+                         (expected an integer >= 1); using {fallback} threads"
+                    );
+                    fallback
+                }
+            },
+        }
+    })
 }
 
 /// Run `f` over `jobs` on a scoped worker pool of `threads` threads.
@@ -584,7 +451,7 @@ pub fn num_threads() -> usize {
 /// result is keyed by its job index and the returned vector is identical
 /// to `jobs.into_iter().map(f).collect()` whatever the thread count.
 /// A panic in any job propagates to the caller.
-pub fn run_parallel_with<T, R>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
+pub fn run_parallel<T, R>(threads: usize, jobs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -624,51 +491,25 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`run_parallel_with`] at the [`num_threads`] default width.
-pub fn run_parallel<T: Send, R: Send>(jobs: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    run_parallel_with(num_threads(), jobs, f)
-}
-
-/// Measure every (workload, scheme) cell of an experiment matrix in
-/// parallel, sharing one pre-generated kernel image across all workers.
+/// Measure every (workload, scheme) cell of an experiment matrix on a
+/// pool of `threads` workers, sharing one pre-generated kernel image, with
+/// the default Perspective configuration and core configuration
+/// `core_cfg`.
 ///
 /// Results are ordered workload-major and scheme-minor regardless of
 /// which worker finishes first: cell `(w, s)` is at index
 /// `w * schemes.len() + s`, so `chunks(schemes.len())` yields one
-/// per-workload row after another, each in `schemes` order — exactly the
-/// sequence the serial per-cell loops produced.
-pub fn run_matrix(
-    image: &KernelImage,
-    schemes: &[Scheme],
-    workloads: &[Workload],
-) -> Vec<Measurement> {
-    run_matrix_with(num_threads(), image, schemes, workloads)
-}
-
-/// [`run_matrix`] at an explicit worker-pool width — the environment-free
-/// entry point; the determinism tests drive this directly instead of
-/// mutating `PERSPECTIVE_THREADS`.
-pub fn run_matrix_with(
-    threads: usize,
-    image: &KernelImage,
-    schemes: &[Scheme],
-    workloads: &[Workload],
-) -> Vec<Measurement> {
-    run_matrix_core(threads, image, schemes, workloads, core_config_from_env())
-}
-
-/// [`run_matrix_with`] with an explicit core configuration — fully
-/// environment-free: the differential determinism tests run the same
-/// matrix with the fast-forward on and off at several pool widths and
-/// assert identical results, without touching `PERSPECTIVE_NO_FASTFWD`.
+/// per-workload row after another, each in `schemes` order.
 ///
 /// Cells with identical input fingerprints (same scheme *and* same
 /// workload content — e.g. a caller passing a duplicated scheme list)
 /// are simulated once and the result is cloned into every duplicate
-/// position, so the worker pool only ever sees distinct cells. The
-/// returned vector is positionally identical to the naive per-cell
-/// loop: measurements are pure functions of their cell fingerprint.
-pub fn run_matrix_core(
+/// position, so the worker pool only ever sees distinct cells.
+///
+/// # Panics
+///
+/// Panics with the cell's error message if any cell fails.
+pub fn run_matrix(
     threads: usize,
     image: &KernelImage,
     schemes: &[Scheme],
@@ -682,7 +523,7 @@ pub fn run_matrix_core(
     for (w, workload) in workloads.iter().enumerate() {
         for (s, &scheme) in schemes.iter().enumerate() {
             let canonical = memo::canonical_cell(
-                memo::Protocol::Standard,
+                memo::Protocol::of(&pcfg),
                 scheme,
                 &image.cfg,
                 &pcfg,
@@ -697,35 +538,13 @@ pub fn run_matrix_core(
             cell_unique.push(idx);
         }
     }
-    let unique_results = run_parallel_with(threads, unique_jobs, |(w, s)| {
-        measure_image_full(schemes[s], image, &workloads[w], core_cfg)
+    let unique_results = run_parallel(threads, unique_jobs, |(w, s)| {
+        measure(schemes[s], image, &workloads[w], pcfg, core_cfg).unwrap_or_else(|e| panic!("{e}"))
     });
     cell_unique
         .into_iter()
         .map(|i| unique_results[i].clone())
         .collect()
-}
-
-/// [`measure_image`] with an explicit core configuration.
-///
-/// # Panics
-///
-/// Panics if the simulation errors (generated workloads are well-formed,
-/// so an error is a harness bug).
-pub fn measure_image_full(
-    scheme: Scheme,
-    image: &KernelImage,
-    workload: &Workload,
-    core_cfg: CoreConfig,
-) -> Measurement {
-    try_measure_image_full(
-        scheme,
-        image,
-        workload,
-        PerspectiveConfig::default(),
-        core_cfg,
-    )
-    .unwrap_or_else(|e| panic!("measuring {} under {scheme} failed: {e}", workload.name))
 }
 
 /// Normalized overhead of `m` versus a baseline measurement.
@@ -737,15 +556,32 @@ pub fn overhead(m: &Measurement, baseline: &Measurement) -> f64 {
 mod tests {
     use super::*;
     use crate::lebench;
+    use persp_kernel::callgraph::KernelConfig;
 
-    fn kcfg() -> KernelConfig {
-        KernelConfig::test_small()
+    fn image() -> KernelImage {
+        KernelImage::build(KernelConfig::test_small())
+    }
+
+    fn cell(scheme: Scheme, image: &KernelImage, w: &Workload) -> Measurement {
+        measure_image_uncached(
+            scheme,
+            image,
+            w,
+            PerspectiveConfig::default(),
+            CoreConfig::paper_default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn row(schemes: &[Scheme], w: &Workload) -> Vec<Measurement> {
+        let w = std::slice::from_ref(w);
+        run_matrix(2, &image(), schemes, w, CoreConfig::paper_default())
     }
 
     #[test]
     fn getpid_measures_under_all_main_schemes() {
         let w = lebench::by_name("getpid").unwrap();
-        let ms = measure_schemes(Scheme::MAIN, kcfg(), &w);
+        let ms = row(Scheme::MAIN, &w);
         for m in &ms {
             assert!(m.stats.cycles > 0, "{}: no cycles", m.scheme);
             assert_eq!(m.stats.syscalls, w.total_syscalls());
@@ -759,7 +595,7 @@ mod tests {
     #[test]
     fn perspective_measurement_carries_rich_stats() {
         let w = lebench::by_name("small-read").unwrap();
-        let m = measure(Scheme::Perspective, kcfg(), &w);
+        let m = cell(Scheme::Perspective, &image(), &w);
         assert!(m.fences.is_some());
         assert!(m.isv_cache.is_some());
         assert!(m.dsvmt_cache.is_some());
@@ -771,16 +607,37 @@ mod tests {
     #[test]
     fn baseline_measurement_has_no_perspective_stats() {
         let w = lebench::by_name("getpid").unwrap();
-        let m = measure(Scheme::Unsafe, kcfg(), &w);
+        let m = cell(Scheme::Unsafe, &image(), &w);
         assert!(m.fences.is_none());
         assert!(m.isv_cache.is_none());
     }
 
     #[test]
+    fn baselines_install_no_view_under_either_protocol() {
+        let w = lebench::by_name("getpid").unwrap();
+        let per_syscall = PerspectiveConfig {
+            per_syscall_isv: true,
+            ..PerspectiveConfig::default()
+        };
+        for pcfg in [PerspectiveConfig::default(), per_syscall] {
+            let m = measure_image_uncached(
+                Scheme::Unsafe,
+                &image(),
+                &w,
+                pcfg,
+                CoreConfig::paper_default(),
+            )
+            .unwrap();
+            assert_eq!(m.isv_funcs, None, "{pcfg:?}");
+        }
+    }
+
+    #[test]
     fn dynamic_isv_is_smaller_than_static() {
         let w = lebench::by_name("small-read").unwrap();
-        let m_static = measure(Scheme::PerspectiveStatic, kcfg(), &w);
-        let m_dyn = measure(Scheme::Perspective, kcfg(), &w);
+        let image = image();
+        let m_static = cell(Scheme::PerspectiveStatic, &image, &w);
+        let m_dyn = cell(Scheme::Perspective, &image, &w);
         assert!(
             m_dyn.isv_funcs.unwrap() < m_static.isv_funcs.unwrap(),
             "dynamic {} vs static {}",
@@ -792,11 +649,7 @@ mod tests {
     #[test]
     fn fence_overhead_exceeds_perspective_overhead_on_select() {
         let w = lebench::by_name("select").unwrap();
-        let ms = measure_schemes(
-            &[Scheme::Unsafe, Scheme::Fence, Scheme::Perspective],
-            kcfg(),
-            &w,
-        );
+        let ms = row(&[Scheme::Unsafe, Scheme::Fence, Scheme::Perspective], &w);
         let fence_ov = overhead(&ms[1], &ms[0]);
         let persp_ov = overhead(&ms[2], &ms[0]);
         assert!(
@@ -809,11 +662,7 @@ mod tests {
     #[test]
     fn stall_attribution_partitions_roi_stall_cycles() {
         let w = lebench::by_name("getpid").unwrap();
-        let ms = measure_schemes(
-            &[Scheme::Unsafe, Scheme::Fence, Scheme::Perspective],
-            kcfg(),
-            &w,
-        );
+        let ms = row(&[Scheme::Unsafe, Scheme::Fence, Scheme::Perspective], &w);
         for m in &ms {
             assert_eq!(
                 m.stats.stalls.total(),
@@ -839,7 +688,7 @@ mod tests {
     #[test]
     fn rps_conversion() {
         let w = lebench::by_name("getpid").unwrap();
-        let m = measure(Scheme::Unsafe, kcfg(), &w);
+        let m = cell(Scheme::Unsafe, &image(), &w);
         let rps = m.rps(100, 2.0);
         assert!(rps > 0.0);
         assert!((m.rps(200, 2.0) / rps - 2.0).abs() < 1e-9);

@@ -1,9 +1,10 @@
 //! Speculative non-interference (SNI) measurement harness.
 //!
-//! Runs a workload through the usual warmup → install-view → ROI
-//! protocol on an *instrumented* instance: the kernel's allocation
-//! events always feed a Perspective framework (even under baseline
-//! schemes, whose policies ignore them), a [`SniChecker`] is attached
+//! Runs a workload through the measurement protocol's warmup →
+//! install-view step ([`crate::runner`]), then the ROI, on an
+//! *instrumented* instance: the kernel's allocation events always feed a
+//! Perspective framework (even under baseline schemes, whose policies
+//! ignore them), a [`SniChecker`] is attached
 //! to the core with a pristine [`GroundTruth`](perspective::GroundTruth)
 //! oracle over that metadata, and — optionally — the scheme's policy is
 //! wrapped in a seeded [`FaultInjector`].
@@ -20,7 +21,7 @@
 //!   that dies mid-simulation degrades into a reported failure instead
 //!   of a panic.
 
-use crate::runner::{build_isv, trace_to_funcs, SimInstance};
+use crate::runner::{run_phase, warm_up_and_install_view, SimInstance};
 use crate::spec::Workload;
 use persp_kernel::kernel::KernelImage;
 use persp_uarch::stats::SniCounters;
@@ -94,37 +95,19 @@ pub fn run_sni_workload(
         }
         None => inner,
     });
-    let p = instance.perspective.clone().expect("instrumented instance");
+    let p = instance
+        .perspective
+        .as_ref()
+        .expect("instrumented instance");
+    let oracle = p.sni_oracle(pcfg);
     instance
         .core
-        .attach_sni(SniChecker::new(p.sni_oracle(pcfg), shadow_budget));
+        .attach_sni(SniChecker::new(oracle, shadow_budget));
 
-    let text = instance.text_base();
-    let data = instance.data_base();
-    let prog = workload.compile(text, data);
-    instance.core.machine.load_text(prog);
-    instance.core.enable_call_trace();
-
-    let mut degraded = None;
-    if let Err(e) = instance.core.run(text, 80_000_000) {
-        degraded = Some(format!(
-            "warmup of {} under {scheme} failed: {e}",
-            workload.name
-        ));
-    }
-    if degraded.is_none() {
-        let raw_trace = instance.core.take_call_trace();
-        let trace = trace_to_funcs(&image.graph, &raw_trace);
-        if let Some(view) = build_isv(&instance, workload, &trace) {
-            p.install_isv(instance.asid, view);
-        }
-        if let Err(e) = instance.core.run(text, 80_000_000) {
-            degraded = Some(format!(
-                "ROI of {} under {scheme} failed: {e}",
-                workload.name
-            ));
-        }
-    }
+    // Whole-run counters: no reset between warmup and ROI.
+    let degraded = warm_up_and_install_view(&mut instance, workload, &pcfg)
+        .and_then(|_| run_phase(&mut instance, workload, "ROI"))
+        .err();
 
     let stats = instance.core.stats();
     SniReport {

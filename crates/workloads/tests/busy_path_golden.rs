@@ -31,7 +31,7 @@ fn render(image: &KernelImage, core_cfg: persp_uarch::config::CoreConfig) -> Str
             Scheme::ALL.iter().map(move |&s| (s, w.clone()))
         })
         .collect();
-    runner::run_parallel_with(2, cells, |(scheme, w)| {
+    runner::run_parallel(2, cells, |(scheme, w)| {
         let m = runner::measure_image_uncached(
             scheme,
             image,

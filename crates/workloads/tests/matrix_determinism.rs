@@ -1,13 +1,14 @@
 //! The parallel experiment matrix must be a pure optimization: the same
 //! measurement sequence, byte for byte, whatever the worker count.
 //!
-//! Every test here passes its worker-pool width explicitly through
-//! `run_parallel_with` / `run_matrix_with` — none of them reads or
+//! Every test here passes its worker-pool width and core configuration
+//! explicitly to `run_parallel` / `run_matrix` — none of them reads or
 //! writes `PERSPECTIVE_THREADS`, so they are safe under the default
 //! multi-threaded test harness.
 
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
 use persp_workloads::{lebench, runner};
 use perspective::scheme::Scheme;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,8 +28,9 @@ fn matrix_is_identical_serial_and_parallel() {
         lebench::by_name("small-read").unwrap(),
     ];
 
-    let serial = runner::run_matrix_with(1, &image, &schemes, &workloads);
-    let parallel = runner::run_matrix_with(8, &image, &schemes, &workloads);
+    let core = CoreConfig::paper_default();
+    let serial = runner::run_matrix(1, &image, &schemes, &workloads, core);
+    let parallel = runner::run_matrix(8, &image, &schemes, &workloads, core);
 
     assert_eq!(serial.len(), schemes.len() * workloads.len());
     assert_eq!(
@@ -59,18 +61,18 @@ fn matrix_is_identical_with_fastforward_on_and_off_across_widths() {
     ];
     let (fast_cfg, slow_cfg) = persp_workloads::differential::fastfwd_pair();
 
-    let golden = render(&runner::run_matrix_core(
+    let golden = render(&runner::run_matrix(
         1, &image, &schemes, &workloads, slow_cfg,
     ));
     for width in [1usize, 2, 7] {
-        let fast = runner::run_matrix_core(width, &image, &schemes, &workloads, fast_cfg);
+        let fast = runner::run_matrix(width, &image, &schemes, &workloads, fast_cfg);
         assert_eq!(
             render(&fast),
             golden,
             "width {width}: fast-forward must be byte-invisible"
         );
     }
-    let slow_wide = runner::run_matrix_core(7, &image, &schemes, &workloads, slow_cfg);
+    let slow_wide = runner::run_matrix(7, &image, &schemes, &workloads, slow_cfg);
     assert_eq!(render(&slow_wide), golden, "slow path stable across widths");
 }
 
@@ -80,7 +82,7 @@ fn run_parallel_preserves_job_order_under_contention() {
     // finish first) must still come back in submission order.
     let jobs: Vec<usize> = (0..64).collect();
     let started = AtomicUsize::new(0);
-    let results = runner::run_parallel_with(8, jobs, |i| {
+    let results = runner::run_parallel(8, jobs, |i| {
         started.fetch_add(1, Ordering::Relaxed);
         // Earlier jobs spin longest.
         let spin = (64 - i) * 500;
@@ -98,7 +100,7 @@ fn run_parallel_preserves_job_order_under_contention() {
 #[test]
 fn run_parallel_serial_width_matches_map() {
     let jobs = vec![3usize, 1, 4, 1, 5];
-    let doubled = runner::run_parallel_with(1, jobs.clone(), |x| x * 2);
+    let doubled = runner::run_parallel(1, jobs.clone(), |x| x * 2);
     assert_eq!(doubled, jobs.into_iter().map(|x| x * 2).collect::<Vec<_>>());
 }
 
@@ -109,7 +111,7 @@ fn run_parallel_result_order_is_stable_across_widths() {
     let jobs: Vec<usize> = (0..23).collect();
     let expected: Vec<usize> = jobs.iter().map(|i| i * i + 1).collect();
     for width in [1usize, 2, 7] {
-        let got = runner::run_parallel_with(width, jobs.clone(), |i| i * i + 1);
+        let got = runner::run_parallel(width, jobs.clone(), |i| i * i + 1);
         assert_eq!(got, expected, "width {width}");
     }
 }
@@ -118,7 +120,7 @@ fn run_parallel_result_order_is_stable_across_widths() {
 fn run_parallel_propagates_worker_panics() {
     for width in [1usize, 2, 7] {
         let result = std::panic::catch_unwind(|| {
-            runner::run_parallel_with(width, (0..16).collect::<Vec<usize>>(), |i| {
+            runner::run_parallel(width, (0..16).collect::<Vec<usize>>(), |i| {
                 if i == 11 {
                     panic!("job {i} exploded");
                 }

@@ -10,8 +10,9 @@
 //! metric).
 
 use persp_kernel::callgraph::KernelConfig;
-use persp_uarch::config::CoreConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_workloads::{apps, runner};
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 
 fn main() {
@@ -22,8 +23,12 @@ fn main() {
         eprintln!("unknown app {name}; available: httpd nginx memcached redis");
         std::process::exit(1);
     });
-    let kcfg = KernelConfig::paper();
-    let freq = CoreConfig::paper_default().freq_ghz;
+    let image = KernelImage::build(KernelConfig::paper());
+    let (pcfg, core) = (PerspectiveConfig::default(), runner::core_config_from_env());
+    let freq = core.freq_ghz;
+    let measure = |scheme| {
+        runner::measure(scheme, &image, &app.workload, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+    };
 
     println!(
         "app: {} ({} requests/run)",
@@ -31,7 +36,7 @@ fn main() {
     );
     println!();
 
-    let baseline = runner::measure(Scheme::Unsafe, kcfg, &app.workload);
+    let baseline = measure(Scheme::Unsafe);
     let base_rps = baseline.rps(app.workload.iters, freq);
     println!(
         "{:<20} {:>12.0} req/s   1.000   (kernel-time {:.0}%)",
@@ -49,7 +54,7 @@ fn main() {
         Scheme::Perspective,
         Scheme::PerspectivePlusPlus,
     ] {
-        let m = runner::measure(scheme, kcfg, &app.workload);
+        let m = measure(scheme);
         let normalized = baseline.stats.cycles as f64 / m.stats.cycles.max(1) as f64;
         print!(
             "{:<20} {:>12.0} req/s   {:.3}",

@@ -10,13 +10,15 @@
 //! unprotected baseline.
 
 use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_workloads::{lebench, runner, Workload};
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 
 fn main() {
     // A Linux-scale kernel: 28 000 functions, 1533 planted gadgets.
     // (Use KernelConfig::test_small() for a fast toy kernel.)
-    let kcfg = KernelConfig::paper();
+    let image = KernelImage::build(KernelConfig::paper());
     let workload: Workload = lebench::by_name("small-read").expect("suite entry");
 
     println!(
@@ -29,8 +31,12 @@ fn main() {
     // Measure under the unprotected baseline and under Perspective.
     // `measure` runs a warmup (which doubles as the dynamic-ISV profiling
     // trace), installs the view, and measures the region of interest.
-    let baseline = runner::measure(Scheme::Unsafe, kcfg, &workload);
-    let protected = runner::measure(Scheme::Perspective, kcfg, &workload);
+    let (pcfg, core) = (PerspectiveConfig::default(), runner::core_config_from_env());
+    let measure = |scheme| {
+        runner::measure(scheme, &image, &workload, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+    };
+    let baseline = measure(Scheme::Unsafe);
+    let protected = measure(Scheme::Perspective);
 
     println!("UNSAFE      : {:>9} cycles", baseline.stats.cycles);
     println!(

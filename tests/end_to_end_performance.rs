@@ -3,21 +3,30 @@
 //! the same harness the paper-scale figures use.
 
 use persp_kernel::callgraph::KernelConfig;
-use persp_workloads::{lebench, runner};
+use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
+use persp_workloads::{lebench, runner, Measurement, Workload};
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 
-fn kcfg() -> KernelConfig {
-    KernelConfig::test_small()
+fn image() -> KernelImage {
+    KernelImage::build(KernelConfig::test_small())
+}
+
+fn measure(scheme: Scheme, w: &Workload) -> Measurement {
+    let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+    runner::measure(scheme, &image(), w, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn measure_schemes(schemes: &[Scheme], w: &Workload) -> Vec<Measurement> {
+    let w = std::slice::from_ref(w);
+    runner::run_matrix(2, &image(), schemes, w, CoreConfig::paper_default())
 }
 
 #[test]
 fn scheme_ordering_fence_worst_perspective_near_baseline() {
     let w = lebench::by_name("select").unwrap();
-    let ms = runner::measure_schemes(
-        &[Scheme::Unsafe, Scheme::Fence, Scheme::Perspective],
-        kcfg(),
-        &w,
-    );
+    let ms = measure_schemes(&[Scheme::Unsafe, Scheme::Fence, Scheme::Perspective], &w);
     let fence = runner::overhead(&ms[1], &ms[0]);
     let persp = runner::overhead(&ms[2], &ms[0]);
     assert!(fence > 0.10, "FENCE hurts select: {fence:.3}");
@@ -31,7 +40,7 @@ fn scheme_ordering_fence_worst_perspective_near_baseline() {
 fn perspective_overhead_is_single_digit_percent() {
     for name in ["getpid", "small-read", "poll"] {
         let w = lebench::by_name(name).unwrap();
-        let ms = runner::measure_schemes(&[Scheme::Unsafe, Scheme::Perspective], kcfg(), &w);
+        let ms = measure_schemes(&[Scheme::Unsafe, Scheme::Perspective], &w);
         let ov = runner::overhead(&ms[1], &ms[0]);
         assert!(ov < 0.10, "{name}: Perspective overhead {ov:.3} too high");
         assert!(ov > -0.05, "{name}: suspicious speedup {ov:.3}");
@@ -45,9 +54,8 @@ fn dom_and_stt_undercut_fence() {
     // on cache-warmth: DOM is free on L1 hits, STT on untainted chains;
     // on our cache-warm ROIs both sit near the baseline.)
     let w = lebench::by_name("small-read").unwrap();
-    let ms = runner::measure_schemes(
+    let ms = measure_schemes(
         &[Scheme::Unsafe, Scheme::Fence, Scheme::Dom, Scheme::Stt],
-        kcfg(),
         &w,
     );
     let unsafe_c = ms[0].stats.cycles;
@@ -71,7 +79,7 @@ fn dom_and_stt_undercut_fence() {
 #[test]
 fn spot_mitigations_cost_syscall_crossings() {
     let w = lebench::by_name("getpid").unwrap();
-    let ms = runner::measure_schemes(&[Scheme::Unsafe, Scheme::Spot], kcfg(), &w);
+    let ms = measure_schemes(&[Scheme::Unsafe, Scheme::Spot], &w);
     let ov = runner::overhead(&ms[1], &ms[0]);
     assert!(
         ov > 0.05,
@@ -82,7 +90,7 @@ fn spot_mitigations_cost_syscall_crossings() {
 #[test]
 fn hardware_caches_reach_high_hit_rates() {
     let w = lebench::by_name("small-read").unwrap();
-    let m = runner::measure(Scheme::Perspective, kcfg(), &w);
+    let m = measure(Scheme::Perspective, &w);
     assert!(m.isv_cache.unwrap().hit_rate() > 0.80, "{:?}", m.isv_cache);
     assert!(
         m.dsvmt_cache.unwrap().hit_rate() > 0.90,
@@ -96,7 +104,7 @@ fn dsv_fences_dominate_the_breakdown() {
     // Table 10.1: the DSV mechanism accounts for the large majority of
     // fenced instructions on benign workloads.
     let w = lebench::by_name("small-read").unwrap();
-    let m = runner::measure(Scheme::Perspective, kcfg(), &w);
+    let m = measure(Scheme::Perspective, &w);
     let f = m.fences.unwrap();
     assert!(f.total() > 0, "benign runs still fence (false positives)");
     assert!(
@@ -110,7 +118,7 @@ fn dsv_fences_dominate_the_breakdown() {
 fn syscall_counts_are_scheme_invariant() {
     // Architectural behavior must not depend on the speculation policy.
     let w = lebench::by_name("munmap").unwrap();
-    let ms = runner::measure_schemes(Scheme::MAIN, kcfg(), &w);
+    let ms = measure_schemes(Scheme::MAIN, &w);
     for m in &ms {
         assert_eq!(
             m.stats.syscalls,
@@ -124,6 +132,6 @@ fn syscall_counts_are_scheme_invariant() {
 #[test]
 fn kernel_time_dominates_microbenchmarks() {
     let w = lebench::by_name("select").unwrap();
-    let m = runner::measure(Scheme::Unsafe, kcfg(), &w);
+    let m = measure(Scheme::Unsafe, &w);
     assert!(m.stats.kernel_time_fraction() > 0.5);
 }

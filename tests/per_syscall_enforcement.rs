@@ -6,18 +6,36 @@
 //! govern exactly the dispatch windows they name.
 
 use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
-use persp_workloads::lebench;
-use persp_workloads::{measure, measure_per_syscall};
+use persp_uarch::config::CoreConfig;
+use persp_workloads::{lebench, runner, Measurement, Workload};
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 
-fn kcfg() -> KernelConfig {
-    KernelConfig::test_small()
+fn cell(scheme: Scheme, w: &Workload, pcfg: PerspectiveConfig) -> Measurement {
+    let image = KernelImage::build(KernelConfig::test_small());
+    runner::measure(scheme, &image, w, pcfg, CoreConfig::paper_default())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The paper's protocol: one process-wide view.
+fn measure(scheme: Scheme, w: &Workload) -> Measurement {
+    cell(scheme, w, PerspectiveConfig::default())
+}
+
+/// The §11 protocol: one view per syscall, switched at dispatch.
+fn measure_per_syscall(scheme: Scheme, w: &Workload) -> Measurement {
+    let pcfg = PerspectiveConfig {
+        per_syscall_isv: true,
+        ..PerspectiveConfig::default()
+    };
+    cell(scheme, w, pcfg)
 }
 
 /// A workload mixing syscalls with disjoint handler pools, so the
 /// per-syscall views genuinely differ from their union.
-fn mixed_workload() -> persp_workloads::Workload {
+fn mixed_workload() -> Workload {
     let mut w = lebench::suite()
         .into_iter()
         .find(|w| w.name == "small-read")
@@ -34,7 +52,7 @@ fn mixed_workload() -> persp_workloads::Workload {
 #[test]
 fn per_syscall_run_completes_with_correct_results() {
     let w = mixed_workload();
-    let m = measure_per_syscall(Scheme::Perspective, kcfg(), &w);
+    let m = measure_per_syscall(Scheme::Perspective, &w);
     assert!(m.stats.cycles > 0, "the ROI ran");
     assert!(m.stats.syscalls > 0, "syscalls were serviced");
 }
@@ -42,8 +60,8 @@ fn per_syscall_run_completes_with_correct_results() {
 #[test]
 fn per_syscall_views_fence_at_least_as_much_as_the_union_view() {
     let w = mixed_workload();
-    let wide = measure(Scheme::PerspectiveStatic, kcfg(), &w);
-    let narrow = measure_per_syscall(Scheme::Perspective, kcfg(), &w);
+    let wide = measure(Scheme::PerspectiveStatic, &w);
+    let narrow = measure_per_syscall(Scheme::Perspective, &w);
     // Strictly smaller views (plus dispatch flushes) can only add ISV
     // blocks, never remove any.
     let (nf, wf) = (narrow.fences.unwrap(), wide.fences.unwrap());
@@ -67,8 +85,8 @@ fn per_syscall_views_fence_at_least_as_much_as_the_union_view() {
 #[test]
 fn dispatch_switching_costs_show_up_as_extra_isv_cache_misses() {
     let w = mixed_workload();
-    let wide = measure(Scheme::PerspectiveStatic, kcfg(), &w);
-    let narrow = measure_per_syscall(Scheme::Perspective, kcfg(), &w);
+    let wide = measure(Scheme::PerspectiveStatic, &w);
+    let narrow = measure_per_syscall(Scheme::Perspective, &w);
     // The conservative flush-on-switch model must produce a lower (or at
     // best equal) ISV-cache hit rate than the stable process-wide view.
     let (nc, wc) = (narrow.isv_cache.unwrap(), wide.isv_cache.unwrap());
@@ -88,8 +106,8 @@ fn single_syscall_workloads_behave_like_the_process_wide_view() {
         .into_iter()
         .find(|w| w.name == "getpid")
         .expect("suite has getpid");
-    let wide = measure(Scheme::PerspectiveStatic, kcfg(), &w);
-    let narrow = measure_per_syscall(Scheme::Perspective, kcfg(), &w);
+    let wide = measure(Scheme::PerspectiveStatic, &w);
+    let narrow = measure_per_syscall(Scheme::Perspective, &w);
     assert_eq!(
         narrow.isv_funcs, wide.isv_funcs,
         "one-syscall profile: identical view contents"

@@ -3,6 +3,7 @@
 //! every change.
 
 use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
 use persp_workloads::lebench;
 use persp_workloads::SimInstance;
@@ -19,7 +20,7 @@ fn run_and_count_isv_fences(inst: &mut SimInstance, entry: u64) -> u64 {
 fn runtime_exclusion_takes_effect_without_rebuilding() {
     let kcfg = KernelConfig::test_small();
     let w = lebench::by_name("small-read").unwrap();
-    let mut inst = SimInstance::new(Scheme::Perspective, kcfg);
+    let mut inst = SimInstance::from_image(Scheme::Perspective, &KernelImage::build(kcfg));
     let text = inst.text_base();
     let data = inst.data_base();
     inst.core.machine.load_text(w.compile(text, data));
@@ -58,7 +59,7 @@ fn runtime_exclusion_takes_effect_without_rebuilding() {
 #[test]
 fn installing_a_stricter_view_mid_run_reduces_the_surface() {
     let kcfg = KernelConfig::test_small();
-    let inst = SimInstance::new(Scheme::Perspective, kcfg);
+    let inst = SimInstance::from_image(Scheme::Perspective, &KernelImage::build(kcfg));
     let p = inst.perspective.clone().unwrap();
 
     let (wide, narrow) = {
@@ -84,7 +85,7 @@ fn contexts_without_views_are_unaffected_by_other_contexts_views() {
     // Installing a strict view for one ASID must not fence another.
     let kcfg = KernelConfig::test_small();
     let w = lebench::by_name("getpid").unwrap();
-    let mut inst = SimInstance::new(Scheme::Perspective, kcfg);
+    let mut inst = SimInstance::from_image(Scheme::Perspective, &KernelImage::build(kcfg));
     let text = inst.text_base();
     let data = inst.data_base();
     inst.core.machine.load_text(w.compile(text, data));
@@ -105,7 +106,7 @@ fn contexts_without_views_are_unaffected_by_other_contexts_views() {
 #[test]
 fn audit_hardening_composes_with_manual_exclusions() {
     let kcfg = KernelConfig::test_small();
-    let inst = SimInstance::new(Scheme::Perspective, kcfg);
+    let inst = SimInstance::from_image(Scheme::Perspective, &KernelImage::build(kcfg));
     let kernel = inst.kernel.borrow();
     let g = &kernel.graph;
     let base = Isv::static_for(g, Sysno::ALL);
