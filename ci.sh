@@ -85,7 +85,8 @@ if ! ls target/persp-cache-ci/cell-*.json >/dev/null 2>&1; then
 fi
 
 echo "==> examples vs their checked-in transcripts"
-for example in audit_pipeline quickstart datacenter; do
+for example in audit_pipeline quickstart datacenter attack_lab tenant_isolation \
+    verified_but_vulnerable; do
     cargo run --release -q --example "$example" >"target/bench-json/$example.txt"
     if ! diff -u "examples/$example.txt" "target/bench-json/$example.txt"; then
         echo "ci: the $example example drifted from examples/$example.txt" >&2

@@ -185,7 +185,14 @@ pub struct Core {
 
 impl Core {
     /// Build a core around a machine image, memory hierarchy, speculation
-    /// policy and kernel hook handler.
+    /// policy and kernel hook handler. The ROB's ring is sized here, from
+    /// `cfg.rob_entries`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, when `cfg` has a zero `width`,
+    /// `rob_entries`, `lq_entries` or `sq_entries` (such a core could
+    /// never commit).
     pub fn new(
         cfg: CoreConfig,
         machine: Machine,
@@ -193,6 +200,14 @@ impl Core {
         policy: Box<dyn SpecPolicy>,
         hooks: Box<dyn HookHandler>,
     ) -> Self {
+        for (field, value) in [
+            ("width", cfg.width),
+            ("rob_entries", cfg.rob_entries),
+            ("lq_entries", cfg.lq_entries),
+            ("sq_entries", cfg.sq_entries),
+        ] {
+            assert!(value >= 1, "CoreConfig::{field} must be at least 1");
+        }
         let pred = Predictors::with_btb_mode(cfg.btb_entries, cfg.rsb_entries, cfg.btb_mode);
         Core {
             cfg,
@@ -201,7 +216,7 @@ impl Core {
             pred,
             policy,
             hooks,
-            rob: ReorderBuffer::default(),
+            rob: ReorderBuffer::new(cfg.rob_entries),
             now: 0,
             last_commit_cycle: 0,
             halted: false,
@@ -333,9 +348,15 @@ impl Core {
     }
 
     fn step(&mut self) -> Result<(), SimError> {
-        self.exec_stage();
+        let mut control_cut = self.rob.oldest_unresolved_control(self.now);
+        self.exec_stage(control_cut);
         self.squash_stage();
-        self.vp_stage();
+        // A squash keeps the cut-off's entry, or drops it along with
+        // everything younger and leaves only resolved control entries.
+        if control_cut >= self.rob.next_seq() {
+            control_cut = u64::MAX;
+        }
+        self.vp_stage(control_cut);
         let committed = self.commit_stage()?;
         if committed == 0 {
             // Classify before fetch refills the ROB: the state that
@@ -361,8 +382,8 @@ impl Core {
 
     /// The source value and its taint, if available at cycle `now`.
     fn src_status(&self, dep: &SrcDep) -> Option<(u64, TaintSet)> {
-        match dep.producer {
-            None => Some((dep.snapshot, TaintSet::default())),
+        match dep.producer() {
+            None => Some((dep.snapshot(), TaintSet::default())),
             Some(seq) => match self.rob.index_of(seq) {
                 None => Some((self.machine.reg(dep.reg), TaintSet::default())),
                 Some(idx) => {
@@ -391,18 +412,6 @@ impl Core {
 
     // ----- execute ------------------------------------------------------
 
-    /// Seq of the oldest control entry that is unresolved at `now`, or
-    /// `u64::MAX` when none is.
-    fn oldest_unresolved_control(&self) -> u64 {
-        let now = self.now;
-        self.rob
-            .control()
-            .iter()
-            .copied()
-            .find(|&seq| self.rob.by_seq(seq).unresolved_at(now))
-            .unwrap_or(u64::MAX)
-    }
-
     /// Attempt, oldest first, exactly the entries whose attempt can
     /// change something this cycle. Behaviorally identical to walking
     /// every in-flight entry in program order and attempting each one
@@ -414,29 +423,25 @@ impl Core {
     /// `ReorderBuffer::start_pass`); each attempt's outcome decides where
     /// the entry waits next. The flags are cut-offs in seq order:
     ///
-    /// * older unresolved control: `seq >` the oldest unresolved control
-    ///   entry. It cannot move during the pass, because a control entry
-    ///   that computes now gets `ready_at > now`;
+    /// * older unresolved control: `seq > control_cut`, the oldest
+    ///   unresolved control entry. It cannot move during the pass,
+    ///   because a control entry that computes now gets `ready_at > now`;
     /// * older fence: `seq >` the oldest fence in flight;
     /// * older unknown-address store: `seq >` the oldest uncomputed
     ///   store. When that store computes, later in program order than
     ///   everything visited so far, the cut-off advances, and the loads
     ///   parked between the old and the new cut-off join this pass.
-    fn exec_stage(&mut self) {
+    fn exec_stage(&mut self, control_cut: u64) {
         let now = self.now;
         #[cfg(debug_assertions)]
         let expected = self.debug_attemptable();
         #[cfg(debug_assertions)]
         let mut attempted = Vec::new();
-        let control_cut = self.oldest_unresolved_control();
         let fence_cut = self.rob.fences().front().copied().unwrap_or(u64::MAX);
         let mut store_cut = self.rob.oldest_unknown_store();
         self.rob.start_pass(now);
-        while let Some(seq) = self.rob.pop_work() {
-            // A carried entry may have committed since.
-            let Some(i) = self.rob.index_of(seq) else {
-                continue;
-            };
+        while let Some(i) = self.rob.pop_work() {
+            let seq = self.rob[i].seq;
             self.rob[i].sched = Sched::Idle;
             if self.rob[i].computed {
                 continue; // a carried load the VP stage issued
@@ -551,7 +556,7 @@ impl Core {
                     self.rob[i].retry_at = if bumped {
                         self.now + 1
                     } else {
-                        match dep.producer.and_then(|s| self.rob.index_of(s)) {
+                        match dep.producer().and_then(|s| self.rob.index_of(s)) {
                             Some(p) if self.rob[p].computed => self.rob[p].ready_at,
                             Some(p) => {
                                 // The producer hasn't even computed, so no
@@ -908,14 +913,24 @@ impl Core {
 
     /// Issue policy-blocked loads and notify the policy of issued loads
     /// once they reach their visibility point: no older control entry
-    /// is unresolved. Only loads act here, and issuing a load never
-    /// resolves a control entry, so the walk covers exactly the loads
-    /// older than the oldest unresolved control entry, in program order.
-    fn vp_stage(&mut self) {
-        let cutoff = self.oldest_unresolved_control();
-        for k in 0..self.rob.loads().len() {
+    /// is unresolved (`seq < control_cut`). Only loads act here, and
+    /// issuing a load never resolves a control entry, so the walk covers
+    /// exactly the loads older than the cut-off, in program order. It
+    /// starts past the leading loads that are settled (see
+    /// `RobEntry::vp_settled`): settling is permanent, so the walk
+    /// advances that cursor over every load it leaves settled.
+    fn vp_stage(&mut self, control_cut: u64) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            control_cut,
+            self.rob.walk_unresolved_control(self.now),
+            "the step's control cut-off disagrees with a walk of the control queue"
+        );
+        let start = self.rob.loads_settled();
+        let mut settled = start;
+        for k in start..self.rob.loads().len() {
             let seq = self.rob.loads()[k];
-            if seq >= cutoff {
+            if seq >= control_cut {
                 break;
             }
             let i = self.rob.index_of(seq).expect("queued load in flight");
@@ -944,7 +959,11 @@ impl Core {
                 // (metadata-cache LRU commits, fence counters).
                 self.made_progress = true;
             }
+            if settled == k && self.rob[i].vp_settled() {
+                settled += 1;
+            }
         }
+        self.rob.set_loads_settled(settled);
     }
 
     // ----- stall attribution --------------------------------------------
@@ -1108,7 +1127,8 @@ impl Core {
                 "mispredicted control must squash before commit"
             );
 
-            let entry = self.rob.pop_front().expect("nonempty");
+            self.rob.pop_front();
+            let entry = self.rob.retired();
             if entry.can_mispredict {
                 // Its checkpoint dies with it: keep only the undo records
                 // the oldest remaining control entry can still need.
@@ -1303,56 +1323,23 @@ impl Core {
         self.made_progress = true;
         let seq = self.rob.next_seq();
 
-        let srcs = SrcList::new(&inst.srcs(), |reg| {
-            let producer = self.rename[reg as usize];
-            let snapshot = if producer.is_none() {
-                self.machine.reg(reg)
-            } else {
-                0
-            };
-            SrcDep {
-                reg,
-                producer,
-                snapshot,
-            }
+        let srcs = SrcList::new(&inst.srcs(), |reg| match self.rename[reg as usize] {
+            Some(producer) => SrcDep::produced(reg, producer),
+            None => SrcDep::architectural(reg, self.machine.reg(reg)),
         });
 
         let fetch_ready = self.now + self.cfg.frontend_latency;
-        let mut entry = RobEntry {
+        // Built in its ring slot: a ROB entry is never moved.
+        let entry = self.rob.next_slot();
+        *entry = RobEntry {
             seq,
             pc,
             inst,
             srcs,
             fetch_ready,
-            computed: false,
-            value: 0,
-            ready_at: u64::MAX,
-            retry_at: 0,
-            sched: Sched::Idle,
-            waiters: [0; 4],
-            n_waiters: 0,
-            can_mispredict: false,
-            pred_target: 0,
-            actual_target: 0,
-            mispred: false,
-            squash_done: false,
             hist_snapshot: self.pred.hist,
-            checkpoint: 0,
-            #[cfg(debug_assertions)]
-            debug_returns: None,
-            pred_taken: false,
-            actual_taken: false,
-            addr: 0,
-            width: Width::Q,
-            store_val: 0,
-            issued_mem: false,
-            blocked: None,
-            block_memo: None,
-            was_blocked: false,
-            spec_at_issue: false,
-            taint: TaintSet::default(),
-            vp_notified: false,
             in_kernel: self.machine.mode == Mode::Kernel,
+            ..RobEntry::VACANT
         };
 
         match inst {
@@ -1362,13 +1349,8 @@ impl Core {
                 entry.computed = true;
                 self.fetch_pc = pc + INST_BYTES;
             }
-            Inst::Branch { .. } => {
+            Inst::Branch { target, .. } => {
                 let taken = self.pred.dir.predict(pc, self.pred.hist);
-                let target = match inst {
-                    Inst::Branch { target, .. } => target,
-                    _ => unreachable!(),
-                };
-                entry.pred_taken = taken;
                 entry.pred_target = if taken { target } else { pc + INST_BYTES };
                 entry.can_mispredict = true;
                 self.pred.hist = (self.pred.hist << 1) | u64::from(taken);
@@ -1441,7 +1423,7 @@ impl Core {
         if let Some(dst) = inst.dst() {
             self.rename[dst as usize] = Some(seq);
         }
-        self.rob.push(entry);
+        self.rob.push();
     }
 }
 
@@ -1478,6 +1460,43 @@ mod tests {
             Box::new(UnsafePolicy::new()),
             Box::new(NullHooks),
         )
+    }
+
+    /// A paper-default core with `zero` applied to its configuration.
+    fn core_with_config(zero: impl FnOnce(&mut CoreConfig)) -> Core {
+        let mut cfg = CoreConfig::paper_default();
+        zero(&mut cfg);
+        Core::new(
+            cfg,
+            Machine::new(),
+            MemoryHierarchy::new(HierarchyConfig::paper_default()),
+            Box::new(UnsafePolicy::new()),
+            Box::new(NullHooks),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "CoreConfig::width must be at least 1")]
+    fn zero_width_is_rejected() {
+        core_with_config(|c| c.width = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CoreConfig::rob_entries must be at least 1")]
+    fn zero_rob_entries_is_rejected() {
+        core_with_config(|c| c.rob_entries = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CoreConfig::lq_entries must be at least 1")]
+    fn zero_lq_entries_is_rejected() {
+        core_with_config(|c| c.lq_entries = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "CoreConfig::sq_entries must be at least 1")]
+    fn zero_sq_entries_is_rejected() {
+        core_with_config(|c| c.sq_entries = 0);
     }
 
     #[test]

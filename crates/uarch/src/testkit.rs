@@ -234,14 +234,18 @@ pub struct FastfwdOutcome {
     pub prefetches: u64,
 }
 
-/// A fresh paper-default core for `text` with `idle_fastforward` set to
-/// `fastfwd`; register 31 is pre-pointed at [`POOL_BASE`] per the
-/// testkit convention.
-pub fn testkit_core(text: &[(u64, Inst)], fastfwd: bool, policy: Box<dyn SpecPolicy>) -> Core {
-    let cfg = CoreConfig {
+/// The paper-default core configuration with `idle_fastforward` set to
+/// `fastfwd`.
+pub fn testkit_config(fastfwd: bool) -> CoreConfig {
+    CoreConfig {
         idle_fastforward: fastfwd,
         ..CoreConfig::paper_default()
-    };
+    }
+}
+
+/// A fresh core for `text` under `cfg`; register 31 is pre-pointed at
+/// [`POOL_BASE`] per the testkit convention.
+pub fn testkit_core(text: &[(u64, Inst)], cfg: CoreConfig, policy: Box<dyn SpecPolicy>) -> Core {
     let mut machine = Machine::new();
     machine.load_text(text.to_vec());
     machine.set_reg(31, POOL_BASE);
@@ -254,18 +258,18 @@ pub fn testkit_core(text: &[(u64, Inst)], fastfwd: bool, policy: Box<dyn SpecPol
     )
 }
 
-/// Run `text` from `entry` on a [`testkit_core`], and collect the
-/// [`FastfwdOutcome`]. `prepare` runs after construction (seed
-/// registers/memory, pre-warm caches).
+/// Run `text` from `entry` on a [`testkit_core`] under `cfg`, and
+/// collect the [`FastfwdOutcome`]. `prepare` runs after construction
+/// (seed registers/memory, pre-warm caches).
 pub fn fastfwd_outcome(
     text: &[(u64, Inst)],
     entry: u64,
     budget: u64,
-    fastfwd: bool,
+    cfg: CoreConfig,
     policy: Box<dyn SpecPolicy>,
     prepare: &dyn Fn(&mut Core),
 ) -> FastfwdOutcome {
-    let mut core = testkit_core(text, fastfwd, policy);
+    let mut core = testkit_core(text, cfg, policy);
     prepare(&mut core);
     let result = core.run(entry, budget).map(|s| s.stats);
     let mut pool = [0u64; POOL_SLOTS as usize];
@@ -301,8 +305,22 @@ pub fn assert_fastfwd_equivalent(
     mk_policy: &dyn Fn() -> Box<dyn SpecPolicy>,
     prepare: &dyn Fn(&mut Core),
 ) {
-    let fast = fastfwd_outcome(text, entry, budget, true, mk_policy(), prepare);
-    let slow = fastfwd_outcome(text, entry, budget, false, mk_policy(), prepare);
+    let fast = fastfwd_outcome(
+        text,
+        entry,
+        budget,
+        testkit_config(true),
+        mk_policy(),
+        prepare,
+    );
+    let slow = fastfwd_outcome(
+        text,
+        entry,
+        budget,
+        testkit_config(false),
+        mk_policy(),
+        prepare,
+    );
     assert_eq!(
         fast, slow,
         "idle fast-forward must be cycle-exact against the slow path"

@@ -22,21 +22,27 @@
 //! whose data and address come off load chains (so younger loads wait
 //! behind a store with an unknown address).
 //!
+//! A third pin ([`ROB_SIZE_GOLDEN`]) runs the first family under
+//! UNSAFE, FENCE and STT at ROB sizes 8 (the ROB's ring wraps every few
+//! instructions), 192 (the paper's) and 300 (a 512-slot ring).
+//!
 //! When a pipeline change is *meant* to alter timing, the test writes
 //! the new rendering next to the build output and prints the `cp`
 //! command that blesses it.
 
+use persp_uarch::config::CoreConfig;
 use persp_uarch::isa::{AluOp, Assembler, Cond, Inst, Width, INST_BYTES};
 use persp_uarch::metrics::{MetricsRegistry, MetricsSource};
 use persp_uarch::pipeline::{Core, ExecWaits};
 use persp_uarch::policy::{DomPolicy, FencePolicy, SpecPolicy, SttPolicy, UnsafePolicy};
 use persp_uarch::testkit::{
-    build_program, fastfwd_outcome, testkit_core, Template, POOL_BASE, POOL_SLOTS,
+    build_program, fastfwd_outcome, testkit_config, testkit_core, Template, POOL_BASE, POOL_SLOTS,
 };
 use std::fmt::Write as _;
 use std::path::Path;
 
 const GOLDEN: &str = "tests/golden/busy_path_simstats.txt";
+const ROB_SIZE_GOLDEN: &str = "tests/golden/rob_size_simstats.txt";
 const FENCE_GOLDEN: &str = "tests/golden/fence_overlap_simstats.txt";
 const SEEDS: std::ops::Range<u64> = 1..7;
 const FENCE_SEEDS: std::ops::Range<u64> = 1..5;
@@ -318,8 +324,6 @@ fn policy(name: &str) -> Box<dyn SpecPolicy> {
     }
 }
 
-/// Run every seed of a program family under every policy, with the
-/// fast-forward on and off, and render the outcomes.
 /// The seeded pool contents every program of a seed starts from.
 fn fill_pool(seed: u64, core: &mut Core) {
     let mut rng = Rng(seed ^ 0xA5A5);
@@ -330,21 +334,38 @@ fn fill_pool(seed: u64, core: &mut Core) {
     }
 }
 
-fn render_all(seeds: std::ops::Range<u64>, program: fn(u64) -> Vec<(u64, Inst)>) -> String {
+/// Run every seed of a program family under each of `policies` on a
+/// core with `rob_entries` ROB entries, with the fast-forward on and
+/// off, and render the outcomes; each section header starts with
+/// `label`.
+fn render(
+    label: &str,
+    seeds: std::ops::Range<u64>,
+    program: fn(u64) -> Vec<(u64, Inst)>,
+    policies: &[&str],
+    rob_entries: usize,
+) -> String {
     let mut out = String::new();
     for seed in seeds {
         let text = program(seed);
         let prepare = |core: &mut Core| fill_pool(seed, core);
-        for name in POLICIES {
-            let fast = fastfwd_outcome(&text, ENTRY, 2_000_000, true, policy(name), &prepare);
-            let slow = fastfwd_outcome(&text, ENTRY, 2_000_000, false, policy(name), &prepare);
+        for &name in policies {
+            let outcome = |fastfwd| {
+                let cfg = CoreConfig {
+                    rob_entries,
+                    ..testkit_config(fastfwd)
+                };
+                fastfwd_outcome(&text, ENTRY, 2_000_000, cfg, policy(name), &prepare)
+            };
+            let fast = outcome(true);
+            let slow = outcome(false);
             assert_eq!(fast, slow, "seed {seed} {name}: fast-forward must be exact");
             let stats = fast
                 .result
                 .unwrap_or_else(|e| panic!("seed {seed} {name}: {e}"));
             let mut reg = MetricsRegistry::new();
             stats.export_metrics("sim", &mut reg);
-            writeln!(out, "[seed {seed} {name}]").unwrap();
+            writeln!(out, "[{label}seed {seed} {name}]").unwrap();
             writeln!(out, "final_cycle {}", fast.final_cycle).unwrap();
             for (k, v) in reg.iter() {
                 writeln!(out, "{k} {v}").unwrap();
@@ -357,6 +378,12 @@ fn render_all(seeds: std::ops::Range<u64>, program: fn(u64) -> Vec<(u64, Inst)>)
         }
     }
     out
+}
+
+/// [`render`] at the paper's ROB size under every policy.
+fn render_all(seeds: std::ops::Range<u64>, program: fn(u64) -> Vec<(u64, Inst)>) -> String {
+    let rob_entries = CoreConfig::paper_default().rob_entries;
+    render("", seeds, program, &POLICIES, rob_entries)
 }
 
 /// Compare `actual` against the golden file at `rel` (relative to this
@@ -420,7 +447,7 @@ fn fence_and_overlap_programs_match_the_cycle_exact_golden() {
     let mut waits = ExecWaits::default();
     for seed in FENCE_SEEDS {
         for name in POLICIES {
-            let mut core = testkit_core(&fence_program(seed), false, policy(name));
+            let mut core = testkit_core(&fence_program(seed), testkit_config(false), policy(name));
             fill_pool(seed, &mut core);
             core.run(ENTRY, 2_000_000)
                 .unwrap_or_else(|e| panic!("seed {seed} {name}: {e}"));
@@ -436,4 +463,21 @@ fn fence_and_overlap_programs_match_the_cycle_exact_golden() {
     );
     let actual = render_all(FENCE_SEEDS, fence_program);
     check_golden(FENCE_GOLDEN, &actual);
+}
+
+#[test]
+fn rob_sizes_match_the_cycle_exact_golden() {
+    // 8 entries fill and drain the ROB every few instructions; 300 is
+    // not a power of two and exceeds the paper's 192.
+    let mut actual = String::new();
+    for rob_entries in [8, 192, 300] {
+        actual += &render(
+            &format!("rob {rob_entries} "),
+            SEEDS,
+            program,
+            &["UNSAFE", "FENCE", "STT"],
+            rob_entries,
+        );
+    }
+    check_golden(ROB_SIZE_GOLDEN, &actual);
 }

@@ -17,7 +17,7 @@ use persp_uarch::machine::Machine;
 use persp_uarch::pipeline::{Core, SimError};
 use persp_uarch::policy::{DomPolicy, FencePolicy, SpecPolicy, SttPolicy, UnsafePolicy};
 use persp_uarch::testkit::{
-    assert_fastfwd_equivalent, build_program, fastfwd_outcome, Template, POOL_SLOTS,
+    assert_fastfwd_equivalent, build_program, fastfwd_outcome, testkit_config, Template, POOL_SLOTS,
 };
 use proptest::prelude::*;
 
@@ -177,7 +177,14 @@ fn budget_exhaustion_fires_at_the_identical_cycle() {
     a.branch_to(Cond::Eq, 0, 0, top);
     let text = a.finish();
     assert_fastfwd_equivalent(&text, 0x0, 500, &unsafe_policy, &|_| {});
-    let fast = fastfwd_outcome(&text, 0x0, 500, true, unsafe_policy(), &|_| {});
+    let fast = fastfwd_outcome(
+        &text,
+        0x0,
+        500,
+        testkit_config(true),
+        unsafe_policy(),
+        &|_| {},
+    );
     assert_eq!(
         fast.result,
         Err(SimError::CycleBudgetExhausted { budget: 500 }),
