@@ -43,6 +43,23 @@ for exp in $BASELINED; do
     fi
 done
 
+# The audit path (traces, ISVs, bounded scans) also runs at paper scale,
+# in the repo benchmark's `audit` workload: pin the experiments built on
+# it at that scale too (BENCH_<exp>.paper.json).
+PAPER_BASELINED="table_8_1 table_8_2 fig_9_1 sensitivity"
+
+echo "==> paper-scale experiment --json output vs checked-in baselines"
+for exp in $PAPER_BASELINED; do
+    PERSPECTIVE_KERNEL=paper PERSPECTIVE_THREADS=4 \
+        ./target/release/"$exp" --json >"target/bench-json/$exp.paper.json"
+    ./target/release/json_check <"target/bench-json/$exp.paper.json"
+    if ! diff -u "BENCH_$exp.paper.json" "target/bench-json/$exp.paper.json"; then
+        echo "ci: paper-scale $exp --json drifted from BENCH_$exp.paper.json" >&2
+        echo "ci: if the change is intended, regenerate the baseline (see EXPERIMENTS.md)" >&2
+        exit 1
+    fi
+done
+
 echo "==> fast-vs-slow differential smoke cell (PERSPECTIVE_NO_FASTFWD=1)"
 # The idle-cycle fast-forward must be invisible in every serialized
 # counter: the cycle-by-cycle slow path has to reproduce the checked-in

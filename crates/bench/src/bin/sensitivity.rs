@@ -18,6 +18,9 @@ use rand::{Rng, SeedableRng};
 
 const HIT_RATE_NAMES: [&str; 5] = ["getpid", "select", "small-read", "big-write", "poll"];
 const UNKNOWN_NAMES: [&str; 4] = ["getpid", "small-read", "poll", "page-fault"];
+/// Instruction budget of a domain-reassignment app run: a guard against
+/// a runaway workload, far above what any app retires.
+const APP_RUN_INSTS: u64 = 800_000_000;
 
 fn hit_rates(image: &KernelImage, threads: usize, core: CoreConfig) -> Vec<(f64, f64)> {
     runner::run_parallel(threads, HIT_RATE_NAMES.to_vec(), |name| {
@@ -160,7 +163,10 @@ fn domain_reassignment(image: &KernelImage, threads: usize) -> Vec<(&'static str
         let mut workload = app.workload.clone();
         workload.iters *= 4;
         inst.core.machine.load_text(workload.compile(text, data));
-        inst.core.run(text, 800_000_000).expect("app run");
+        // Slab counts are architectural: retire in commit order.
+        inst.core
+            .run_in_order(text, APP_RUN_INSTS)
+            .expect("app run");
         let stats = inst.kernel.borrow().slab.stats();
         (app.workload.name, stats)
     })

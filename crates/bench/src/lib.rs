@@ -89,43 +89,54 @@ pub fn lebench_union_workload() -> Workload {
     }
 }
 
-/// Collect a dynamic-ISV trace for a workload by running it once on an
-/// UNSAFE instance (tracing is scheme-independent). The raw call-target
-/// VAs are resolved to function ids against the image's graph before
-/// returning, so callers never handle addresses.
-pub fn trace_workload(image: &KernelImage, workload: &Workload) -> HashSet<FuncId> {
+/// Instruction budget of a trace run: a guard against a runaway
+/// workload, far above what any traced workload retires.
+const TRACE_INSTS: u64 = 400_000_000;
+
+/// Run a workload once on a fresh UNSAFE instance with call tracing, in
+/// commit order ([`persp_uarch::Core::run_in_order`]): a trace is the
+/// committed call path, which neither the scheme nor speculation
+/// changes. Returns the instance and the traced functions (the raw
+/// call-target VAs resolved against the image's graph).
+fn traced_instance(
+    image: &KernelImage,
+    workload: &Workload,
+) -> (persp_workloads::SimInstance, HashSet<FuncId>) {
     let mut inst = persp_workloads::SimInstance::from_image(Scheme::Unsafe, image);
     let text = inst.text_base();
     let data = inst.data_base();
     inst.core.machine.load_text(workload.compile(text, data));
     inst.core.enable_call_trace();
     inst.core
-        .run(text, 400_000_000)
+        .run_in_order(text, TRACE_INSTS)
         .expect("trace run completes");
     let raw = inst.core.take_call_trace();
-    runner::trace_to_funcs(&image.graph, &raw)
+    let trace = runner::trace_to_funcs(&image.graph, &raw);
+    (inst, trace)
+}
+
+/// Collect a dynamic-ISV trace for a workload (see [`traced_instance`]),
+/// resolved to function ids so callers never handle addresses.
+pub fn trace_workload(image: &KernelImage, workload: &Workload) -> HashSet<FuncId> {
+    traced_instance(image, workload).1
 }
 
 /// Build the three ISV flavors for a workload — `(ISV-S, ISV, ISV++)` —
-/// plus the instance whose kernel they were derived from.
+/// plus the instance whose kernel they were derived from (the traced
+/// one). The bounded scan reads the image's kernel text.
 pub fn isv_trio(
     image: &KernelImage,
     workload: &Workload,
     profile: &[Sysno],
 ) -> (Isv, Isv, Isv, persp_workloads::SimInstance) {
-    let inst = persp_workloads::SimInstance::from_image(Scheme::Unsafe, image);
-    let trace = trace_workload(image, workload);
-    let (isv_s, isv_d, isv_pp) = {
-        let graph = &image.graph;
-        let isv_s = Isv::static_for(graph, profile);
-        let isv_d = Isv::dynamic_from_funcs(graph, trace);
-        let report =
-            persp_scanner::scan_bounded(graph, isv_d.funcs(), |pc| inst.core.machine.inst_at(pc));
-        let isv_pp = isv_d
-            .clone()
-            .hardened_with_audit(graph, report.flagged_functions());
-        (isv_s, isv_d, isv_pp)
-    };
+    let (inst, trace) = traced_instance(image, workload);
+    let graph = &image.graph;
+    let isv_s = Isv::static_for(graph, profile);
+    let isv_d = Isv::dynamic_from_funcs(graph, trace);
+    let report = persp_scanner::scan_bounded(graph, isv_d.funcs(), |pc| image.text.get(pc));
+    let isv_pp = isv_d
+        .clone()
+        .hardened_with_audit(graph, report.flagged_functions());
     (isv_s, isv_d, isv_pp, inst)
 }
 

@@ -15,6 +15,7 @@ use persp_uarch::hooks::NullHooks;
 use persp_uarch::isa::{AluOp, Cond, Inst, Width};
 use persp_uarch::machine::{Machine, Mode};
 use persp_uarch::pipeline::Core;
+use persp_uarch::policy::{SpecPolicy, UnsafePolicy};
 use persp_uarch::testkit::{build_program, interpret, Template, POOL_BASE, POOL_SLOTS};
 use perspective::dsv::DsvTable;
 use perspective::isv::Isv;
@@ -114,24 +115,33 @@ fn run_perspective(
     }
     let policy = PerspectivePolicy::new(cfg, dsv, isvs);
 
-    let mut machine = Machine::new();
-    machine.load_text(text_vec);
-    machine.mode = Mode::Kernel; // Perspective gates kernel execution
-    machine.asid = 1;
-    machine.cur_sysno = Some(3);
-    machine.set_reg(1, seeds[0]);
-    machine.set_reg(2, seeds[1]);
-    machine.set_reg(3, seeds[2]);
-    machine.set_reg(4, seeds[3]);
-    machine.set_reg(31, POOL_BASE);
-    let mut core = Core::new(
-        CoreConfig::paper_default(),
-        machine,
-        MemoryHierarchy::new(HierarchyConfig::paper_default()),
-        Box::new(policy),
-        Box::new(NullHooks),
-    );
+    // The pipeline under Perspective, and the in-order engine on a
+    // second core (which never consults its policy).
+    let core_with = |policy: Box<dyn SpecPolicy>| {
+        let mut machine = Machine::new();
+        machine.load_text(text_vec.iter().copied());
+        machine.mode = Mode::Kernel; // Perspective gates kernel execution
+        machine.asid = 1;
+        machine.cur_sysno = Some(3);
+        machine.set_reg(1, seeds[0]);
+        machine.set_reg(2, seeds[1]);
+        machine.set_reg(3, seeds[2]);
+        machine.set_reg(4, seeds[3]);
+        machine.set_reg(31, POOL_BASE);
+        Core::new(
+            CoreConfig::paper_default(),
+            machine,
+            MemoryHierarchy::new(HierarchyConfig::paper_default()),
+            policy,
+            Box::new(NullHooks),
+        )
+    };
+    let mut core = core_with(Box::new(policy));
     core.run(base, 2_000_000).expect("pipeline completes");
+    let mut in_order = core_with(Box::new(UnsafePolicy::new()));
+    in_order
+        .run_in_order(base, 10_000)
+        .expect("in-order run completes");
 
     let got = core.machine.regs();
     for r in 0..32 {
@@ -150,6 +160,29 @@ fn run_perspective(
                 "memory at {addr:#x} diverged"
             );
         }
+    }
+
+    // The in-order engine against both.
+    assert_eq!(in_order.machine.regs(), oracle_regs, "in-order registers");
+    assert_eq!(
+        in_order.machine.regs(),
+        got,
+        "in-order vs pipeline registers"
+    );
+    for slot in 0..POOL_SLOTS {
+        let addr = POOL_BASE + slot * 8;
+        let oracle: Vec<u8> = (0..8)
+            .map(|i| *oracle_mem.get(&(addr + i)).unwrap_or(&0))
+            .collect();
+        let bytes: Vec<u8> = (0..8)
+            .map(|i| in_order.machine.mem.read_u8(addr + i))
+            .collect();
+        assert_eq!(bytes, oracle, "in-order memory at {addr:#x}");
+        assert_eq!(
+            in_order.machine.mem.read_u64(addr),
+            core.machine.mem.read_u64(addr),
+            "in-order vs pipeline memory at {addr:#x}"
+        );
     }
 }
 

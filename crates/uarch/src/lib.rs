@@ -13,6 +13,11 @@
 //! * a pluggable [`policy::SpecPolicy`] that decides which speculative
 //!   loads may issue — the pliable interface the paper builds on.
 //!
+//! [`Core::run_in_order`] retires the same program in program order
+//! without the pipeline, for runs whose output is architectural (call
+//! traces, kernel allocator counts); both engines share one retirement
+//! function, so they cannot disagree on committed state.
+//!
 //! The evaluation baselines (UNSAFE, FENCE, DOM, STT, KPTI+Retpoline) live
 //! in [`policy`]; Perspective's own policy is in the `perspective` crate.
 //!
@@ -58,6 +63,7 @@ pub mod metrics;
 pub mod pipeline;
 pub mod policy;
 pub mod predictor;
+mod retire;
 mod rob;
 pub mod sni;
 pub mod stats;

@@ -67,8 +67,9 @@ type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
 /// Pages are reference-counted and copy-on-write: cloning a memory shares
 /// every page, and the first write to a shared page gives the writer its
 /// own copy. A write therefore never reaches another clone, and after it
-/// the written page aliases no other memory.
-#[derive(Debug, Default, Clone)]
+/// the written page aliases no other memory. Two memories are equal when
+/// they populate the same pages with the same bytes.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SparseMemory {
     pages: AddrMap<Arc<[u8; PAGE_SIZE]>>,
 }

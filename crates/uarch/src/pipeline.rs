@@ -21,11 +21,12 @@
 
 use crate::checkpoint::SpecReturns;
 use crate::config::CoreConfig;
-use crate::hooks::{HookAction, HookHandler};
-use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS, REG_SYSNO};
+use crate::hooks::HookHandler;
+use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS};
 use crate::machine::{Machine, Mode};
 use crate::policy::{BlockSource, LoadCtx, LoadDecision, SpecPolicy};
 use crate::predictor::Predictors;
+use crate::retire::{retire, Flow};
 use crate::rob::{ReorderBuffer, RobEntry, Sched, SrcDep, SrcList, TaintSet};
 use crate::sni::{RetiredInst, SniChecker};
 use crate::stats::SimStats;
@@ -56,6 +57,18 @@ pub enum SimError {
         /// The budget that was exceeded.
         budget: u64,
     },
+    /// The instruction budget given to [`Core::run_in_order`] retired
+    /// without a `Halt`.
+    InstBudgetExhausted {
+        /// The budget that was exceeded.
+        budget: u64,
+    },
+    /// [`Core::run_in_order`] reached an instruction whose result only a
+    /// cycle-level run has (`RdTsc`).
+    TimingDependent {
+        /// The instruction's address.
+        pc: u64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -73,6 +86,12 @@ impl std::fmt::Display for SimError {
             }
             SimError::CycleBudgetExhausted { budget } => {
                 write!(f, "cycle budget of {budget} exhausted")
+            }
+            SimError::InstBudgetExhausted { budget } => {
+                write!(f, "instruction budget of {budget} exhausted")
+            }
+            SimError::TimingDependent { pc } => {
+                write!(f, "timing-dependent instruction at {pc:#x}")
             }
         }
     }
@@ -345,6 +364,34 @@ impl Core {
         Ok(RunSummary {
             stats: self.stats.delta_since(&start_stats),
         })
+    }
+
+    /// Retire the program at `entry` in program order, without the
+    /// pipeline: until a `Halt` retires or `max_insts` instructions have.
+    /// Returns the number of instructions retired, the `Halt` included.
+    ///
+    /// Only architectural state moves: the machine, the kernel hooks and
+    /// the call trace end exactly as [`Core::run`] would leave them, but
+    /// the pipeline, caches, predictors, policy, SNI checker, clock and
+    /// [`SimStats`] are never touched. This is for runs whose output is
+    /// architectural (a call trace, kernel allocator counts); a run that
+    /// measures time or microarchitectural state needs [`Core::run`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnmappedFetch`] and
+    /// [`SimError::CallStackUnderflow`] as [`Core::run`] does,
+    /// [`SimError::TimingDependent`] on `RdTsc` (its value exists only in
+    /// a cycle-level run), and [`SimError::InstBudgetExhausted`] when
+    /// `max_insts` instructions retire without a `Halt`.
+    pub fn run_in_order(&mut self, entry: u64, max_insts: u64) -> Result<u64, SimError> {
+        crate::retire::run_in_order(
+            &mut self.machine,
+            self.hooks.as_mut(),
+            &mut self.call_trace,
+            entry,
+            max_insts,
+        )
     }
 
     fn step(&mut self) -> Result<(), SimError> {
@@ -1142,118 +1189,82 @@ impl Core {
             self.stats.committed_insts += 1;
             committed += 1;
 
+            let r = RetiredInst {
+                seq: entry.seq,
+                pc: entry.pc,
+                inst: entry.inst,
+                value: entry.value,
+                addr: entry.addr,
+                width: entry.width,
+                store_val: entry.store_val,
+                taken: entry.actual_taken,
+                target: entry.actual_target,
+            };
             // Differential shadow replay: check the retired instruction
             // against architectural state *before* its commit effects.
             if let Some(sni) = self.sni.as_mut() {
-                sni.on_commit(
-                    &RetiredInst {
-                        seq: entry.seq,
-                        pc: entry.pc,
-                        inst: entry.inst,
-                        value: entry.value,
-                        addr: entry.addr,
-                        width: entry.width,
-                        store_val: entry.store_val,
-                        taken: entry.actual_taken,
-                        target: entry.actual_target,
-                    },
-                    &self.machine,
-                    &mut self.stats.sni,
-                );
+                sni.on_commit(&r, &self.machine, &mut self.stats.sni);
             }
 
-            // Free the rename slot if this entry is still the last writer.
-            if let Some(dst) = entry.inst.dst() {
-                if self.rename[dst as usize] == Some(entry.seq) {
+            // The microarchitectural half of commit. Free the rename slot
+            // if this entry is still the last writer.
+            if let Some(dst) = r.inst.dst() {
+                if self.rename[dst as usize] == Some(r.seq) {
                     self.rename[dst as usize] = None;
                 }
-                self.machine.set_reg(dst, entry.value);
             }
-
-            match entry.inst {
-                Inst::Store { width, .. } => {
-                    self.machine.mem.write(entry.addr, entry.store_val, width);
-                    self.mem.write(entry.addr);
+            match r.inst {
+                Inst::Store { .. } => {
+                    self.mem.write(r.addr);
                     self.stats.committed_stores += 1;
                 }
-                Inst::Load { .. } => {
-                    self.stats.committed_loads += 1;
-                }
+                Inst::Load { .. } => self.stats.committed_loads += 1,
                 Inst::Branch { .. } => {
                     self.stats.committed_branches += 1;
-                    self.pred
-                        .dir
-                        .update(entry.pc, entry.hist_snapshot, entry.actual_taken);
+                    self.pred.dir.update(r.pc, entry.hist_snapshot, r.taken);
                 }
                 Inst::JumpInd { .. } | Inst::CallInd { .. } => {
-                    self.pred.btb.install(
-                        entry.pc,
-                        entry.hist_snapshot,
-                        entry.actual_target,
-                        entry.in_kernel,
-                    );
-                    if matches!(entry.inst, Inst::CallInd { .. }) {
-                        self.machine.call_stack.push(entry.pc + INST_BYTES);
-                    }
-                    if let Some(trace) = &mut self.call_trace {
-                        trace.insert(entry.actual_target);
-                    }
+                    self.pred
+                        .btb
+                        .install(r.pc, entry.hist_snapshot, r.target, entry.in_kernel);
                 }
-                Inst::Call { target } => {
-                    self.machine.call_stack.push(entry.pc + INST_BYTES);
-                    if let Some(trace) = &mut self.call_trace {
-                        trace.insert(target);
-                    }
+                Inst::Syscall => self.stats.syscalls += 1,
+                _ => {}
+            }
+
+            // The architectural half, shared with the in-order engine.
+            let (next_pc, hook_cycles) = match retire(
+                &mut self.machine,
+                self.hooks.as_mut(),
+                &mut self.call_trace,
+                &r,
+            )? {
+                Flow::Halt => {
+                    self.halted = true;
+                    return Ok(committed);
                 }
-                Inst::Ret if self.machine.call_stack.pop().is_none() => {
-                    return Err(SimError::CallStackUnderflow { pc: entry.pc });
-                }
-                Inst::Syscall => {
-                    self.stats.syscalls += 1;
-                    if let Some(trace) = &mut self.call_trace {
-                        trace.insert(self.machine.kernel_entry);
-                    }
-                    self.machine.mode = Mode::Kernel;
-                    self.machine.cur_sysno = Some(self.machine.reg(REG_SYSNO) as u16);
-                    self.machine.sysret_target = entry.pc + INST_BYTES;
-                    self.fetch_pc = self.machine.kernel_entry;
-                    self.fetch_halted = false;
-                    self.fetch_stall_until = self.now + 1 + self.policy.syscall_entry_cost();
-                }
-                Inst::Sysret => {
-                    self.machine.mode = Mode::User;
-                    self.machine.cur_sysno = None;
-                    self.fetch_pc = self.machine.sysret_target;
-                    self.fetch_halted = false;
-                    self.fetch_stall_until = self.now + 1 + self.policy.syscall_exit_cost();
-                }
-                Inst::KHook { id } => {
-                    let result = self.hooks.on_hook(id, &mut self.machine);
-                    self.fetch_pc = match result.action {
-                        HookAction::Continue => entry.pc + INST_BYTES,
-                        HookAction::Redirect(target) => target,
-                    };
-                    self.fetch_halted = false;
-                    self.fetch_stall_until = self.now + 1 + result.extra_cycles;
+                Flow::Next { pc, hook_cycles } => (pc, hook_cycles),
+            };
+
+            // A serializing instruction restarts fetch behind itself.
+            let extra = match r.inst {
+                Inst::Syscall => self.policy.syscall_entry_cost(),
+                Inst::Sysret => self.policy.syscall_exit_cost(),
+                Inst::KHook { .. } => {
                     // Hooks may rewrite registers/memory wholesale; the
                     // pipe behind a serializing op is empty, so the spec
                     // view simply restarts from architectural state.
                     debug_assert!(self.rob.is_empty());
                     self.rename = [None; NUM_REGS];
                     self.returns.reset(&self.machine.call_stack);
+                    hook_cycles
                 }
-                Inst::RdTsc { .. } => {
-                    self.fetch_pc = entry.pc + INST_BYTES;
-                    self.fetch_halted = false;
-                    self.fetch_stall_until = self.now + 1;
-                }
-                Inst::Halt => {
-                    self.halted = true;
-                    return Ok(committed);
-                }
-                _ => {}
-            }
-            self.machine.pc = entry.pc;
+                Inst::RdTsc { .. } => 0,
+                _ => continue,
+            };
+            self.fetch_pc = next_pc;
+            self.fetch_halted = false;
+            self.fetch_stall_until = self.now + 1 + extra;
         }
         Ok(committed)
     }
@@ -1444,7 +1455,7 @@ fn mask_width(v: u64, w: Width) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::NullHooks;
+    use crate::hooks::{HookAction, NullHooks};
     use crate::isa::AluOp;
     use crate::isa::{Assembler, Cond};
     use crate::policy::UnsafePolicy;

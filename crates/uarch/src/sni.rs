@@ -58,11 +58,12 @@ pub trait SniOracle {
     fn is_secret(&self, ctx: &LoadCtx) -> bool;
 }
 
-/// A retired instruction, as seen by the shadow oracle at commit: the
-/// pipeline's view of what the instruction did.
+/// A retired instruction: what the retiring engine computed for it. The
+/// shadow oracle checks the pipeline's at commit, and both engines hand
+/// theirs to the shared architectural retirement.
 #[derive(Debug, Clone, Copy)]
 pub struct RetiredInst {
-    /// ROB sequence number.
+    /// ROB sequence number (the in-order engine's retirement count).
     pub seq: u64,
     /// Instruction address.
     pub pc: u64,

@@ -92,22 +92,29 @@ fn run_differential(templates: Vec<Template>, seeds: [u64; 4], policy: Box<dyn S
     let mut oracle_mem: HashMap<u64, u8> = HashMap::new();
     interpret(&text_map, base, &mut oracle_regs, &mut oracle_mem);
 
-    // Pipeline.
-    let mut machine = Machine::new();
-    machine.load_text(text_vec);
-    machine.set_reg(1, seeds[0]);
-    machine.set_reg(2, seeds[1]);
-    machine.set_reg(3, seeds[2]);
-    machine.set_reg(4, seeds[3]);
-    machine.set_reg(31, POOL_BASE);
-    let mut core = Core::new(
-        CoreConfig::paper_default(),
-        machine,
-        MemoryHierarchy::new(HierarchyConfig::paper_default()),
-        policy,
-        Box::new(NullHooks),
-    );
+    // Pipeline, and the in-order engine on a second core.
+    let core_with = |policy: Box<dyn SpecPolicy>| {
+        let mut machine = Machine::new();
+        machine.load_text(text_vec.iter().copied());
+        machine.set_reg(1, seeds[0]);
+        machine.set_reg(2, seeds[1]);
+        machine.set_reg(3, seeds[2]);
+        machine.set_reg(4, seeds[3]);
+        machine.set_reg(31, POOL_BASE);
+        Core::new(
+            CoreConfig::paper_default(),
+            machine,
+            MemoryHierarchy::new(HierarchyConfig::paper_default()),
+            policy,
+            Box::new(NullHooks),
+        )
+    };
+    let mut core = core_with(policy);
     core.run(base, 2_000_000).expect("pipeline completes");
+    let mut in_order = core_with(Box::new(UnsafePolicy::new()));
+    in_order
+        .run_in_order(base, 10_000)
+        .expect("in-order run completes");
 
     // Compare registers and the data pool.
     let got = core.machine.regs();
@@ -128,6 +135,29 @@ fn run_differential(templates: Vec<Template>, seeds: [u64; 4], policy: Box<dyn S
                 "memory at {addr:#x} diverged"
             );
         }
+    }
+
+    // The in-order engine against both.
+    assert_eq!(in_order.machine.regs(), oracle_regs, "in-order registers");
+    assert_eq!(
+        in_order.machine.regs(),
+        got,
+        "in-order vs pipeline registers"
+    );
+    for slot in 0..POOL_SLOTS {
+        let addr = POOL_BASE + slot * 8;
+        let oracle: Vec<u8> = (0..8)
+            .map(|i| *oracle_mem.get(&(addr + i)).unwrap_or(&0))
+            .collect();
+        let bytes: Vec<u8> = (0..8)
+            .map(|i| in_order.machine.mem.read_u8(addr + i))
+            .collect();
+        assert_eq!(bytes, oracle, "in-order memory at {addr:#x}");
+        assert_eq!(
+            in_order.machine.mem.read_u64(addr),
+            core.machine.mem.read_u64(addr),
+            "in-order vs pipeline memory at {addr:#x}"
+        );
     }
 }
 

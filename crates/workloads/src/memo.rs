@@ -481,13 +481,32 @@ pub fn decode_entry(
         .get("checksum")
         .and_then(Json::as_str)
         .ok_or("entry has no checksum field")?;
-    let actual = format!("{:016x}", fnv1a64(m.render().as_bytes()));
+    let actual = format!("{:016x}", fnv1a64(measurement_bytes(text)?));
     if checksum != actual {
         return Err(format!(
             "measurement checksum mismatch (stored {checksum}, payload hashes to {actual})"
         ));
     }
     report::measurement_from_json(m, scheme, workload_name)
+}
+
+/// The stored bytes of a parsed entry's `measurement` member, which
+/// [`entry_json`] writes last: from the first `,"measurement":` to the
+/// entry's closing brace. The entry has parsed, so the match is a member
+/// key (inside a string its quotes would be escaped). Hashing these
+/// bytes instead of a re-rendering of the parsed payload makes a payload
+/// spelled differently from its rendering a checksum mismatch.
+fn measurement_bytes(text: &str) -> Result<&[u8], String> {
+    const KEY: &str = ",\"measurement\":";
+    let start = text.find(KEY).ok_or("entry has no measurement member")? + KEY.len();
+    let end = text
+        .trim_end()
+        .strip_suffix('}')
+        .ok_or("entry does not end its object")?
+        .len();
+    text.as_bytes()
+        .get(start..end)
+        .ok_or_else(|| "entry ends inside its measurement key".into())
 }
 
 fn load_entry(path: &Path, canonical: &str, scheme: Scheme, workload_name: &'static str) -> Loaded {
@@ -616,6 +635,7 @@ pub fn cached_measure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use persp_uarch::{MetricsRegistry, SimStats};
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -645,5 +665,33 @@ mod tests {
         assert_eq!(CacheConfig::on("x").mode, CacheMode::On);
         assert_eq!(CacheConfig::verify("x").mode, CacheMode::Verify);
         assert_eq!(CacheConfig::on("x").dir, PathBuf::from("x"));
+    }
+
+    #[test]
+    fn the_checksum_covers_the_stored_spelling_of_the_payload() {
+        let m = Measurement {
+            scheme: Scheme::Fence,
+            workload: "getpid",
+            stats: SimStats {
+                cycles: 1234,
+                ..SimStats::default()
+            },
+            fences: None,
+            isv_cache: None,
+            dsvmt_cache: None,
+            isv_funcs: Some(7),
+            metrics: MetricsRegistry::new(),
+        };
+        let entry = entry_json("cell", CellKey(1), &m).render();
+        let decode = |text: &str| decode_entry(text.as_bytes(), "cell", Scheme::Fence, "getpid");
+        let hit = decode(&entry).expect("a stored entry decodes");
+        assert_eq!(hit.stats.cycles, 1234);
+        assert!(decode(&format!("{entry}\n")).is_ok(), "trailing whitespace");
+        // Parses to the same payload, but is not its rendering.
+        let respelled = entry.replacen(",\"measurement\":", ",\"measurement\": ", 1);
+        assert!(decode(&respelled).is_err());
+        // The payload is no longer the entry's last member.
+        let trailing = format!("{},\"extra\":1}}", &entry[..entry.len() - 1]);
+        assert!(decode(&trailing).is_err());
     }
 }
