@@ -60,6 +60,28 @@ for exp in $PAPER_BASELINED; do
     fi
 done
 
+echo "==> paper-scale transcripts vs experiments_output.txt and experiments_extra.txt"
+# The human-readable output is pinned too: run_all's transcript covers
+# every experiment bin, and the extra transcript covers sensitivity and
+# the full --all scheme set of fig_9_2. run_all's closing lines (the
+# completion note and the per-bin wall-clock table) differ run to run, so
+# everything from "All experiments completed" on is cut from both sides.
+strip_footer() { sed '/^All experiments completed/,$d' "$@"; }
+PERSPECTIVE_KERNEL=paper PERSPECTIVE_THREADS=4 ./target/release/run_all \
+    | strip_footer >target/bench-json/run_all.txt
+if ! diff -u <(strip_footer experiments_output.txt) target/bench-json/run_all.txt; then
+    echo "ci: run_all's transcript drifted from experiments_output.txt" >&2
+    exit 1
+fi
+{
+    PERSPECTIVE_KERNEL=paper PERSPECTIVE_THREADS=4 ./target/release/sensitivity
+    PERSPECTIVE_KERNEL=paper PERSPECTIVE_THREADS=4 ./target/release/fig_9_2 --all
+} >target/bench-json/extra.txt
+if ! diff -u experiments_extra.txt target/bench-json/extra.txt; then
+    echo "ci: sensitivity + fig_9_2 --all drifted from experiments_extra.txt" >&2
+    exit 1
+fi
+
 echo "==> fast-vs-slow differential smoke cell (PERSPECTIVE_NO_FASTFWD=1)"
 # The idle-cycle fast-forward must be invisible in every serialized
 # counter: the cycle-by-cycle slow path has to reproduce the checked-in
