@@ -207,8 +207,8 @@ pub struct SniAttackReport {
     pub sni: persp_uarch::SniCounters,
 }
 
-/// Run the active attack on an *instrumented* lab with the SNI
-/// checker's leakage monitor attached: allocation metadata is recorded
+/// Run the active attack on an *instrumented* lab (core `core_cfg`)
+/// with the SNI checker's leakage monitor attached: allocation metadata is recorded
 /// even for baseline schemes, so the ground-truth oracle (judging with
 /// `oracle_cfg`, normally full enforcement) can taint the victim's
 /// secret and count transmits. Under UNSAFE the gadget's dependent
@@ -226,15 +226,10 @@ pub fn run_active_attack_sni(
     secret: u8,
     pcfg: PerspectiveConfig,
     oracle_cfg: PerspectiveConfig,
+    core_cfg: persp_uarch::config::CoreConfig,
     shadow_budget: u64,
 ) -> Result<SniAttackReport, String> {
-    let mut lab = AttackLab::instrumented(
-        scheme,
-        kcfg,
-        &[Sysno::Getpid],
-        persp_uarch::config::CoreConfig::paper_default(),
-        pcfg,
-    );
+    let mut lab = AttackLab::instrumented(scheme, kcfg, &[Sysno::Getpid], core_cfg, pcfg);
     let oracle = lab
         .perspective
         .as_ref()
@@ -384,6 +379,7 @@ mod tests {
             0x2A,
             PerspectiveConfig::default(),
             PerspectiveConfig::default(),
+            persp_uarch::config::CoreConfig::paper_default(),
             500_000,
         )
         .expect("instrumented attack runs");
@@ -407,6 +403,7 @@ mod tests {
             0x2A,
             PerspectiveConfig::default(),
             PerspectiveConfig::default(),
+            persp_uarch::config::CoreConfig::paper_default(),
             500_000,
         )
         .expect("instrumented attack runs");

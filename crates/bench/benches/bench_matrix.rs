@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
 use persp_uarch::config::CoreConfig;
+use persp_workloads::memo::CacheConfig;
 use persp_workloads::{lebench, runner, Workload};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
@@ -22,7 +23,16 @@ fn workloads() -> Vec<Workload> {
 
 fn matrix_cells(image: &KernelImage, threads: usize) -> usize {
     let core = CoreConfig::paper_default();
-    runner::run_matrix(threads, image, &SCHEMES, &workloads(), core).len()
+    runner::run_matrix(
+        threads,
+        &CacheConfig::off(),
+        image,
+        &SCHEMES,
+        &workloads(),
+        core,
+    )
+    .expect("every cell measures")
+    .len()
 }
 
 fn bench_image_build(c: &mut Criterion) {
@@ -42,7 +52,9 @@ fn bench_single_cell(c: &mut Criterion) {
     group.bench_function("cell-getpid-unsafe", |b| {
         b.iter(|| {
             let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
-            black_box(runner::measure(Scheme::Unsafe, &image, &w, pcfg, core).unwrap())
+            black_box(
+                runner::measure_image_uncached(Scheme::Unsafe, &image, &w, pcfg, core).unwrap(),
+            )
         })
     });
     group.finish();

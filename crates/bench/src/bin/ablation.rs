@@ -5,15 +5,15 @@
 //! disjoint attack classes; this ablation shows their costs are largely
 //! additive and individually small.
 
-use persp_bench::{header, kernel_image, pct};
-use persp_workloads::report::{self, Json};
-use persp_workloads::{lebench, runner};
+use persp_bench::{cell, header, kernel_image, lebench_tests, output, pct, vs_unsafe};
+use persp_workloads::report::Json;
+use persp_workloads::{run_parallel, runner, RunConfig, Workload};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 
 fn main() {
-    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
-    let image = kernel_image();
+    let cfg = RunConfig::from_process();
+    let image = kernel_image(&cfg);
     let configs: [(&str, PerspectiveConfig); 3] = [
         (
             "DSV only",
@@ -32,68 +32,61 @@ fn main() {
         ("DSV + ISV", PerspectiveConfig::default()),
     ];
 
-    let names = [
+    let tests = lebench_tests(&[
         "getpid",
         "select",
         "small-read",
         "poll",
         "page-fault",
         "big-fork",
-    ];
-    // One row per workload: the UNSAFE baseline plus the three ablation
-    // configurations, all run as one parallel matrix over the shared image.
-    let jobs: Vec<(usize, Option<PerspectiveConfig>)> = (0..names.len())
-        .flat_map(|w| {
-            std::iter::once((w, None)).chain(configs.iter().map(move |&(_, cfg)| (w, Some(cfg))))
-        })
+    ]);
+    // One row per test: the UNSAFE baseline plus the three ablation
+    // configurations, all run as one parallel batch over the shared image.
+    let variants: Vec<(Scheme, PerspectiveConfig)> =
+        std::iter::once((Scheme::Unsafe, PerspectiveConfig::default()))
+            .chain(configs.iter().map(|&(_, pcfg)| (Scheme::Perspective, pcfg)))
+            .collect();
+    let jobs: Vec<(&Workload, (Scheme, PerspectiveConfig))> = tests
+        .iter()
+        .flat_map(|w| variants.iter().map(move |&v| (w, v)))
         .collect();
-    let cells = runner::run_parallel(threads, jobs, |(w, cfg)| {
-        let workload = lebench::by_name(names[w]).unwrap();
-        let (scheme, pcfg) = match cfg {
-            None => (Scheme::Unsafe, PerspectiveConfig::default()),
-            Some(cfg) => (Scheme::Perspective, cfg),
-        };
-        runner::measure(scheme, &image, &workload, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+    let cells = run_parallel(cfg.threads, jobs, |(w, (scheme, pcfg))| {
+        cell(&cfg, &image, scheme, w, pcfg)
     });
+    // Per test, each configuration's overhead over UNSAFE.
+    let (overheads, _) = vs_unsafe(&cells, variants.len(), runner::overhead);
 
-    if report::json_mode() {
-        let json_rows = names
-            .iter()
-            .zip(cells.chunks(1 + configs.len()))
-            .map(|(name, row)| {
-                let base = &row[0];
-                let mut fields = vec![("workload", Json::str(*name))];
-                for ((cfg_name, _), m) in configs.iter().zip(&row[1..]) {
-                    let ov = m.stats.cycles as f64 / base.stats.cycles.max(1) as f64 - 1.0;
-                    fields.push((*cfg_name, Json::str(pct(ov))));
+    output(
+        &cfg,
+        "ablation",
+        || {
+            let json_rows = tests.iter().zip(&overheads).map(|(w, row)| {
+                let mut fields = vec![("workload", Json::str(w.name))];
+                for ((name, _), &ov) in configs.iter().zip(row) {
+                    fields.push((*name, Json::str(pct(ov))));
                 }
                 Json::obj(fields)
-            })
-            .collect();
-        let doc = report::experiment_json("ablation", vec![("rows", Json::Array(json_rows))]);
-        report::emit(&doc);
-        return;
-    }
-
-    header(
-        "Ablation: DSV-only / ISV-only / full Perspective",
-        "design analysis (§5.1, §9.2)",
+            });
+            vec![("rows", Json::Array(json_rows.collect()))]
+        },
+        || {
+            header(
+                "Ablation: DSV-only / ISV-only / full Perspective",
+                "design analysis (§5.1, §9.2)",
+            );
+            let (d, i, both) = ("DSV only", "ISV only", "DSV+ISV");
+            println!("{:<14} | {d:>10} | {i:>10} | {both:>10}", "test");
+            println!("{}", "-".repeat(54));
+            for (w, row) in tests.iter().zip(&overheads) {
+                print!("{:<14}", w.name);
+                for &ov in row {
+                    print!(" | {:>10}", pct(ov));
+                }
+                println!();
+            }
+            println!();
+            println!("DSV-only leaves passive attacks open; ISV-only leaves active attacks");
+            println!("open — the full framework is needed for the complete taxonomy (§5.1).");
+        },
     );
-    println!(
-        "{:<14} | {:>10} | {:>10} | {:>10}",
-        "test", "DSV only", "ISV only", "DSV+ISV"
-    );
-    println!("{}", "-".repeat(54));
-    for (name, row) in names.iter().zip(cells.chunks(1 + configs.len())) {
-        let base = &row[0];
-        print!("{name:<14}");
-        for m in &row[1..] {
-            let ov = m.stats.cycles as f64 / base.stats.cycles.max(1) as f64 - 1.0;
-            print!(" | {:>10}", pct(ov));
-        }
-        println!();
-    }
-    println!();
-    println!("DSV-only leaves passive attacks open; ISV-only leaves active attacks");
-    println!("open — the full framework is needed for the complete taxonomy (§5.1).");
 }

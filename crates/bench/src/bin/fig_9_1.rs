@@ -7,11 +7,12 @@
 //! under the deployed ISV (the audit targets, §8.2); work is simulated
 //! execution cycles plus taint-analysis instructions.
 
-use persp_bench::{header, kernel_image, lebench_union_workload, trace_workload};
+use persp_bench::{audit_workloads, header, kernel_image, mean, output, trace_workload};
 use persp_scanner::fuzzer::compare_bounded;
-use persp_workloads::report::{self, Json};
-use persp_workloads::{apps, SimInstance};
+use persp_workloads::report::Json;
+use persp_workloads::{RunConfig, SimInstance};
 use perspective::isv::Isv;
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 
 /// One workload's campaign pair: ISV size, baseline and bounded
@@ -25,90 +26,77 @@ struct Row {
 }
 
 fn main() {
-    let image = kernel_image();
-    let mut workloads = vec![lebench_union_workload()];
-    workloads.extend(apps::apps().into_iter().map(|a| a.workload));
+    let cfg = RunConfig::from_process();
+    let image = kernel_image(&cfg);
+    let workloads = audit_workloads();
 
-    let mut rows = Vec::new();
-    for w in &workloads {
-        // Derive the workload's dynamic ISV from a real trace.
-        let trace = trace_workload(&image, w);
-        let mut inst = SimInstance::from_image(Scheme::Unsafe, &image);
-        let (isv_funcs, n_funcs) = {
-            let isv = Isv::dynamic_from_funcs(&image.graph, trace);
-            (isv.funcs().clone(), isv.num_funcs())
-        };
-        let asid = inst.asid;
-        let kernel_handle = inst.kernel.clone();
-        let (baseline, bounded) = compare_bounded(
-            &mut inst.core,
-            kernel_handle,
-            asid,
-            &w.syscall_profile(),
-            &isv_funcs,
-            16,
-        );
-        let b = baseline.relevant_rate(&isv_funcs);
-        let r = bounded.relevant_rate(&isv_funcs);
-        let speedup = if b > 0.0 { r / b } else { f64::INFINITY };
-        rows.push(Row {
-            name: w.name,
-            n_funcs,
-            baseline_rate: b,
-            bounded_rate: r,
-            speedup,
-        });
-    }
-    let avg = rows.iter().map(|r| r.speedup).sum::<f64>() / rows.len() as f64;
+    let rows: Vec<Row> = workloads
+        .iter()
+        .map(|w| {
+            // Derive the workload's dynamic ISV from a real trace.
+            let isv = Isv::dynamic_from_funcs(&image.graph, trace_workload(&image, w));
+            let pcfg = PerspectiveConfig::default();
+            let mut inst = SimInstance::from_image_core(Scheme::Unsafe, &image, pcfg, cfg.core);
+            let (asid, kernel) = (inst.asid, inst.kernel.clone());
+            let profile = w.syscall_profile();
+            let (baseline, bounded) =
+                compare_bounded(&mut inst.core, kernel, asid, &profile, isv.funcs(), 16);
+            let b = baseline.relevant_rate(isv.funcs());
+            let r = bounded.relevant_rate(isv.funcs());
+            Row {
+                name: w.name,
+                n_funcs: isv.num_funcs(),
+                baseline_rate: b,
+                bounded_rate: r,
+                speedup: if b > 0.0 { r / b } else { f64::INFINITY },
+            }
+        })
+        .collect();
+    let avg = mean(rows.iter().map(|r| r.speedup), rows.len());
 
-    if report::json_mode() {
-        let json_rows = rows
-            .iter()
-            .map(|r| {
+    output(
+        &cfg,
+        "fig_9_1",
+        || {
+            let fixed = |x: f64, digits: usize| Json::str(format!("{x:.digits$}"));
+            let json_rows = rows.iter().map(|r| {
                 Json::obj(vec![
                     ("workload", Json::str(r.name)),
                     ("isv_funcs", Json::UInt(r.n_funcs as u64)),
-                    (
-                        "baseline_rate",
-                        Json::str(format!("{:.1}", r.baseline_rate)),
-                    ),
-                    ("bounded_rate", Json::str(format!("{:.1}", r.bounded_rate))),
-                    ("speedup", Json::str(format!("{:.2}", r.speedup))),
+                    ("baseline_rate", fixed(r.baseline_rate, 1)),
+                    ("bounded_rate", fixed(r.bounded_rate, 1)),
+                    ("speedup", fixed(r.speedup, 2)),
                 ])
-            })
-            .collect();
-        let doc = report::experiment_json(
-            "fig_9_1",
+            });
             vec![
-                ("rows", Json::Array(json_rows)),
-                ("avg_speedup", Json::str(format!("{avg:.2}"))),
-            ],
-        );
-        report::emit(&doc);
-        return;
-    }
-
-    header(
-        "Figure 9.1: Speedup of Kasper's gadget discovery rate",
-        "paper §8.2, Figure 9.1",
+                ("rows", Json::Array(json_rows.collect())),
+                ("avg_speedup", fixed(avg, 2)),
+            ]
+        },
+        || {
+            header(
+                "Figure 9.1: Speedup of Kasper's gadget discovery rate",
+                "paper §8.2, Figure 9.1",
+            );
+            let (n, b, r, x) = ("ISV funcs", "baseline rate", "bounded rate", "speedup");
+            println!("{:<10} | {n:>12} | {b:>14} | {r:>14} | {x:>8}", "workload");
+            let rule = "-".repeat(72);
+            println!("{rule}");
+            for r in &rows {
+                let (n, b, bounded, x) = (r.n_funcs, r.baseline_rate, r.bounded_rate, r.speedup);
+                println!(
+                    "{:<10} | {n:>12} | {b:>14.1} | {bounded:>14.1} | {x:>7.2}x",
+                    r.name
+                );
+            }
+            println!("{rule}");
+            println!(
+                "{:<10} | {:>12} | {:>14} | {:>14} | {avg:>7.2}x",
+                "average", "", "", ""
+            );
+            println!();
+            println!("paper: speedups 1.14x-2.23x across workloads, 1.57x on average;");
+            println!("       search space reduced from 28K kernel functions to ~1.4K.");
+        },
     );
-    println!(
-        "{:<10} | {:>12} | {:>14} | {:>14} | {:>8}",
-        "workload", "ISV funcs", "baseline rate", "bounded rate", "speedup"
-    );
-    println!("{}", "-".repeat(72));
-    for r in &rows {
-        println!(
-            "{:<10} | {:>12} | {:>14.1} | {:>14.1} | {:>7.2}x",
-            r.name, r.n_funcs, r.baseline_rate, r.bounded_rate, r.speedup
-        );
-    }
-    println!("{}", "-".repeat(72));
-    println!(
-        "{:<10} | {:>12} | {:>14} | {:>14} | {:>7.2}x",
-        "average", "", "", "", avg
-    );
-    println!();
-    println!("paper: speedups 1.14x-2.23x across workloads, 1.57x on average;");
-    println!("       search space reduced from 28K kernel functions to ~1.4K.");
 }

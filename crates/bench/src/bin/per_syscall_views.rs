@@ -20,13 +20,14 @@
 //! saturates near the pool-to-utility ratio rather than approaching
 //! zero.
 
-use persp_bench::{header, kernel_image, lebench_union_workload, norm, pct};
+use persp_bench::{
+    audit_workloads, cell, header, kernel_image, lebench_tests, mean, mixed_workload, norm, output,
+    pct,
+};
 use persp_kernel::syscalls::Sysno;
-use persp_workloads::apps;
-use persp_workloads::lebench;
-use persp_workloads::report::{self, Json};
-use persp_workloads::runner;
+use persp_workloads::report::Json;
 use persp_workloads::spec::Workload;
+use persp_workloads::{Measurement, RunConfig};
 use perspective::isv::Isv;
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
@@ -42,28 +43,26 @@ struct SurfaceRow {
     tighten: f64,
 }
 
-/// One enforcement-cost row (all columns pre-formatted).
-struct CostRow {
-    name: &'static str,
-    wide_norm: String,
-    narrow_norm: String,
-    wide_hit: String,
-    narrow_hit: String,
-}
+/// The enforcement-cost columns, as JSON keys: latency normalized to
+/// UNSAFE under process-wide static views and under per-syscall views,
+/// then the ISV-cache hit rate of each.
+const COST_KEYS: [&str; 4] = [
+    "p_static",
+    "per_sys",
+    "p_static_hit_rate",
+    "per_sys_hit_rate",
+];
 
 fn main() {
+    let cfg = RunConfig::from_process();
     // One image serves the view analysis and every enforcement-cost cell.
-    let image = kernel_image();
-    let core = runner::core_config_from_env();
-    let cell = |scheme, w: &Workload, pcfg| {
-        runner::measure(scheme, &image, w, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
-    };
+    let image = kernel_image(&cfg);
+    let measure = |scheme, w: &Workload, pcfg| cell(&cfg, &image, scheme, w, pcfg);
     let per_syscall = PerspectiveConfig {
         per_syscall_isv: true,
         ..PerspectiveConfig::default()
     };
-    let mut workloads = vec![lebench_union_workload()];
-    workloads.extend(apps::apps().into_iter().map(|a| a.workload));
+    let workloads = audit_workloads();
 
     let graph = &image.graph;
     let total = graph.len() as f64;
@@ -74,7 +73,6 @@ fn main() {
         per_sys.insert(sys, Isv::static_for(graph, &[sys]).num_funcs());
     }
 
-    let mut sum_tighten = 0.0;
     let mut surface_rows = Vec::new();
     for w in &workloads {
         let profile = w.syscall_profile();
@@ -88,7 +86,6 @@ fn main() {
         // How much smaller the average speculation window's code surface
         // becomes relative to the process-wide view.
         let tighten = 1.0 - effective / proc_wide as f64;
-        sum_tighten += tighten;
         surface_rows.push(SurfaceRow {
             name: w.name,
             proc_wide,
@@ -97,48 +94,47 @@ fn main() {
             tighten,
         });
     }
-    let avg_tighten = sum_tighten / workloads.len() as f64;
+    let avg_tighten = mean(surface_rows.iter().map(|r| r.tighten), workloads.len());
 
     // Where the floor is: the shared part every view must contain.
     let min_view = Sysno::ALL.iter().map(|s| per_sys[s]).min().unwrap_or(0) as f64;
     let max_view = Sysno::ALL.iter().map(|s| per_sys[s]).max().unwrap_or(0) as f64;
+    let (min_share, max_share) = (min_view / total, max_view / total);
 
     // Enforcement cost: the conservative flush-on-dispatch implementation
     // (`PerspectiveConfig::per_syscall_isv`) vs. the paper's process-wide static views.
-    let mut mixed = lebench::by_name("small-read").expect("suite test");
-    mixed
-        .steps
-        .extend(lebench::by_name("getpid").expect("suite test").steps);
-    mixed
-        .steps
-        .extend(lebench::by_name("mmap").expect("suite test").steps);
-    mixed.name = "read+getpid+mmap";
-    let singles = ["getpid", "small-read", "mmap", "select"]
-        .into_iter()
-        .map(|n| lebench::by_name(n).expect("suite test"));
-    let mut cost_rows = Vec::new();
-    for w in singles.chain([mixed]) {
-        let base = cell(Scheme::Unsafe, &w, PerspectiveConfig::default())
-            .stats
-            .cycles as f64;
-        // (single-syscall tests never switch views mid-run: identical
-        // columns there are the sanity check; the mixed row pays for
-        // real dispatch switching.)
-        let wide = cell(Scheme::PerspectiveStatic, &w, PerspectiveConfig::default());
-        let narrow = cell(Scheme::Perspective, &w, per_syscall);
-        cost_rows.push(CostRow {
-            name: w.name,
-            wide_norm: norm(wide.stats.cycles as f64 / base),
-            narrow_norm: norm(narrow.stats.cycles as f64 / base),
-            wide_hit: pct(wide.isv_cache.map_or(0.0, |c| c.hit_rate())),
-            narrow_hit: pct(narrow.isv_cache.map_or(0.0, |c| c.hit_rate())),
-        });
-    }
+    let mixed = mixed_workload(
+        "read+getpid+mmap",
+        &lebench_tests(&["small-read", "getpid", "mmap"]),
+    );
+    let mut tests = lebench_tests(&["getpid", "small-read", "mmap", "select"]);
+    tests.push(mixed);
+    // Per test, the pre-formatted [`COST_KEYS`] columns.
+    let cost_rows: Vec<(&str, [String; 4])> = tests
+        .iter()
+        .map(|w| {
+            let base = measure(Scheme::Unsafe, w, PerspectiveConfig::default())
+                .stats
+                .cycles as f64;
+            // (single-syscall tests never switch views mid-run: identical
+            // columns there are the sanity check; the mixed row pays for
+            // real dispatch switching.)
+            let wide = measure(Scheme::PerspectiveStatic, w, PerspectiveConfig::default());
+            let narrow = measure(Scheme::Perspective, w, per_syscall);
+            let latency = |m: &Measurement| norm(m.stats.cycles as f64 / base);
+            let hit = |m: &Measurement| pct(m.isv_cache.map_or(0.0, |c| c.hit_rate()));
+            (
+                w.name,
+                [latency(&wide), latency(&narrow), hit(&wide), hit(&narrow)],
+            )
+        })
+        .collect();
 
-    if report::json_mode() {
-        let surfaces = surface_rows
-            .iter()
-            .map(|r| {
+    output(
+        &cfg,
+        "per_syscall_views",
+        || {
+            let surfaces = surface_rows.iter().map(|r| {
                 Json::obj(vec![
                     ("workload", Json::str(r.name)),
                     ("proc_wide_funcs", Json::UInt(r.proc_wide as u64)),
@@ -146,84 +142,56 @@ fn main() {
                     ("effective", Json::str(format!("{:.0}", r.effective))),
                     ("tightening", Json::str(pct(r.tighten))),
                 ])
-            })
-            .collect();
-        let costs = cost_rows
-            .iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("test", Json::str(r.name)),
-                    ("p_static", Json::str(r.wide_norm.clone())),
-                    ("per_sys", Json::str(r.narrow_norm.clone())),
-                    ("p_static_hit_rate", Json::str(r.wide_hit.clone())),
-                    ("per_sys_hit_rate", Json::str(r.narrow_hit.clone())),
-                ])
-            })
-            .collect();
-        let doc = report::experiment_json(
-            "per_syscall_views",
+            });
+            let costs = cost_rows.iter().map(|(name, cols)| {
+                let cols = COST_KEYS.into_iter().zip(cols.clone().map(Json::str));
+                Json::obj(
+                    std::iter::once(("test", Json::str(*name)))
+                        .chain(cols)
+                        .collect(),
+                )
+            });
             vec![
-                ("surfaces", Json::Array(surfaces)),
+                ("surfaces", Json::Array(surfaces.collect())),
                 ("avg_tightening", Json::str(pct(avg_tighten))),
                 ("min_view_funcs", Json::str(format!("{min_view:.0}"))),
                 ("max_view_funcs", Json::str(format!("{max_view:.0}"))),
-                ("enforcement_cost", Json::Array(costs)),
-            ],
-        );
-        report::emit(&doc);
-        return;
-    }
-
-    header(
-        "Extension: per-syscall ISVs (future-work granularity)",
-        "paper §11 — not a paper table; extension analysis",
+                ("enforcement_cost", Json::Array(costs.collect())),
+            ]
+        },
+        || {
+            header(
+                "Extension: per-syscall ISVs (future-work granularity)",
+                "paper §11 — not a paper table; extension analysis",
+            );
+            let (p, a, e, t) = ("proc-wide", "per-sys avg", "effective", "tightening");
+            println!("{:<10} | {p:>12} | {a:>12} | {e:>12} | {t:>10}", "Workload");
+            println!("{}", "-".repeat(70));
+            for r in &surface_rows {
+                let (p, a, e, t) = (r.proc_wide, r.avg, r.effective, pct(r.tighten));
+                println!("{:<10} | {p:>12} | {a:>12.0} | {e:>12.0} | {t:>10}", r.name);
+            }
+            println!("{}", "-".repeat(70));
+            let avg = pct(avg_tighten);
+            println!("average tightening over process-wide static views: {avg}\n");
+            let (lo, hi) = (pct(min_share), pct(max_share));
+            println!(
+                "per-syscall closures span {min_view:.0}..{max_view:.0} functions ({lo}..{hi} of the kernel);"
+            );
+            println!("the floor is the dispatcher + shared utility layer that every view keeps.\n");
+            println!("enforcement cost (LEBench subset, flush-on-dispatch model):");
+            let (w, n, hw, hn) = ("P-STATIC", "per-sys", "hit P-STATIC", "hit per-sys");
+            println!("{:<16} | {w:>10} | {n:>10} | {hw:>12} | {hn:>12}", "test");
+            println!("{}", "-".repeat(72));
+            for (name, [w, n, hw, hn]) in &cost_rows {
+                println!("{name:<16} | {w:>10} | {n:>10} | {hw:>12} | {hn:>12}");
+            }
+            println!();
+            println!("the enforcement model switches the active view at Syscall commit and");
+            println!("flushes the ISV cache per dispatch (an ASID+sysno tag extension would");
+            println!("avoid the flushes); the columns above price that conservative variant.");
+        },
     );
-    println!(
-        "{:<10} | {:>12} | {:>12} | {:>12} | {:>10}",
-        "Workload", "proc-wide", "per-sys avg", "effective", "tightening"
-    );
-    println!("{}", "-".repeat(70));
-    for r in &surface_rows {
-        println!(
-            "{:<10} | {:>12} | {:>12.0} | {:>12.0} | {:>10}",
-            r.name,
-            r.proc_wide,
-            r.avg,
-            r.effective,
-            pct(r.tighten)
-        );
-    }
-    println!("{}", "-".repeat(70));
-    println!(
-        "average tightening over process-wide static views: {}",
-        pct(avg_tighten)
-    );
-    println!();
-    println!(
-        "per-syscall closures span {:.0}..{:.0} functions ({}..{} of the kernel);",
-        min_view,
-        max_view,
-        pct(min_view / total),
-        pct(max_view / total)
-    );
-    println!("the floor is the dispatcher + shared utility layer that every view keeps.");
-    println!();
-    println!("enforcement cost (LEBench subset, flush-on-dispatch model):");
-    println!(
-        "{:<16} | {:>10} | {:>10} | {:>12} | {:>12}",
-        "test", "P-STATIC", "per-sys", "hit P-STATIC", "hit per-sys"
-    );
-    println!("{}", "-".repeat(72));
-    for r in &cost_rows {
-        println!(
-            "{:<16} | {:>10} | {:>10} | {:>12} | {:>12}",
-            r.name, r.wide_norm, r.narrow_norm, r.wide_hit, r.narrow_hit,
-        );
-    }
-    println!();
-    println!("the enforcement model switches the active view at Syscall commit and");
-    println!("flushes the ISV cache per dispatch (an ASID+sysno tag extension would");
-    println!("avoid the flushes); the columns above price that conservative variant.");
 }
 
 /// Frequency-weighted mean view size over the workload's executed steps.

@@ -26,9 +26,10 @@
 //! document stays byte-identical with and without a warm cache; the
 //! same rule as wall clock).
 
+use persp_workloads::memo::CacheMode;
 use persp_workloads::report::{self, Json};
-use persp_workloads::runner;
-use std::path::PathBuf;
+use persp_workloads::{run_parallel, RunConfig};
+use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
@@ -50,73 +51,61 @@ const EXPERIMENTS: [&str; 14] = [
 ];
 
 /// One child run: success flag, captured output, wall clock, and the
-/// cache counters the child published (when the cache was active).
+/// cache hits and misses the child reported (when it used the cache).
 struct ChildRun {
     ok: bool,
-    stdout: Vec<u8>,
+    stdout: String,
     stderr: String,
     wall_secs: f64,
     cache: Option<(u64, u64)>,
 }
 
-/// The last `n` lines of a child's stderr (the part worth echoing into
-/// a failure report).
-fn tail(stderr: &str, n: usize) -> String {
+/// The last 20 lines of a child's stderr (the part worth echoing into a
+/// failure report).
+fn tail(stderr: &str) -> String {
     let lines: Vec<&str> = stderr.lines().collect();
-    let start = lines.len().saturating_sub(n);
-    lines[start..].join("\n")
+    lines[lines.len().saturating_sub(20)..].join("\n")
 }
 
-/// Parse `--only a,b,c` / `--only=a,b,c` into a validated subset of
-/// [`EXPERIMENTS`] (original order preserved). `None` when the flag is
-/// absent; `Err` names the unknown binary and the valid choices.
-fn parse_only(args: &[String]) -> Result<Option<Vec<&'static str>>, String> {
-    let mut list: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--only=") {
-            list = Some(v.to_string());
-        } else if args[i] == "--only" {
+/// The experiments `--only a,b,c` (or `--only=a,b,c`) selects, in
+/// [`EXPERIMENTS`] order; all of them without the flag. `Err` names an
+/// unknown binary and the valid choices.
+fn parse_only(args: &[String]) -> Result<Vec<&'static str>, String> {
+    let mut list = None;
+    for (i, arg) in args.iter().enumerate() {
+        if let Some(v) = arg.strip_prefix("--only=") {
+            list = Some(v);
+        } else if arg == "--only" {
             let v = args
                 .get(i + 1)
                 .ok_or("--only requires a comma-separated list of experiment binaries")?;
-            list = Some(v.clone());
-            i += 1;
-        }
-        i += 1;
-    }
-    let Some(list) = list else { return Ok(None) };
-    let mut wanted = Vec::new();
-    for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match EXPERIMENTS.iter().find(|&&e| e == name) {
-            Some(&e) => {
-                if !wanted.contains(&e) {
-                    wanted.push(e);
-                }
-            }
-            None => {
-                return Err(format!(
-                    "unknown experiment {name:?}; valid: {}",
-                    EXPERIMENTS.join(", ")
-                ))
-            }
+            list = Some(v.as_str());
         }
     }
-    if wanted.is_empty() {
+    let Some(list) = list else {
+        return Ok(EXPERIMENTS.to_vec());
+    };
+    let names: Vec<&str> = list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
+    if let Some(name) = names.iter().find(|n| !EXPERIMENTS.contains(n)) {
+        let valid = EXPERIMENTS.join(", ");
+        return Err(format!("unknown experiment {name:?}; valid: {valid}"));
+    }
+    if names.is_empty() {
         return Err("--only selected no experiments".into());
     }
-    // Keep the canonical transcript order regardless of how the user
-    // ordered the list.
-    let ordered: Vec<&'static str> = EXPERIMENTS
-        .iter()
-        .copied()
-        .filter(|e| wanted.contains(e))
-        .collect();
-    Ok(Some(ordered))
+    // The canonical transcript order, however the list was ordered.
+    Ok(EXPERIMENTS
+        .into_iter()
+        .filter(|e| names.contains(e))
+        .collect())
 }
 
 /// Read `hits=H misses=M ...` from a child's stats file, if it wrote one.
-fn read_cache_stats(path: &PathBuf) -> Option<(u64, u64)> {
+fn read_cache_stats(path: &Path) -> Option<(u64, u64)> {
     let text = std::fs::read_to_string(path).ok()?;
     let field = |name: &str| -> Option<u64> {
         text.split_whitespace()
@@ -126,121 +115,96 @@ fn read_cache_stats(path: &PathBuf) -> Option<(u64, u64)> {
     Some((field("hits")?, field("misses")?))
 }
 
-/// Is the cell cache active in this environment?
-fn cache_active() -> bool {
-    matches!(
-        std::env::var("PERSPECTIVE_CACHE").as_deref().map(str::trim),
-        Ok("1") | Ok("on") | Ok("verify")
-    )
-}
-
 fn main() {
+    let cfg = RunConfig::from_process();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = report::json_mode();
-    let selected: Vec<&'static str> = match parse_only(&args) {
-        Ok(Some(subset)) => subset,
-        Ok(None) => EXPERIMENTS.to_vec(),
-        Err(e) => {
-            eprintln!("run_all: {e}");
-            std::process::exit(1);
-        }
-    };
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("run_all: cannot locate own executable (needed to find sibling experiment binaries): {e}");
-            std::process::exit(1);
-        }
-    };
-    let Some(dir) = exe.parent().map(|p| p.to_path_buf()) else {
-        eprintln!("run_all: executable path {exe:?} has no parent directory");
+    let fail = |msg: String| -> ! {
+        eprintln!("run_all: {msg}");
         std::process::exit(1);
     };
-    let started = std::time::Instant::now();
+    let selected = parse_only(&args).unwrap_or_else(|e| fail(e));
+    let exe = std::env::current_exe().unwrap_or_else(|e| {
+        fail(format!(
+            "cannot locate own executable (needed to find sibling experiment binaries): {e}"
+        ))
+    });
+    let Some(dir) = exe.parent() else {
+        fail(format!("executable path {exe:?} has no parent directory"));
+    };
+    let started = Instant::now();
     let stats_dir = std::env::temp_dir();
     let pid = std::process::id();
     // Split the worker budget: up to four children at a time, each given
     // an equal share of the configured thread count for its own matrix.
-    let total = runner::num_threads();
-    let outer = total.clamp(1, 4);
-    let inner = (total / outer).max(1);
-    let runs = runner::run_parallel(outer, selected.clone(), |bin| {
+    let outer = cfg.threads.clamp(1, 4);
+    let inner = (cfg.threads / outer).max(1);
+    let runs = run_parallel(outer, selected.clone(), |bin| {
         let stats_file = stats_dir.join(format!("persp-cache-stats-{pid}-{bin}.txt"));
         let _ = std::fs::remove_file(&stats_file);
-        let mut cmd = Command::new(dir.join(bin));
-        cmd.env("PERSPECTIVE_THREADS", inner.to_string());
-        cmd.env("PERSPECTIVE_CACHE_STATS_FILE", &stats_file);
-        if json {
-            cmd.arg("--json");
-        }
         let t0 = Instant::now();
-        let out = cmd.output();
+        let out = Command::new(dir.join(bin))
+            .env("PERSPECTIVE_THREADS", inner.to_string())
+            .env("PERSPECTIVE_CACHE_STATS_FILE", &stats_file)
+            .args(cfg.json.then_some("--json"))
+            .output();
         let wall_secs = t0.elapsed().as_secs_f64();
         let cache = read_cache_stats(&stats_file);
         let _ = std::fs::remove_file(&stats_file);
-        match out {
-            Ok(out) => ChildRun {
-                ok: out.status.success(),
-                stdout: out.stdout,
-                stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-                wall_secs,
-                cache,
-            },
-            Err(e) => ChildRun {
-                ok: false,
-                stdout: Vec::new(),
-                stderr: format!("failed to spawn {bin}: {e}"),
-                wall_secs,
-                cache,
-            },
+        let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+        let (ok, stdout, stderr) = match out {
+            Ok(out) => (out.status.success(), text(&out.stdout), text(&out.stderr)),
+            Err(e) => (false, String::new(), format!("failed to spawn {bin}: {e}")),
+        };
+        ChildRun {
+            ok,
+            stdout,
+            stderr,
+            wall_secs,
+            cache,
         }
     });
 
     let mut failures: Vec<(&str, String)> = Vec::new();
-
-    if json {
+    if cfg.json {
         let mut children = Vec::new();
         for (bin, run) in selected.iter().zip(&runs) {
-            if !run.ok {
-                failures.push((bin, tail(&run.stderr, 20)));
-                continue;
-            }
-            let text = String::from_utf8_lossy(&run.stdout);
-            match Json::parse(text.trim()) {
+            let doc = match run.ok {
+                true => Json::parse(run.stdout.trim())
+                    .map_err(|e| format!("unparseable JSON output: {e}")),
+                false => Err(tail(&run.stderr)),
+            };
+            match doc {
                 Ok(doc) => children.push((bin.to_string(), doc)),
-                Err(e) => failures.push((bin, format!("unparseable JSON output: {e}"))),
+                Err(e) => failures.push((bin, e)),
             }
         }
         if failures.is_empty() {
-            let doc =
-                report::experiment_json("run_all", vec![("experiments", Json::Object(children))]);
-            report::emit(&doc);
+            let children = vec![("experiments", Json::Object(children))];
+            report::emit(&report::experiment_json("run_all", cfg.kernel, children));
         }
     } else {
         for (bin, run) in selected.iter().zip(&runs) {
             println!("\n################ {bin} ################");
-            print!("{}", String::from_utf8_lossy(&run.stdout));
+            print!("{}", run.stdout);
             if !run.stderr.is_empty() {
                 eprintln!("---- {bin} stderr ----");
                 eprintln!("{}", run.stderr.trim_end());
             }
             if !run.ok {
-                failures.push((bin, tail(&run.stderr, 20)));
+                failures.push((bin, tail(&run.stderr)));
             }
         }
         if failures.is_empty() {
             // Transcript-only timing note — never in --json, whose
             // documents must stay byte-identical run to run.
-            let ff = runner::core_config_from_env().idle_fastforward;
+            let ff = match cfg.core.idle_fastforward {
+                true => "on; PERSPECTIVE_NO_FASTFWD=1 selects the cycle-by-cycle slow path",
+                false => "off",
+            };
             println!(
                 "\nAll experiments completed in {:.1} s wall-clock \
-                 (idle-cycle fast-forward: {}).",
+                 (idle-cycle fast-forward: {ff}).",
                 started.elapsed().as_secs_f64(),
-                if ff {
-                    "on; PERSPECTIVE_NO_FASTFWD=1 selects the cycle-by-cycle slow path"
-                } else {
-                    "off"
-                }
             );
         }
     }
@@ -248,49 +212,28 @@ fn main() {
     // Per-experiment wall clock + cache summary. Observability only:
     // stderr under --json (the document must not change between cold and
     // warm runs), stdout after the timing note otherwise.
-    let summary = {
-        let mut t = String::new();
-        t.push_str(&format!(
-            "{:<20} {:>9} {:>12} {:>12}\n",
-            "experiment", "wall(s)", "cache-hits", "cache-misses"
-        ));
-        let (mut th, mut tm) = (0u64, 0u64);
-        for (bin, run) in selected.iter().zip(&runs) {
-            let (h, m) = match run.cache {
-                Some((h, m)) => {
-                    th += h;
-                    tm += m;
-                    (h.to_string(), m.to_string())
-                }
-                None => ("-".into(), "-".into()),
-            };
-            t.push_str(&format!(
-                "{:<20} {:>9.1} {:>12} {:>12}\n",
-                bin, run.wall_secs, h, m
-            ));
-        }
-        t.push_str(&format!(
-            "{:<20} {:>9.1} {:>12} {:>12}\n",
-            "total",
-            started.elapsed().as_secs_f64(),
-            if cache_active() {
-                th.to_string()
-            } else {
-                "-".into()
-            },
-            if cache_active() {
-                tm.to_string()
-            } else {
-                "-".into()
-            },
-        ));
-        t
+    let row = |name: &str, secs: f64, cache: Option<(u64, u64)>| {
+        let (h, m) = cache.map_or(("-".into(), "-".into()), |(h, m)| {
+            (h.to_string(), m.to_string())
+        });
+        format!("{name:<20} {secs:>9.1} {h:>12} {m:>12}\n")
     };
-    if json {
+    let mut summary = format!(
+        "{:<20} {:>9} {:>12} {:>12}\n",
+        "experiment", "wall(s)", "cache-hits", "cache-misses"
+    );
+    for (bin, run) in selected.iter().zip(&runs) {
+        summary += &row(bin, run.wall_secs, run.cache);
+    }
+    let totals = (cfg.cache.mode != CacheMode::Off).then(|| {
+        let sum = |f: fn((u64, u64)) -> u64| runs.iter().filter_map(|r| r.cache).map(f).sum();
+        (sum(|c| c.0), sum(|c| c.1))
+    });
+    summary += &row("total", started.elapsed().as_secs_f64(), totals);
+    if cfg.json {
         eprint!("{summary}");
     } else {
-        println!();
-        print!("{summary}");
+        print!("\n{summary}");
     }
 
     if !failures.is_empty() {

@@ -10,11 +10,21 @@ use persp_attacks::active::run_active_attack;
 use persp_attacks::bhi::{plain_v2_fails_under_ibrs, run_bhi};
 use persp_attacks::ebpf_attack::run_ebpf_attack;
 use persp_attacks::passive::{run_btb_hijack, run_retbleed};
-use persp_bench::header;
+use persp_bench::{header, output};
 use persp_kernel::callgraph::KernelConfig;
-use persp_workloads::report::{self, Json};
+use persp_workloads::report::Json;
+use persp_workloads::RunConfig;
 use perspective::scheme::Scheme;
 use perspective::taxonomy::AttackOutcome;
+
+/// The JSON keys of the five attack columns.
+const COLUMNS: [&str; 5] = [
+    "active_spectre_v1",
+    "passive_v2_dispatch",
+    "passive_retbleed",
+    "active_bhi",
+    "active_ebpf",
+];
 
 fn verdict(hot: &[u8], secret: u8) -> &'static str {
     if hot.contains(&secret) {
@@ -32,6 +42,7 @@ fn outcome_str(o: &AttackOutcome, hot: &[u8], secret: u8) -> String {
 }
 
 fn main() {
+    let cfg = RunConfig::from_process();
     // The attack PoCs use the fast kernel; attack feasibility does not
     // depend on kernel scale (the gadget and predictors are what matter).
     let kcfg = KernelConfig::test_small();
@@ -78,65 +89,60 @@ fn main() {
         })
         .collect();
 
-    if report::json_mode() {
-        let json_rows = rows
-            .iter()
-            .map(|(scheme, cells)| {
-                Json::obj(vec![
-                    ("scheme", Json::str(*scheme)),
-                    ("active_spectre_v1", Json::str(cells[0].clone())),
-                    ("passive_v2_dispatch", Json::str(cells[1].clone())),
-                    ("passive_retbleed", Json::str(cells[2].clone())),
-                    ("active_bhi", Json::str(cells[3].clone())),
-                    ("active_ebpf", Json::str(cells[4].clone())),
-                ])
-            })
-            .collect();
-        let ibrs_sanity = plain_v2_fails_under_ibrs(kcfg);
-        assert!(
-            ibrs_sanity,
-            "sanity: eIBRS stops the plain v2 injection — BHI is the bypass"
-        );
-        let doc = report::experiment_json(
-            "security_poc",
-            vec![
-                ("rows", Json::Array(json_rows)),
-                ("plain_v2_fails_under_ibrs", Json::Bool(ibrs_sanity)),
-            ],
-        );
-        report::emit(&doc);
-        return;
-    }
-
-    header(
-        "Security PoCs: active & passive transient execution attacks",
-        "paper Chapter 8 (§8.1 active, §8.2 passive)",
-    );
-    println!(
-        "{:<20} | {:<20} | {:<20} | {:<20} | {:<21} | {:<20}",
-        "scheme",
-        "ACTIVE Spectre v1",
-        "PASSIVE v2 dispatch",
-        "PASSIVE Retbleed",
-        "ACTIVE BHI (vs eIBRS)",
-        "ACTIVE eBPF inject"
-    );
-    println!("{}", "-".repeat(138));
-    for (scheme, cells) in &rows {
-        println!(
-            "{:<20} | {:<20} | {:<20} | {:<20} | {:<21} | {:<20}",
-            scheme, cells[0], cells[1], cells[2], cells[3], cells[4],
-        );
-    }
-    println!();
+    // eIBRS stops the plain v2 injection: BHI is the bypass.
+    let ibrs_sanity = plain_v2_fails_under_ibrs(kcfg);
     assert!(
-        plain_v2_fails_under_ibrs(kcfg),
+        ibrs_sanity,
         "sanity: eIBRS stops the plain v2 injection — BHI is the bypass"
     );
-    println!("sanity check: the plain v2 alias injection FAILS under eIBRS-style BTB");
-    println!("hardening; BHI bypasses it by steering the branch history (Table 4.1 row 5).");
-    println!();
-    println!("paper: UNSAFE leaks in all scenarios; spot mitigations miss Spectre v1;");
-    println!("       Perspective's DSVs eliminate active attacks (v1, BHI-assisted) and");
-    println!("       ISVs block the passive PoCs (the gadget is outside every victim ISV).");
+
+    output(
+        &cfg,
+        "security_poc",
+        || {
+            let json_rows = rows.iter().map(|(scheme, cells)| {
+                let cols = COLUMNS.into_iter().zip(cells.clone().map(Json::str));
+                Json::obj(
+                    std::iter::once(("scheme", Json::str(*scheme)))
+                        .chain(cols)
+                        .collect(),
+                )
+            });
+            vec![
+                ("rows", Json::Array(json_rows.collect())),
+                ("plain_v2_fails_under_ibrs", Json::Bool(ibrs_sanity)),
+            ]
+        },
+        || {
+            header(
+                "Security PoCs: active & passive transient execution attacks",
+                "paper Chapter 8 (§8.1 active, §8.2 passive)",
+            );
+            let (v1, v2, rb) = (
+                "ACTIVE Spectre v1",
+                "PASSIVE v2 dispatch",
+                "PASSIVE Retbleed",
+            );
+            let (bhi, ebpf) = ("ACTIVE BHI (vs eIBRS)", "ACTIVE eBPF inject");
+            println!(
+                "{:<20} | {v1:<20} | {v2:<20} | {rb:<20} | {bhi:<21} | {ebpf:<20}",
+                "scheme"
+            );
+            println!("{}", "-".repeat(138));
+            for (scheme, [v1, v2, rb, bhi, ebpf]) in &rows {
+                println!("{scheme:<20} | {v1:<20} | {v2:<20} | {rb:<20} | {bhi:<21} | {ebpf:<20}");
+            }
+            println!();
+            println!("sanity check: the plain v2 alias injection FAILS under eIBRS-style BTB");
+            println!(
+                "hardening; BHI bypasses it by steering the branch history (Table 4.1 row 5)."
+            );
+            println!();
+            println!("paper: UNSAFE leaks in all scenarios; spot mitigations miss Spectre v1;");
+            println!("       Perspective's DSVs eliminate active attacks (v1, BHI-assisted) and");
+            println!(
+                "       ISVs block the passive PoCs (the gadget is outside every victim ISV)."
+            );
+        },
+    );
 }

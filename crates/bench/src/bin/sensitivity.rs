@@ -2,15 +2,14 @@
 //! rates, the cost of blocking unknown allocations, secure-slab memory
 //! fragmentation, and domain-reassignment frequency.
 
-use persp_bench::{header, kernel_image, pct};
+use persp_bench::{cell, header, kernel_image, mean, output, pct};
 use persp_kernel::context::CgroupId;
 use persp_kernel::kernel::KernelImage;
-use persp_kernel::mm::{BuddyAllocator, SlabAllocator, SlabStats};
+use persp_kernel::mm::{BuddyAllocator, SlabAllocator};
 use persp_kernel::sink::NullSink;
-use persp_uarch::config::CoreConfig;
-use persp_workloads::report::{self, Json};
-use persp_workloads::runner::Measurement;
-use persp_workloads::{apps, lebench, runner};
+use persp_workloads::report::Json;
+use persp_workloads::{apps, lebench, run_parallel, runner, RunConfig};
+use perspective::hwcache::HwCacheStats;
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use rand::rngs::SmallRng;
@@ -22,86 +21,62 @@ const UNKNOWN_NAMES: [&str; 4] = ["getpid", "small-read", "poll", "page-fault"];
 /// a runaway workload, far above what any app retires.
 const APP_RUN_INSTS: u64 = 800_000_000;
 
-fn hit_rates(image: &KernelImage, threads: usize, core: CoreConfig) -> Vec<(f64, f64)> {
-    runner::run_parallel(threads, HIT_RATE_NAMES.to_vec(), |name| {
-        let w = lebench::by_name(name).unwrap();
-        let pcfg = PerspectiveConfig::default();
-        let m = runner::measure(Scheme::Perspective, image, &w, pcfg, core)
-            .unwrap_or_else(|e| panic!("{e}"));
-        (
-            m.isv_cache.unwrap().hit_rate(),
-            m.dsvmt_cache.unwrap().hit_rate(),
-        )
-    })
+/// Every figure the four analyses report.
+struct Figures {
+    /// Per [`HIT_RATE_NAMES`] workload, the ISV-cache and DSVMT-cache hit
+    /// rates; then their averages.
+    hit_rates: Vec<(f64, f64)>,
+    hit_avg: (f64, f64),
+    /// Per [`UNKNOWN_NAMES`] workload, the cost of blocking unknown
+    /// allocations and the unknown-allocation fences; then the mean cost.
+    unknown: Vec<(f64, u64)>,
+    unknown_avg: f64,
+    /// Slab utilization (baseline, secure), the memory overhead of
+    /// isolation and the secure allocator's page-op ratio.
+    frag: [f64; 4],
+    /// Per app: slab object frees, page frees, and their ratio.
+    reassign: Vec<(&'static str, u64, u64, f64)>,
 }
 
-fn print_hit_rates(rates: &[(f64, f64)]) {
-    println!("--- Hardware structures (ISV cache / DSVMT cache hit rates) ---");
-    let mut isv_sum = 0.0;
-    let mut dsv_sum = 0.0;
-    for (name, (i, d)) in HIT_RATE_NAMES.iter().zip(rates) {
-        isv_sum += i;
-        dsv_sum += d;
-        println!(
-            "  {name:<12} ISV cache {:>6}   DSVMT cache {:>6}",
-            pct(*i),
-            pct(*d)
-        );
-    }
-    let n = rates.len() as f64;
-    println!(
-        "  average      ISV cache {:>6}   DSVMT cache {:>6}",
-        pct(isv_sum / n),
-        pct(dsv_sum / n)
-    );
-    println!("  paper: both close to 99%");
-    println!();
+fn hit_rates(cfg: &RunConfig, image: &KernelImage) -> Vec<(f64, f64)> {
+    run_parallel(cfg.threads, HIT_RATE_NAMES.to_vec(), |name| {
+        let w = lebench::by_name(name).unwrap();
+        let m = cell(cfg, image, Scheme::Perspective, &w, Default::default());
+        let rate = |c: Option<HwCacheStats>| c.unwrap().hit_rate();
+        (rate(m.isv_cache), rate(m.dsvmt_cache))
+    })
 }
 
 /// Two cells per workload — blocking on, blocking off — run as one
-/// parallel batch; chunked pairwise by the consumers.
-fn unknown_allocations(image: &KernelImage, threads: usize, core: CoreConfig) -> Vec<Measurement> {
-    let jobs: Vec<(usize, bool)> = (0..UNKNOWN_NAMES.len())
-        .flat_map(|w| [(w, true), (w, false)])
+/// parallel batch.
+fn unknown_allocations(cfg: &RunConfig, image: &KernelImage) -> Vec<(f64, u64)> {
+    let jobs: Vec<(&str, bool)> = UNKNOWN_NAMES
+        .iter()
+        .flat_map(|&w| [(w, true), (w, false)])
         .collect();
-    runner::run_parallel(threads, jobs, |(w, block)| {
-        let workload = lebench::by_name(UNKNOWN_NAMES[w]).unwrap();
-        let cfg = PerspectiveConfig {
+    let cells = run_parallel(cfg.threads, jobs, |(name, block)| {
+        let workload = lebench::by_name(name).unwrap();
+        let pcfg = PerspectiveConfig {
             block_unknown: block,
             ..Default::default()
         };
-        runner::measure(Scheme::Perspective, image, &workload, cfg, core)
-            .unwrap_or_else(|e| panic!("{e}"))
-    })
-}
-
-fn print_unknown_allocations(cells: &[Measurement]) {
-    println!("--- Unknown allocations (block vs. allow, §9.2) ---");
-    let mut deltas = Vec::new();
-    for (name, pair) in UNKNOWN_NAMES.iter().zip(cells.chunks(2)) {
-        let (blocked, allowed) = (&pair[0], &pair[1]);
-        let delta = blocked.stats.cycles as f64 / allowed.stats.cycles.max(1) as f64 - 1.0;
-        deltas.push(delta);
-        println!(
-            "  {name:<12} blocking unknown costs {:>6}  (unknown fences: {})",
-            pct(delta),
-            blocked.fences.as_ref().unwrap().unknown
-        );
-    }
-    let avg = deltas.iter().sum::<f64>() / deltas.len() as f64;
-    println!(
-        "  average overhead attributable to unknown allocations: {}",
-        pct(avg)
-    );
-    println!("  paper: ~1.5% of Perspective's overhead on LEBench, marginal on apps");
-    println!();
+        cell(cfg, image, Scheme::Perspective, &workload, pcfg)
+    });
+    cells
+        .chunks(2)
+        .map(|pair| {
+            let (blocked, allowed) = (&pair[0], &pair[1]);
+            let fences = blocked.fences.as_ref().unwrap().unknown;
+            (runner::overhead(blocked, allowed), fences)
+        })
+        .collect()
 }
 
 /// Slab traffic shaped like the datacenter workloads: transient metadata
 /// allocations from four mutually distrusting cgroups, measured with
 /// `slabtop`-style utilization on the baseline vs. the secure allocator.
-/// Returns `[(active, total, page_op_ratio); 2]` for baseline, secure.
-fn fragmentation(threads: usize) -> Vec<(u64, u64, f64)> {
+/// Returns [`Figures::frag`].
+fn fragmentation(threads: usize) -> [f64; 4] {
     let run = |secure: bool| -> (u64, u64, f64) {
         // Per-run rng so the two configurations see identical traffic
         // (and so both can run concurrently).
@@ -128,33 +103,18 @@ fn fragmentation(threads: usize) -> Vec<(u64, u64, f64)> {
         let (active, total) = slab.utilization();
         (active, total, slab.stats().page_op_ratio())
     };
-    runner::run_parallel(threads, vec![false, true], run)
+    let runs = run_parallel(threads, vec![false, true], run);
+    let ((abase, tbase, _), (asec, tsec, ratio)) = (runs[0], runs[1]);
+    [
+        abase as f64 / tbase.max(1) as f64,
+        asec as f64 / tsec.max(1) as f64,
+        tsec as f64 / tbase.max(1) as f64 - 1.0,
+        ratio,
+    ]
 }
 
-/// Derived fragmentation figures: baseline/secure utilization, memory
-/// overhead of isolation, secure page-op ratio.
-fn fragmentation_figures(runs: &[(u64, u64, f64)]) -> (f64, f64, f64, f64) {
-    let (abase, tbase, _) = runs[0];
-    let (asec, tsec, ratio) = runs[1];
-    let util_base = abase as f64 / tbase.max(1) as f64;
-    let util_sec = asec as f64 / tsec.max(1) as f64;
-    let overhead = tsec as f64 / tbase.max(1) as f64 - 1.0;
-    (util_base, util_sec, overhead, ratio)
-}
-
-fn print_fragmentation(runs: &[(u64, u64, f64)]) {
-    println!("--- Memory fragmentation of the secure slab allocator (§9.2) ---");
-    let (util_base, util_sec, overhead, ratio) = fragmentation_figures(runs);
-    println!("  baseline slab utilization: {}", pct(util_base));
-    println!("  secure   slab utilization: {}", pct(util_sec));
-    println!("  memory usage overhead of isolation: {}", pct(overhead));
-    println!("  page-level ops per object free (secure): {}", pct(ratio));
-    println!("  paper: 0.91% memory overhead; page-op ratios 0.003%-0.23%");
-    println!();
-}
-
-fn domain_reassignment(image: &KernelImage, threads: usize) -> Vec<(&'static str, SlabStats)> {
-    runner::run_parallel(threads, apps::apps(), |app| {
+fn domain_reassignment(threads: usize, image: &KernelImage) -> Vec<(&'static str, u64, u64, f64)> {
+    run_parallel(threads, apps::apps(), |app| {
         let mut inst = persp_workloads::SimInstance::from_image(Scheme::Perspective, image);
         let text = inst.text_base();
         let data = inst.data_base();
@@ -167,111 +127,122 @@ fn domain_reassignment(image: &KernelImage, threads: usize) -> Vec<(&'static str
         inst.core
             .run_in_order(text, APP_RUN_INSTS)
             .expect("app run");
-        let stats = inst.kernel.borrow().slab.stats();
-        (app.workload.name, stats)
+        let s = inst.kernel.borrow().slab.stats();
+        (
+            app.workload.name,
+            s.object_frees,
+            s.page_frees,
+            s.page_op_ratio(),
+        )
     })
 }
 
-fn print_domain_reassignment(rows: &[(&'static str, SlabStats)]) {
-    println!("--- Domain reassignment during app runs (§9.2) ---");
-    for (name, stats) in rows {
-        println!(
-            "  {:<10} object frees {:>6}, page-level ops {:>4} ({} of frees)",
-            name,
-            stats.object_frees,
-            stats.page_frees,
-            pct(stats.page_op_ratio()),
-        );
-    }
-    println!("  paper: 0.003%-0.23% of frees cause a page-level domain reassignment");
-    println!();
-}
-
-fn json_doc(
-    rates: &[(f64, f64)],
-    cells: &[Measurement],
-    runs: &[(u64, u64, f64)],
-    reassign: &[(&'static str, SlabStats)],
-) -> Json {
-    let hit_rows = HIT_RATE_NAMES
-        .iter()
-        .zip(rates)
-        .map(|(name, (i, d))| {
+impl Figures {
+    fn json(&self) -> Vec<(&'static str, Json)> {
+        let hit_rows = HIT_RATE_NAMES
+            .iter()
+            .zip(&self.hit_rates)
+            .map(|(name, (i, d))| {
+                Json::obj(vec![
+                    ("workload", Json::str(*name)),
+                    ("isv_cache_hit_rate", Json::str(pct(*i))),
+                    ("dsvmt_cache_hit_rate", Json::str(pct(*d))),
+                ])
+            });
+        let unknown_rows = UNKNOWN_NAMES
+            .iter()
+            .zip(&self.unknown)
+            .map(|(name, (cost, fences))| {
+                Json::obj(vec![
+                    ("workload", Json::str(*name)),
+                    ("blocking_cost", Json::str(pct(*cost))),
+                    ("unknown_fences", Json::UInt(*fences)),
+                ])
+            });
+        let keys = [
+            "baseline_utilization",
+            "secure_utilization",
+            "memory_overhead",
+            "page_op_ratio",
+        ];
+        let frag = keys
+            .into_iter()
+            .zip(self.frag)
+            .map(|(k, v)| (k, Json::str(pct(v))));
+        let reassign_rows = self.reassign.iter().map(|&(app, objects, pages, ratio)| {
             Json::obj(vec![
-                ("workload", Json::str(*name)),
-                ("isv_cache_hit_rate", Json::str(pct(*i))),
-                ("dsvmt_cache_hit_rate", Json::str(pct(*d))),
+                ("app", Json::str(app)),
+                ("object_frees", Json::UInt(objects)),
+                ("page_frees", Json::UInt(pages)),
+                ("page_op_ratio", Json::str(pct(ratio))),
             ])
-        })
-        .collect();
-    let unknown_rows = UNKNOWN_NAMES
-        .iter()
-        .zip(cells.chunks(2))
-        .map(|(name, pair)| {
-            let (blocked, allowed) = (&pair[0], &pair[1]);
-            let delta = blocked.stats.cycles as f64 / allowed.stats.cycles.max(1) as f64 - 1.0;
-            Json::obj(vec![
-                ("workload", Json::str(*name)),
-                ("blocking_cost", Json::str(pct(delta))),
-                (
-                    "unknown_fences",
-                    Json::UInt(blocked.fences.as_ref().unwrap().unknown),
-                ),
-            ])
-        })
-        .collect();
-    let (util_base, util_sec, overhead, ratio) = fragmentation_figures(runs);
-    let frag = Json::obj(vec![
-        ("baseline_utilization", Json::str(pct(util_base))),
-        ("secure_utilization", Json::str(pct(util_sec))),
-        ("memory_overhead", Json::str(pct(overhead))),
-        ("page_op_ratio", Json::str(pct(ratio))),
-    ]);
-    let reassign_rows = reassign
-        .iter()
-        .map(|(name, stats)| {
-            Json::obj(vec![
-                ("app", Json::str(*name)),
-                ("object_frees", Json::UInt(stats.object_frees)),
-                ("page_frees", Json::UInt(stats.page_frees)),
-                ("page_op_ratio", Json::str(pct(stats.page_op_ratio()))),
-            ])
-        })
-        .collect();
-    report::experiment_json(
-        "sensitivity",
+        });
         vec![
-            ("hit_rates", Json::Array(hit_rows)),
-            ("unknown_allocations", Json::Array(unknown_rows)),
-            ("fragmentation", frag),
-            ("domain_reassignment", Json::Array(reassign_rows)),
-        ],
-    )
+            ("hit_rates", Json::Array(hit_rows.collect())),
+            ("unknown_allocations", Json::Array(unknown_rows.collect())),
+            ("fragmentation", Json::obj(frag.collect())),
+            ("domain_reassignment", Json::Array(reassign_rows.collect())),
+        ]
+    }
+
+    fn transcript(&self) {
+        header("Sensitivity analyses", "paper §9.2");
+
+        println!("--- Hardware structures (ISV cache / DSVMT cache hit rates) ---");
+        for (name, (i, d)) in HIT_RATE_NAMES.iter().zip(&self.hit_rates) {
+            let (i, d) = (pct(*i), pct(*d));
+            println!("  {name:<12} ISV cache {i:>6}   DSVMT cache {d:>6}");
+        }
+        let (i, d) = (pct(self.hit_avg.0), pct(self.hit_avg.1));
+        println!("  average      ISV cache {i:>6}   DSVMT cache {d:>6}");
+        println!("  paper: both close to 99%\n");
+
+        println!("--- Unknown allocations (block vs. allow, §9.2) ---");
+        for (name, (cost, fences)) in UNKNOWN_NAMES.iter().zip(&self.unknown) {
+            let cost = pct(*cost);
+            println!("  {name:<12} blocking unknown costs {cost:>6}  (unknown fences: {fences})");
+        }
+        let avg = pct(self.unknown_avg);
+        println!("  average overhead attributable to unknown allocations: {avg}");
+        println!("  paper: ~1.5% of Perspective's overhead on LEBench, marginal on apps\n");
+
+        println!("--- Memory fragmentation of the secure slab allocator (§9.2) ---");
+        let [base, secure, overhead, ratio] = self.frag.map(pct);
+        println!("  baseline slab utilization: {base}");
+        println!("  secure   slab utilization: {secure}");
+        println!("  memory usage overhead of isolation: {overhead}");
+        println!("  page-level ops per object free (secure): {ratio}");
+        println!("  paper: 0.91% memory overhead; page-op ratios 0.003%-0.23%\n");
+
+        println!("--- Domain reassignment during app runs (§9.2) ---");
+        for &(app, objects, pages, ratio) in &self.reassign {
+            let ratio = pct(ratio);
+            println!("  {app:<10} object frees {objects:>6}, page-level ops {pages:>4} ({ratio} of frees)");
+        }
+        println!("  paper: 0.003%-0.23% of frees cause a page-level domain reassignment\n");
+    }
 }
 
 fn main() {
-    let json = report::json_mode();
-    if !json {
-        header("Sensitivity analyses", "paper §9.2");
-    }
-    let (threads, core) = (runner::num_threads(), runner::core_config_from_env());
-    let image = kernel_image();
-    let rates = hit_rates(&image, threads, core);
-    if !json {
-        print_hit_rates(&rates);
-    }
-    let cells = unknown_allocations(&image, threads, core);
-    if !json {
-        print_unknown_allocations(&cells);
-    }
-    let runs = fragmentation(threads);
-    if !json {
-        print_fragmentation(&runs);
-    }
-    let reassign = domain_reassignment(&image, threads);
-    if json {
-        report::emit(&json_doc(&rates, &cells, &runs, &reassign));
-    } else {
-        print_domain_reassignment(&reassign);
-    }
+    let cfg = RunConfig::from_process();
+    let image = kernel_image(&cfg);
+    let hit_rates = hit_rates(&cfg, &image);
+    let unknown = unknown_allocations(&cfg, &image);
+    let figures = Figures {
+        hit_avg: (
+            mean(hit_rates.iter().map(|r| r.0), hit_rates.len()),
+            mean(hit_rates.iter().map(|r| r.1), hit_rates.len()),
+        ),
+        hit_rates,
+        unknown_avg: mean(unknown.iter().map(|r| r.0), unknown.len()),
+        unknown,
+        frag: fragmentation(cfg.threads),
+        reassign: domain_reassignment(cfg.threads, &image),
+    };
+    output(
+        &cfg,
+        "sensitivity",
+        || figures.json(),
+        || figures.transcript(),
+    );
 }

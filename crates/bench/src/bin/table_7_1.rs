@@ -1,12 +1,14 @@
 //! Experiment E2 — Table 7.1: full-system simulation parameters.
 
-use persp_bench::header;
+use persp_bench::{header, output};
 use persp_mem::hierarchy::HierarchyConfig;
 use persp_uarch::config::CoreConfig;
-use persp_workloads::report::{self, Json};
+use persp_workloads::report::Json;
+use persp_workloads::RunConfig;
 use perspective::hwcache::HwCacheConfig;
 
 fn main() {
+    let cfg = RunConfig::from_process();
     let core = CoreConfig::paper_default();
     let mem = HierarchyConfig::paper_default();
     let isv = HwCacheConfig::isv_paper();
@@ -92,20 +94,24 @@ fn main() {
             "synthetic mini-OS, 28 000 functions (Linux v5.4-scale)".to_string(),
         ),
     ];
-    if report::json_mode() {
-        let params = rows
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), Json::Str(v)))
-            .collect();
-        let doc = report::experiment_json("table_7_1", vec![("parameters", Json::Object(params))]);
-        report::emit(&doc);
-        return;
-    }
-    header(
-        "Table 7.1: Full-System Simulation Parameters",
-        "paper Chapter 7, Table 7.1",
+    output(
+        &cfg,
+        "table_7_1",
+        || {
+            let params = rows
+                .iter()
+                .map(|(k, v)| (k.to_string(), Json::str(v.as_str())))
+                .collect();
+            vec![("parameters", Json::Object(params))]
+        },
+        || {
+            header(
+                "Table 7.1: Full-System Simulation Parameters",
+                "paper Chapter 7, Table 7.1",
+            );
+            for (k, v) in &rows {
+                println!("{k:<22} {v}");
+            }
+        },
     );
-    for (k, v) in rows {
-        println!("{k:<22} {v}");
-    }
 }

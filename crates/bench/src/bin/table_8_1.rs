@@ -5,77 +5,70 @@
 //! declared syscall profiles; dynamic ISVs (ISV) come from real execution
 //! traces on the simulator.
 
-use persp_bench::{header, isv_trio, kernel_image, lebench_union_workload, pct};
-use persp_workloads::report::{self, Json};
-use persp_workloads::{apps, runner};
+use persp_bench::{audit_workloads, header, isv_trio, kernel_image, mean, output, pct};
+use persp_workloads::report::Json;
+use persp_workloads::{run_parallel, RunConfig};
 
 fn main() {
-    let image = kernel_image();
-    let mut workloads = vec![lebench_union_workload()];
-    workloads.extend(apps::apps().into_iter().map(|a| a.workload));
+    let cfg = RunConfig::from_process();
+    let image = kernel_image(&cfg);
+    let workloads = audit_workloads();
 
     // One worker per workload; each derives its views against the shared
-    // image and returns the row's numbers (instances stay thread-local).
-    let rows = runner::run_parallel(runner::num_threads(), workloads.clone(), |w| {
-        let profile = w.syscall_profile();
-        let (isv_s, isv_d, _pp, _inst) = isv_trio(&image, &w, &profile);
+    // image and returns the row's numbers (instances stay thread-local):
+    // the surface reductions of ISV-S and ISV, then their sizes.
+    let rows = run_parallel(cfg.threads, workloads.clone(), |w| {
+        let (isv_s, isv_d, _pp, _inst) = isv_trio(&image, &w, &w.syscall_profile());
+        let g = &image.graph;
+        let sizes = (isv_s.num_funcs(), isv_d.num_funcs());
         (
-            isv_s.surface_reduction(&image.graph),
-            isv_d.surface_reduction(&image.graph),
-            isv_s.num_funcs(),
-            isv_d.num_funcs(),
+            isv_s.surface_reduction(g),
+            isv_d.surface_reduction(g),
+            sizes,
         )
     });
+    let avg_s = pct(mean(rows.iter().map(|r| r.0), rows.len()));
+    let avg_d = pct(mean(rows.iter().map(|r| r.1), rows.len()));
 
-    if report::json_mode() {
-        let json_rows = workloads
-            .iter()
-            .zip(&rows)
-            .map(|(w, (rs, rd, n_s, n_d))| {
-                Json::obj(vec![
-                    ("workload", Json::str(w.name)),
-                    ("static_reduction", Json::str(pct(*rs))),
-                    ("dynamic_reduction", Json::str(pct(*rd))),
-                    ("static_funcs", Json::UInt(*n_s as u64)),
-                    ("dynamic_funcs", Json::UInt(*n_d as u64)),
-                ])
-            })
-            .collect();
-        let doc = report::experiment_json("table_8_1", vec![("rows", Json::Array(json_rows))]);
-        report::emit(&doc);
-        return;
-    }
-
-    header(
-        "Table 8.1: Attack surface reduction with Perspective",
-        "paper §8.2, Table 8.1",
+    output(
+        &cfg,
+        "table_8_1",
+        || {
+            let json_rows = workloads
+                .iter()
+                .zip(&rows)
+                .map(|(w, &(rs, rd, (n_s, n_d)))| {
+                    Json::obj(vec![
+                        ("workload", Json::str(w.name)),
+                        ("static_reduction", Json::str(pct(rs))),
+                        ("dynamic_reduction", Json::str(pct(rd))),
+                        ("static_funcs", Json::UInt(n_s as u64)),
+                        ("dynamic_funcs", Json::UInt(n_d as u64)),
+                    ])
+                });
+            vec![("rows", Json::Array(json_rows.collect()))]
+        },
+        || {
+            header(
+                "Table 8.1: Attack surface reduction with Perspective",
+                "paper §8.2, Table 8.1",
+            );
+            let (s, d, n_s, n_d) = ("ISV-S", "ISV", "|ISV-S|", "|ISV|");
+            println!(
+                "{:<10} | {s:>9} | {d:>9} | {n_s:>12} | {n_d:>12}",
+                "Workload"
+            );
+            let rule = "-".repeat(64);
+            println!("{rule}");
+            for (w, &(rs, rd, (n_s, n_d))) in workloads.iter().zip(&rows) {
+                let (s, d) = (pct(rs), pct(rd));
+                let (n_s, n_d) = (format!("{n_s} funcs"), format!("{n_d} funcs"));
+                println!("{:<10} | {s:>9} | {d:>9} | {n_s:>12} | {n_d:>12}", w.name);
+            }
+            println!("{rule}");
+            println!("{:<10} | {avg_s:>9} | {avg_d:>9} |", "average");
+            println!();
+            println!("paper: ISV-S 90-92% reduction, ISV 94-96% reduction (avg 95.1%)");
+        },
     );
-    println!(
-        "{:<10} | {:>9} | {:>9} | {:>12} | {:>12}",
-        "Workload", "ISV-S", "ISV", "|ISV-S|", "|ISV|"
-    );
-    println!("{}", "-".repeat(64));
-    let mut sums = (0.0, 0.0);
-    for (w, (rs, rd, n_s, n_d)) in workloads.iter().zip(rows) {
-        sums.0 += rs;
-        sums.1 += rd;
-        println!(
-            "{:<10} | {:>9} | {:>9} | {:>12} | {:>12}",
-            w.name,
-            pct(rs),
-            pct(rd),
-            format!("{n_s} funcs"),
-            format!("{n_d} funcs"),
-        );
-    }
-    let n = workloads.len() as f64;
-    println!("{}", "-".repeat(64));
-    println!(
-        "{:<10} | {:>9} | {:>9} |",
-        "average",
-        pct(sums.0 / n),
-        pct(sums.1 / n)
-    );
-    println!();
-    println!("paper: ISV-S 90-92% reduction, ISV 94-96% reduction (avg 95.1%)");
 }

@@ -5,45 +5,32 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use persp_kernel::callgraph::{FuncId, KernelConfig};
+use persp_kernel::callgraph::FuncId;
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
-use persp_workloads::{lebench, runner, Workload};
+use persp_workloads::report::{self, Json};
+use persp_workloads::{lebench, memo, runner, Measurement, RunConfig, Workload};
 use perspective::isv::Isv;
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use std::collections::HashSet;
 
-/// The kernel configuration experiments run against. Honors
-/// `PERSPECTIVE_KERNEL=small` for quick smoke runs; defaults to the
-/// paper-scale 28 K-function kernel.
-pub fn kernel_config() -> KernelConfig {
-    match std::env::var("PERSPECTIVE_KERNEL").as_deref() {
-        Ok("small") => KernelConfig::test_small(),
-        Ok("paper") | Ok("") | Err(_) => KernelConfig::paper(),
-        Ok(v) => {
-            eprintln!(
-                "warning: ignoring invalid PERSPECTIVE_KERNEL={v:?} \
-                 (expected \"small\" or \"paper\"); using the paper-scale kernel"
-            );
-            KernelConfig::paper()
-        }
-    }
-}
-
-/// Generate the experiment kernel image once; see [`kernel_config`].
+/// Generate the experiment kernel image once, at the scale `cfg.kernel`
+/// (the paper-scale 28 K-function kernel unless `PERSPECTIVE_KERNEL=small`).
 /// Every (scheme, workload) cell of an experiment shares this image
 /// (graph, text segment and boot memory) instead of regenerating it.
 ///
 /// The image is rebuilt per bin process, not cached on disk like the
 /// simulation cells are: building it takes about 40 ms at paper scale
 /// and 2 ms on the small kernel (measured in EXPERIMENTS.md), so there
-/// is nothing to save. Set `PERSPECTIVE_IMAGE_TIMING=1` to print the
-/// measured build time on stderr (observability only — never on stdout,
-/// so transcripts stay byte-identical).
-pub fn kernel_image() -> KernelImage {
+/// is nothing to save. Under `cfg.image_timing`
+/// (`PERSPECTIVE_IMAGE_TIMING=1`) the measured build time goes to stderr
+/// (observability only — never on stdout, so transcripts stay
+/// byte-identical).
+pub fn kernel_image(cfg: &RunConfig) -> KernelImage {
     let t0 = std::time::Instant::now();
-    let image = KernelImage::build(kernel_config());
-    if std::env::var("PERSPECTIVE_IMAGE_TIMING").is_ok_and(|v| v.trim() == "1") {
+    let image = KernelImage::build(cfg.kernel.config());
+    if cfg.image_timing {
         eprintln!(
             "kernel image: {} functions, {} text instructions, built in {:.3} s",
             image.graph.len(),
@@ -52,6 +39,101 @@ pub fn kernel_image() -> KernelImage {
         );
     }
     image
+}
+
+/// Measure one cell ([`runner::measure`]) with `cfg`'s cache and core.
+///
+/// # Panics
+///
+/// Panics with the cell's message if the measurement fails.
+pub fn cell(
+    cfg: &RunConfig,
+    image: &KernelImage,
+    scheme: Scheme,
+    workload: &Workload,
+    pcfg: PerspectiveConfig,
+) -> Measurement {
+    runner::measure(&cfg.cache, scheme, image, workload, pcfg, cfg.core)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Measure a workload × scheme matrix ([`runner::run_matrix`]) with
+/// `cfg`'s width, cache and core. If any cell fails, every failure is
+/// printed on stderr and the process exits nonzero.
+pub fn matrix(
+    cfg: &RunConfig,
+    image: &KernelImage,
+    schemes: &[Scheme],
+    workloads: &[Workload],
+) -> Vec<Measurement> {
+    runner::run_matrix(cfg.threads, &cfg.cache, image, schemes, workloads, cfg.core).unwrap_or_else(
+        |failures| {
+            for f in &failures {
+                eprintln!("error: cell {f}");
+            }
+            eprintln!("error: {} cell(s) failed", failures.len());
+            std::process::exit(1);
+        },
+    )
+}
+
+/// Print an experiment's output: under `--json` the document
+/// (`experiment_json` around the fields `doc` returns), otherwise the
+/// transcript. Both render rows the caller computed once. Then write
+/// the cache counters to `PERSPECTIVE_CACHE_STATS_FILE`, when set.
+pub fn output(
+    cfg: &RunConfig,
+    experiment: &str,
+    doc: impl FnOnce() -> Vec<(&'static str, Json)>,
+    transcript: impl FnOnce(),
+) {
+    if cfg.json {
+        report::emit(&report::experiment_json(experiment, cfg.kernel, doc()));
+    } else {
+        transcript();
+    }
+    if let Some(path) = &cfg.cache_stats_file {
+        memo::write_stats(path);
+    }
+}
+
+/// A scheme list as a JSON array of scheme names.
+pub fn schemes_json(schemes: &[Scheme]) -> Json {
+    Json::Array(schemes.iter().map(|s| Json::str(s.name())).collect())
+}
+
+/// The mean of `xs` over `n`, summed in order (so it is deterministic).
+pub fn mean(xs: impl IntoIterator<Item = f64>, n: usize) -> f64 {
+    xs.into_iter().sum::<f64>() / n as f64
+}
+
+/// Matrix rows against their first (UNSAFE) cell: per row of `cells`
+/// (`width` schemes wide), `value(cell, unsafe_cell)` for every other
+/// scheme; and each of those schemes' mean over the rows.
+pub fn vs_unsafe(
+    cells: &[Measurement],
+    width: usize,
+    value: impl Fn(&Measurement, &Measurement) -> f64,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let rows: Vec<Vec<f64>> = cells
+        .chunks(width)
+        .map(|row| row[1..].iter().map(|m| value(m, &row[0])).collect())
+        .collect();
+    let avg = (1..width)
+        .map(|i| mean(rows.iter().map(|r| r[i - 1]), rows.len()))
+        .collect();
+    (rows, avg)
+}
+
+/// Per-scheme values as `[{"scheme": name, "value": norm(v)}, ...]`.
+pub fn scheme_values_json(schemes: &[Scheme], values: &[f64]) -> Json {
+    let obj = |(s, &v): (&Scheme, &f64)| {
+        Json::obj(vec![
+            ("scheme", Json::str(s.name())),
+            ("value", Json::str(norm(v))),
+        ])
+    };
+    Json::Array(schemes.iter().zip(values).map(obj).collect())
 }
 
 /// Print an experiment header.
@@ -76,17 +158,36 @@ pub fn norm(x: f64) -> String {
 /// its trace approximates the union of the suite's traces, for the
 /// per-suite columns of Tables 8.1/8.2/10.1.
 pub fn lebench_union_workload() -> Workload {
-    let mut steps = Vec::new();
-    for w in lebench::suite() {
-        steps.extend(w.steps.iter().copied());
-    }
+    let mut w = mixed_workload("LEBench", &lebench::suite());
+    w.iters = 3;
+    w
+}
+
+/// The workloads of Tables 8.1, 8.2 and 10.1 and Figure 9.1: the LEBench
+/// union, then the four datacenter apps.
+pub fn audit_workloads() -> Vec<Workload> {
+    let apps = persp_workloads::apps::apps()
+        .into_iter()
+        .map(|a| a.workload);
+    std::iter::once(lebench_union_workload())
+        .chain(apps)
+        .collect()
+}
+
+/// One workload named `name` running the per-iteration steps of `parts`
+/// back to back, with the first part's iterations and user work.
+pub fn mixed_workload(name: &'static str, parts: &[Workload]) -> Workload {
     Workload {
-        name: "LEBench",
-        startup_steps: Vec::new(),
-        steps,
-        iters: 3,
-        user_work: 0,
+        name,
+        steps: parts.iter().flat_map(|w| w.steps.iter().copied()).collect(),
+        ..parts[0].clone()
     }
+}
+
+/// LEBench tests by name (see [`mixed_workload`]).
+pub fn lebench_tests(names: &[&str]) -> Vec<Workload> {
+    let test = |n: &&str| lebench::by_name(n).expect("suite test");
+    names.iter().map(test).collect()
 }
 
 /// Instruction budget of a trace run: a guard against a runaway
@@ -143,6 +244,7 @@ pub fn isv_trio(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use persp_kernel::callgraph::KernelConfig;
 
     #[test]
     fn formatting_helpers() {

@@ -43,7 +43,7 @@ pub fn measure_fastfwd_pair(
     workload: &Workload,
 ) -> (Measurement, Measurement) {
     let (fast_cfg, slow_cfg) = fastfwd_pair();
-    let fast = runner::measure(
+    let fast = runner::measure_image_uncached(
         scheme,
         image,
         workload,
@@ -51,7 +51,7 @@ pub fn measure_fastfwd_pair(
         fast_cfg,
     )
     .unwrap_or_else(|e| panic!("fast-path {} under {scheme} failed: {e}", workload.name));
-    let slow = runner::measure(
+    let slow = runner::measure_image_uncached(
         scheme,
         image,
         workload,

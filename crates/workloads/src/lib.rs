@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod apps;
+pub mod config;
 pub mod cve_study;
 pub mod differential;
 pub mod lebench;
@@ -22,8 +23,9 @@ pub mod sni;
 pub mod spec;
 
 pub use apps::App;
+pub use config::{KernelScale, RunConfig};
 pub use runner::{
-    core_config_from_env, measure, measure_image_uncached, num_threads, overhead, run_matrix,
-    run_parallel, trace_to_funcs, Measurement, SimInstance,
+    measure, measure_image_uncached, overhead, run_matrix, run_parallel, trace_to_funcs,
+    CellFailure, Measurement, SimInstance,
 };
 pub use spec::{ArgVal, SyscallStep, Workload};

@@ -36,8 +36,8 @@
 //!
 //! # Storage and atomicity
 //!
-//! One file per cell (`cell-<16-hex>.json`) under
-//! `PERSPECTIVE_CACHE_DIR` (default `target/persp-cache/`). Writers
+//! One file per cell (`cell-<16-hex>.json`) under [`CacheConfig::dir`]
+//! (`PERSPECTIVE_CACHE_DIR`, default `target/persp-cache/`). Writers
 //! serialize to a process-unique temp file in the same directory and
 //! `rename(2)` it into place, so readers never observe a half-written
 //! entry even when `run_all`'s children populate one cache
@@ -51,7 +51,11 @@
 //!
 //! # Modes
 //!
-//! `PERSPECTIVE_CACHE=off|on|verify` (default `off`):
+//! [`CacheConfig::mode`], which the binaries take from
+//! `PERSPECTIVE_CACHE=off|on|verify` (default `off`) through
+//! [`RunConfig`](crate::config::RunConfig); DESIGN.md §6b
+//! (run configuration) tables every setting. This module reads no
+//! environment: callers pass the configuration in.
 //!
 //! * `off` — every call computes; the cache is never touched.
 //! * `on` — hits return the deserialized entry; misses compute and
@@ -163,37 +167,6 @@ impl CacheConfig {
             mode: CacheMode::Verify,
             dir: dir.into(),
         }
-    }
-
-    /// Resolve from the environment: `PERSPECTIVE_CACHE` selects the
-    /// mode (`off`, empty, or unset → off; `on` or `1` → on; `verify` →
-    /// verify; anything else warns once on stderr and stays off), and
-    /// `PERSPECTIVE_CACHE_DIR` overrides the entry directory (default
-    /// `target/persp-cache`).
-    pub fn from_env() -> Self {
-        let mode = match std::env::var("PERSPECTIVE_CACHE") {
-            Err(_) => CacheMode::Off,
-            Ok(v) => match v.trim() {
-                "" | "0" | "off" => CacheMode::Off,
-                "1" | "on" => CacheMode::On,
-                "verify" => CacheMode::Verify,
-                _ => {
-                    static WARN: Once = Once::new();
-                    WARN.call_once(|| {
-                        eprintln!(
-                            "warning: ignoring invalid PERSPECTIVE_CACHE={v:?} \
-                             (expected off, on, or verify); cache stays off"
-                        );
-                    });
-                    CacheMode::Off
-                }
-            },
-        };
-        let dir = match std::env::var("PERSPECTIVE_CACHE_DIR") {
-            Ok(d) if !d.trim().is_empty() => PathBuf::from(d),
-            _ => PathBuf::from(DEFAULT_DIR),
-        };
-        CacheConfig { mode, dir }
     }
 }
 
@@ -391,29 +364,26 @@ pub fn reset_stats() {
     INVALID.store(0, Ordering::Relaxed);
 }
 
-/// When `PERSPECTIVE_CACHE_STATS_FILE` names a path, mirror the counter
-/// snapshot there after every cache operation (single writer, tiny
-/// file). `run_all` points each child at its own file to build the
-/// per-bin summary table without touching the children's stdout.
-fn publish_stats() {
-    let Ok(path) = std::env::var("PERSPECTIVE_CACHE_STATS_FILE") else {
-        return;
-    };
-    if path.trim().is_empty() {
+/// Write the counter snapshot to `path`
+/// (`hits=H misses=M stores=S verified=V invalid=I`) if this process
+/// used the cache at all. A binary calls this once, when it finishes;
+/// `run_all` points each child at its own file to build the per-bin
+/// summary table without touching the children's stdout. Best effort: a
+/// failed write never fails a run.
+pub fn write_stats(path: &Path) {
+    let s = stats();
+    if s == CacheStats::default() {
         return;
     }
-    let s = stats();
     let body = format!(
         "hits={} misses={} stores={} verified={} invalid={}\n",
         s.hits, s.misses, s.stores, s.verified, s.invalid
     );
-    // Best-effort observability: a failed write must never fail a run.
     let _ = std::fs::write(path, body);
 }
 
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
-    publish_stats();
 }
 
 // ---------------------------------------------------------------------------
@@ -659,8 +629,8 @@ mod tests {
 
     #[test]
     fn mode_parsing_from_env_values() {
-        // from_env reads real env vars; test the match arms indirectly by
-        // the explicit constructors instead (env-free, parallel-safe).
+        // The environment values themselves are parsed (and tested) in
+        // `config::RunConfig::parse`; these are the explicit constructors.
         assert_eq!(CacheConfig::off().mode, CacheMode::Off);
         assert_eq!(CacheConfig::on("x").mode, CacheMode::On);
         assert_eq!(CacheConfig::verify("x").mode, CacheMode::Verify);

@@ -18,6 +18,7 @@
 //!   `persp_bench`), so no float formatting ambiguity can creep into
 //!   the byte stream.
 
+use crate::config::KernelScale;
 use crate::runner::Measurement;
 use persp_uarch::stats::{SimStats, SniCounters, StallBreakdown};
 use persp_uarch::MetricsRegistry;
@@ -337,20 +338,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-/// Was `--json` passed on the command line?
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// The kernel scale tag recorded in every JSON document (`"small"` under
-/// `PERSPECTIVE_KERNEL=small`, `"paper"` otherwise).
-pub fn kernel_tag() -> &'static str {
-    match std::env::var("PERSPECTIVE_KERNEL").as_deref() {
-        Ok("small") => "small",
-        _ => "paper",
-    }
-}
-
 /// A [`MetricsRegistry`] as a JSON object (name-ordered, all `u64`).
 pub fn registry_json(reg: &MetricsRegistry) -> Json {
     Json::Object(
@@ -398,10 +385,10 @@ pub fn measurements_json(ms: &[Measurement]) -> Json {
 
 /// The standard experiment envelope: experiment name, kernel scale,
 /// then the caller's fields in order.
-pub fn experiment_json(name: &str, fields: Vec<(&str, Json)>) -> Json {
+pub fn experiment_json(name: &str, kernel: KernelScale, fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![
         ("experiment", Json::str(name)),
-        ("kernel", Json::str(kernel_tag())),
+        ("kernel", Json::str(kernel.tag())),
     ];
     pairs.extend(fields);
     Json::obj(pairs)
@@ -410,12 +397,6 @@ pub fn experiment_json(name: &str, fields: Vec<(&str, Json)>) -> Json {
 /// Print an experiment document to stdout (single line, trailing newline).
 pub fn emit(doc: &Json) {
     println!("{}", doc.render());
-}
-
-/// Resolve a scheme display name (as printed by [`Scheme::name`]) back
-/// to the scheme.
-pub fn scheme_by_name(name: &str) -> Option<Scheme> {
-    Scheme::ALL.iter().copied().find(|s| s.name() == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -736,14 +717,6 @@ mod tests {
         assert_eq!(doc.get("s").unwrap().as_str(), Some("x"));
         assert!(doc.get("missing").is_none());
         assert_eq!(Json::Int(-1).as_u64(), None);
-    }
-
-    #[test]
-    fn scheme_names_resolve_round_trip() {
-        for &s in Scheme::ALL {
-            assert_eq!(scheme_by_name(s.name()), Some(s));
-        }
-        assert_eq!(scheme_by_name("NOT-A-SCHEME"), None);
     }
 
     fn rich_measurement() -> Measurement {

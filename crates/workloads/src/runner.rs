@@ -20,9 +20,9 @@
 //! [`crate::memo`]), [`run_matrix`] (a workload × scheme matrix),
 //! [`run_parallel`] (any batch of jobs on a worker pool) and
 //! [`measure_image_uncached`] (the protocol without the cache). They take
-//! the pool width and core configuration as arguments; binaries read both
-//! once from the environment with [`num_threads`] and
-//! [`core_config_from_env`].
+//! the pool width, cache and core configuration as arguments and read no
+//! environment; the binaries parse those settings once, with
+//! [`RunConfig`](crate::config::RunConfig); DESIGN.md §6b tables them.
 
 use crate::memo;
 use crate::spec::Workload;
@@ -44,10 +44,10 @@ use perspective::isv::Isv;
 use perspective::policy::{FenceBreakdown, PerspectiveConfig, PerspectivePolicy};
 use perspective::scheme::Scheme;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Cycle budget of one simulated run (warmup or ROI).
 const RUN_BUDGET: u64 = 80_000_000;
@@ -105,21 +105,20 @@ pub struct SimInstance {
 impl SimInstance {
     /// Build an instance with a single workload process (cgroup 1) from a
     /// pre-generated kernel image, with the default Perspective
-    /// configuration and the core configuration of
-    /// [`core_config_from_env`].
+    /// configuration and the paper core.
     pub fn from_image(scheme: Scheme, image: &KernelImage) -> Self {
         Self::from_image_core(
             scheme,
             image,
             PerspectiveConfig::default(),
-            core_config_from_env(),
+            CoreConfig::paper_default(),
         )
     }
 
     /// [`SimInstance::from_image`] with explicit Perspective and core
-    /// configurations — the environment-free constructor the measurement
-    /// protocol uses for every cell. The image's call graph, text and boot
-    /// memory are shared, not regenerated.
+    /// configurations — the constructor the measurement protocol uses for
+    /// every cell. The image's call graph, text and boot memory are
+    /// shared, not regenerated.
     pub fn from_image_core(
         scheme: Scheme,
         image: &KernelImage,
@@ -140,9 +139,10 @@ impl SimInstance {
         scheme: Scheme,
         image: &KernelImage,
         pcfg: PerspectiveConfig,
+        core_cfg: CoreConfig,
         wrap: impl FnOnce(Box<dyn SpecPolicy>, &Perspective) -> Box<dyn SpecPolicy>,
     ) -> Self {
-        Self::build(scheme, image, pcfg, core_config_from_env(), true, wrap)
+        Self::build(scheme, image, pcfg, core_cfg, true, wrap)
     }
 
     /// The one construction body: boot the kernel (feeding a Perspective
@@ -329,15 +329,16 @@ fn install_per_syscall_views(instance: &SimInstance, workload: &Workload) -> Opt
 /// dispatch and flushes the ISV cache on each switch.
 ///
 /// The cell goes through the content-addressed cell cache
-/// ([`crate::memo`]): under `PERSPECTIVE_CACHE=on|verify` a cell whose
-/// complete input fingerprint matches a stored entry is served from (or
-/// verified against) disk. With the cache off — the default — it is
-/// simulated by [`measure_image_uncached`].
+/// ([`crate::memo`]) configured by `cache`: in `on` or `verify` mode a
+/// cell whose complete input fingerprint matches a stored entry is served
+/// from (or verified against) disk. With the cache off it is simulated by
+/// [`measure_image_uncached`].
 ///
 /// A simulation that fails (a corrupted policy, an injected fault
 /// cascading into a machine error) or a cache verify mismatch comes back
 /// as `Err` with a message naming the cell.
 pub fn measure(
+    cache: &memo::CacheConfig,
     scheme: Scheme,
     image: &KernelImage,
     workload: &Workload,
@@ -345,7 +346,7 @@ pub fn measure(
     core_cfg: CoreConfig,
 ) -> Result<Measurement, String> {
     memo::cached_measure(
-        &memo::CacheConfig::from_env(),
+        cache,
         memo::Protocol::of(&pcfg),
         scheme,
         &image.cfg,
@@ -387,60 +388,6 @@ pub fn measure_image_uncached(
         dsvmt_cache: instance.policy_view(|p| p.dsvmt_cache_stats()),
         isv_funcs,
         metrics: collect_metrics(&instance, &stats),
-    })
-}
-
-/// Core configuration honoring the `PERSPECTIVE_NO_FASTFWD` environment
-/// variable: the paper configuration, with the idle-cycle fast-forward
-/// disabled when `PERSPECTIVE_NO_FASTFWD=1`. The fast-forward is
-/// provably cycle-exact, so the slow path exists for differential
-/// validation (`ci.sh` re-runs the experiments under it and diffs the
-/// JSON output against the same baselines). `0`, empty, or unset keeps
-/// the default; any other value is rejected with a one-line warning on
-/// stderr naming the bad value, and the default is used. The variable is
-/// read once per process.
-pub fn core_config_from_env() -> CoreConfig {
-    static CFG: OnceLock<CoreConfig> = OnceLock::new();
-    *CFG.get_or_init(|| {
-        let mut cfg = CoreConfig::paper_default();
-        if let Ok(v) = std::env::var("PERSPECTIVE_NO_FASTFWD") {
-            match v.trim() {
-                "1" => cfg.idle_fastforward = false,
-                "" | "0" => {}
-                _ => eprintln!(
-                    "warning: ignoring invalid PERSPECTIVE_NO_FASTFWD={v:?} \
-                     (expected 0 or 1); keeping the fast-forward enabled"
-                ),
-            }
-        }
-        cfg
-    })
-}
-
-/// Worker-pool width: the `PERSPECTIVE_THREADS` environment variable when
-/// it parses to a positive integer (accepted range: `1..=usize::MAX`;
-/// `1` forces fully serial execution), else the machine's available
-/// parallelism. A value that is set but invalid — zero, negative, or
-/// not a number — is rejected with a one-line warning on stderr naming
-/// the bad value, and the default width is used instead. The variable is
-/// read once per process.
-pub fn num_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        let fallback = std::thread::available_parallelism().map_or(1, |n| n.get());
-        match std::env::var("PERSPECTIVE_THREADS") {
-            Err(_) => fallback,
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!(
-                        "warning: ignoring invalid PERSPECTIVE_THREADS={v:?} \
-                         (expected an integer >= 1); using {fallback} threads"
-                    );
-                    fallback
-                }
-            },
-        }
     })
 }
 
@@ -491,60 +438,65 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
+/// A matrix cell whose measurement failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellFailure {
+    /// Scheme of the failed cell.
+    pub scheme: Scheme,
+    /// Workload of the failed cell.
+    pub workload: &'static str,
+    /// The error [`measure`] returned.
+    pub message: String,
+}
+
+impl std::fmt::Display for CellFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} / {}: {}", self.workload, self.scheme, self.message)
+    }
+}
+
 /// Measure every (workload, scheme) cell of an experiment matrix on a
-/// pool of `threads` workers, sharing one pre-generated kernel image, with
-/// the default Perspective configuration and core configuration
-/// `core_cfg`.
+/// pool of `threads` workers through the cell cache `cache`, sharing one
+/// pre-generated kernel image, with the default Perspective configuration
+/// and core configuration `core_cfg`.
 ///
 /// Results are ordered workload-major and scheme-minor regardless of
 /// which worker finishes first: cell `(w, s)` is at index
 /// `w * schemes.len() + s`, so `chunks(schemes.len())` yields one
 /// per-workload row after another, each in `schemes` order.
 ///
-/// Cells with identical input fingerprints (same scheme *and* same
-/// workload content — e.g. a caller passing a duplicated scheme list)
-/// are simulated once and the result is cloned into every duplicate
-/// position, so the worker pool only ever sees distinct cells.
-///
-/// # Panics
-///
-/// Panics with the cell's error message if any cell fails.
+/// Every cell runs even when some fail; the failures come back together,
+/// in matrix order.
 pub fn run_matrix(
     threads: usize,
+    cache: &memo::CacheConfig,
     image: &KernelImage,
     schemes: &[Scheme],
     workloads: &[Workload],
     core_cfg: CoreConfig,
-) -> Vec<Measurement> {
+) -> Result<Vec<Measurement>, Vec<CellFailure>> {
     let pcfg = PerspectiveConfig::default();
-    let mut canon_to_unique: HashMap<String, usize> = HashMap::new();
-    let mut cell_unique: Vec<usize> = Vec::with_capacity(workloads.len() * schemes.len());
-    let mut unique_jobs: Vec<(usize, usize)> = Vec::new();
-    for (w, workload) in workloads.iter().enumerate() {
-        for (s, &scheme) in schemes.iter().enumerate() {
-            let canonical = memo::canonical_cell(
-                memo::Protocol::of(&pcfg),
-                scheme,
-                &image.cfg,
-                &pcfg,
-                &core_cfg,
-                workload,
-            );
-            let next = unique_jobs.len();
-            let idx = *canon_to_unique.entry(canonical).or_insert(next);
-            if idx == next {
-                unique_jobs.push((w, s));
-            }
-            cell_unique.push(idx);
-        }
-    }
-    let unique_results = run_parallel(threads, unique_jobs, |(w, s)| {
-        measure(schemes[s], image, &workloads[w], pcfg, core_cfg).unwrap_or_else(|e| panic!("{e}"))
+    let cells: Vec<(&Workload, Scheme)> = workloads
+        .iter()
+        .flat_map(|w| schemes.iter().map(move |&s| (w, s)))
+        .collect();
+    let results = run_parallel(threads, cells, |(w, scheme)| {
+        measure(cache, scheme, image, w, pcfg, core_cfg).map_err(|message| CellFailure {
+            scheme,
+            workload: w.name,
+            message,
+        })
     });
-    cell_unique
+    let mut failures = Vec::new();
+    let measured: Vec<Measurement> = results
         .into_iter()
-        .map(|i| unique_results[i].clone())
-        .collect()
+        .filter_map(|r| r.map_err(|f| failures.push(f)).ok())
+        .collect();
+    if failures.is_empty() {
+        Ok(measured)
+    } else {
+        Err(failures)
+    }
 }
 
 /// Normalized overhead of `m` versus a baseline measurement.
@@ -575,7 +527,9 @@ mod tests {
 
     fn row(schemes: &[Scheme], w: &Workload) -> Vec<Measurement> {
         let w = std::slice::from_ref(w);
-        run_matrix(2, &image(), schemes, w, CoreConfig::paper_default())
+        let off = memo::CacheConfig::off();
+        run_matrix(2, &off, &image(), schemes, w, CoreConfig::paper_default())
+            .unwrap_or_else(|e| panic!("{e:?}"))
     }
 
     #[test]

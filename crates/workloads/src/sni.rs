@@ -24,6 +24,7 @@
 use crate::runner::{run_phase, warm_up_and_install_view, SimInstance};
 use crate::spec::Workload;
 use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
 use persp_uarch::stats::SniCounters;
 use persp_uarch::SniChecker;
 use perspective::fault::{FaultCounters, FaultInjector, FaultPlan};
@@ -71,8 +72,8 @@ impl SniReport {
     }
 }
 
-/// Run `workload` under `scheme` with the SNI checker attached,
-/// optionally injecting faults per `plan`.
+/// Run `workload` under `scheme` on core `core_cfg` with the SNI checker
+/// attached, optionally injecting faults per `plan`.
 ///
 /// The ground-truth oracle judges with the same `pcfg` the policy
 /// enforces (for Perspective schemes) — for baselines it defines what a
@@ -83,18 +84,20 @@ pub fn run_sni_workload(
     image: &KernelImage,
     workload: &Workload,
     pcfg: PerspectiveConfig,
+    core_cfg: CoreConfig,
     plan: Option<FaultPlan>,
     shadow_budget: u64,
 ) -> SniReport {
     let mut fault_handle = None;
-    let mut instance = SimInstance::instrumented(scheme, image, pcfg, |inner, p| match plan {
-        Some(plan) => {
-            let inj = FaultInjector::new(inner, p.sni_oracle(pcfg), plan);
-            fault_handle = Some(inj.counters_handle());
-            Box::new(inj)
-        }
-        None => inner,
-    });
+    let mut instance =
+        SimInstance::instrumented(scheme, image, pcfg, core_cfg, |inner, p| match plan {
+            Some(plan) => {
+                let inj = FaultInjector::new(inner, p.sni_oracle(pcfg), plan);
+                fault_handle = Some(inj.counters_handle());
+                Box::new(inj)
+            }
+            None => inner,
+        });
     let p = instance
         .perspective
         .as_ref()
@@ -143,6 +146,7 @@ mod tests {
             &img,
             &w,
             PerspectiveConfig::default(),
+            CoreConfig::paper_default(),
             None,
             DEFAULT_SHADOW_BUDGET,
         );
@@ -166,6 +170,7 @@ mod tests {
             &img,
             &w,
             PerspectiveConfig::default(),
+            CoreConfig::paper_default(),
             None,
             DEFAULT_SHADOW_BUDGET,
         );
@@ -186,6 +191,7 @@ mod tests {
             &img,
             &w,
             PerspectiveConfig::default(),
+            CoreConfig::paper_default(),
             Some(FaultPlan::canned(0xC0FFEE)),
             DEFAULT_SHADOW_BUDGET,
         );
@@ -212,6 +218,7 @@ mod tests {
                 &img,
                 &w,
                 PerspectiveConfig::default(),
+                CoreConfig::paper_default(),
                 Some(FaultPlan::canned(seed)),
                 DEFAULT_SHADOW_BUDGET,
             );

@@ -1,17 +1,35 @@
 //! The parallel experiment matrix must be a pure optimization: the same
 //! measurement sequence, byte for byte, whatever the worker count.
 //!
-//! Every test here passes its worker-pool width and core configuration
-//! explicitly to `run_parallel` / `run_matrix` — none of them reads or
-//! writes `PERSPECTIVE_THREADS`, so they are safe under the default
+//! A failed cell must not hide the others: the matrix runs every cell and
+//! reports each failure by name.
+//!
+//! Every test here passes its worker-pool width, cache and core
+//! configuration explicitly to `run_parallel` / `run_matrix` (the library
+//! reads no environment), so they are safe under the default
 //! multi-threaded test harness.
 
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
 use persp_uarch::config::CoreConfig;
-use persp_workloads::{lebench, runner};
+use persp_workloads::memo::{self, CacheConfig, Protocol};
+use persp_workloads::{lebench, runner, Workload};
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Run a matrix with the cell cache off; every cell must succeed.
+fn matrix(
+    width: usize,
+    image: &KernelImage,
+    schemes: &[Scheme],
+    workloads: &[Workload],
+    core: CoreConfig,
+) -> Vec<runner::Measurement> {
+    let off = CacheConfig::off();
+    runner::run_matrix(width, &off, image, schemes, workloads, core)
+        .unwrap_or_else(|e| panic!("{e:?}"))
+}
 
 /// Render a measurement sequence to its full debug form — any field
 /// diverging between runs shows up as a byte difference.
@@ -29,8 +47,8 @@ fn matrix_is_identical_serial_and_parallel() {
     ];
 
     let core = CoreConfig::paper_default();
-    let serial = runner::run_matrix(1, &image, &schemes, &workloads, core);
-    let parallel = runner::run_matrix(8, &image, &schemes, &workloads, core);
+    let serial = matrix(1, &image, &schemes, &workloads, core);
+    let parallel = matrix(8, &image, &schemes, &workloads, core);
 
     assert_eq!(serial.len(), schemes.len() * workloads.len());
     assert_eq!(
@@ -61,19 +79,89 @@ fn matrix_is_identical_with_fastforward_on_and_off_across_widths() {
     ];
     let (fast_cfg, slow_cfg) = persp_workloads::differential::fastfwd_pair();
 
-    let golden = render(&runner::run_matrix(
-        1, &image, &schemes, &workloads, slow_cfg,
-    ));
+    let golden = render(&matrix(1, &image, &schemes, &workloads, slow_cfg));
     for width in [1usize, 2, 7] {
-        let fast = runner::run_matrix(width, &image, &schemes, &workloads, fast_cfg);
+        let fast = matrix(width, &image, &schemes, &workloads, fast_cfg);
         assert_eq!(
             render(&fast),
             golden,
             "width {width}: fast-forward must be byte-invisible"
         );
     }
-    let slow_wide = runner::run_matrix(7, &image, &schemes, &workloads, slow_cfg);
+    let slow_wide = matrix(7, &image, &schemes, &workloads, slow_cfg);
     assert_eq!(render(&slow_wide), golden, "slow path stable across widths");
+}
+
+#[test]
+fn a_failed_cell_is_reported_by_name_and_every_other_cell_still_runs() {
+    let image = KernelImage::build(KernelConfig::test_small());
+    let schemes = [Scheme::Unsafe, Scheme::Fence, Scheme::Perspective];
+    let workloads = vec![
+        lebench::by_name("getpid").unwrap(),
+        lebench::by_name("small-read").unwrap(),
+    ];
+    let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+    let dir = std::env::temp_dir().join(format!("persp-matrix-failure-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Store a doctored entry for one cell: well-formed, correctly
+    // checksummed, but one cycle off the real measurement.
+    let (bad_scheme, bad_workload) = (Scheme::Fence, &workloads[1]);
+    memo::cached_measure(
+        &CacheConfig::on(&dir),
+        Protocol::Standard,
+        bad_scheme,
+        &image.cfg,
+        &pcfg,
+        &core,
+        bad_workload,
+        || {
+            let mut m =
+                runner::measure_image_uncached(bad_scheme, &image, bad_workload, pcfg, core)?;
+            m.stats.cycles += 1;
+            Ok(m)
+        },
+    )
+    .expect("the doctored entry is stored");
+
+    let failures = runner::run_matrix(
+        2,
+        &CacheConfig::verify(&dir),
+        &image,
+        &schemes,
+        &workloads,
+        core,
+    )
+    .expect_err("verify mode recomputes the doctored cell and rejects it");
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    let failure = &failures[0];
+    assert_eq!(
+        (failure.scheme, failure.workload),
+        (bad_scheme, bad_workload.name)
+    );
+    assert!(
+        failure.message.contains("VERIFY mismatch"),
+        "{}",
+        failure.message
+    );
+    assert!(failure
+        .to_string()
+        .starts_with(&format!("{} / {}: ", bad_workload.name, bad_scheme)));
+
+    // Every other cell was computed: verify mode stores each fresh
+    // result that had no entry.
+    for w in &workloads {
+        for &scheme in &schemes {
+            if (scheme, w.name) == (bad_scheme, bad_workload.name) {
+                continue;
+            }
+            let canonical =
+                memo::canonical_cell(Protocol::Standard, scheme, &image.cfg, &pcfg, &core, w);
+            let path = memo::entry_path(&dir, memo::cell_key(&canonical));
+            assert!(path.exists(), "{} / {scheme} was not computed", w.name);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

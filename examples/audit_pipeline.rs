@@ -24,13 +24,11 @@ use perspective::scheme::Scheme;
 
 fn main() {
     let image = KernelImage::build(KernelConfig::paper());
+    let graph = &image.graph;
     let workload = lebench::by_name("small-read").expect("suite entry");
 
     // 1. Dynamic ISV from a real execution trace.
     let trace = trace_workload(&image, &workload);
-    let inst = persp_workloads::SimInstance::from_image(Scheme::Perspective, &image);
-    let kernel = inst.kernel.borrow();
-    let graph = &kernel.graph;
     let isv = Isv::dynamic_from_funcs(graph, trace);
     println!(
         "dynamic ISV: {} of {} kernel functions ({:.1}% surface reduction)",
@@ -39,8 +37,8 @@ fn main() {
         100.0 * isv.surface_reduction(graph)
     );
 
-    // 2. Bounded vs. whole-kernel scanning.
-    let fetch = |pc: u64| inst.core.machine.inst_at(pc);
+    // 2. Bounded vs. whole-kernel scanning of the image's kernel text.
+    let fetch = |pc: u64| image.text.get(pc);
     let full = scan_kernel(graph, fetch);
     let bounded = scan_bounded(graph, isv.funcs(), fetch);
     println!(
@@ -68,18 +66,18 @@ fn main() {
         remaining
     );
 
-    // 4. Runtime CVE response through the pliable interface.
+    // 4. Runtime CVE response through the pliable interface of a live
+    // PERSPECTIVE instance running on the image.
     let victim_func = *hardened.funcs().iter().min().expect("nonempty view");
-    drop(kernel);
+    let inst = persp_workloads::SimInstance::from_image(Scheme::Perspective, &image);
     let perspective = inst.perspective.as_ref().expect("perspective scheme");
     perspective.install_isv(inst.asid, hardened);
-    let kernel = inst.kernel.borrow();
     println!();
     println!(
         "new CVE lands in `{}` — excluding it from the live view ...",
-        kernel.graph.func(victim_func).name
+        graph.func(victim_func).name
     );
-    let was_present = perspective.exclude_function(inst.asid, &kernel.graph, victim_func);
+    let was_present = perspective.exclude_function(inst.asid, graph, victim_func);
     assert!(was_present);
     perspective.with_isv(inst.asid, |v| {
         assert!(!v.unwrap().contains_func(victim_func));

@@ -11,6 +11,7 @@
 
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
 use persp_workloads::{apps, runner};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
@@ -24,10 +25,11 @@ fn main() {
         std::process::exit(1);
     });
     let image = KernelImage::build(KernelConfig::paper());
-    let (pcfg, core) = (PerspectiveConfig::default(), runner::core_config_from_env());
+    let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
     let freq = core.freq_ghz;
     let measure = |scheme| {
-        runner::measure(scheme, &image, &app.workload, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+        runner::measure_image_uncached(scheme, &image, &app.workload, pcfg, core)
+            .unwrap_or_else(|e| panic!("{e}"))
     };
 
     println!(

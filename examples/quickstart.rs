@@ -11,6 +11,7 @@
 
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
 use persp_workloads::{lebench, runner, Workload};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
@@ -29,11 +30,12 @@ fn main() {
     println!();
 
     // Measure under the unprotected baseline and under Perspective.
-    // `measure` runs a warmup (which doubles as the dynamic-ISV profiling
-    // trace), installs the view, and measures the region of interest.
-    let (pcfg, core) = (PerspectiveConfig::default(), runner::core_config_from_env());
+    // `measure_image_uncached` runs a warmup (which doubles as the dynamic-ISV
+    // profiling trace), installs the view, and measures the region of interest.
+    let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
     let measure = |scheme| {
-        runner::measure(scheme, &image, &workload, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+        runner::measure_image_uncached(scheme, &image, &workload, pcfg, core)
+            .unwrap_or_else(|e| panic!("{e}"))
     };
     let baseline = measure(Scheme::Unsafe);
     let protected = measure(Scheme::Perspective);

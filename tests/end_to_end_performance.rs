@@ -5,6 +5,7 @@
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
 use persp_uarch::config::CoreConfig;
+use persp_workloads::memo::CacheConfig;
 use persp_workloads::{lebench, runner, Measurement, Workload};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
@@ -15,12 +16,21 @@ fn image() -> KernelImage {
 
 fn measure(scheme: Scheme, w: &Workload) -> Measurement {
     let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
-    runner::measure(scheme, &image(), w, pcfg, core).unwrap_or_else(|e| panic!("{e}"))
+    runner::measure_image_uncached(scheme, &image(), w, pcfg, core)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn measure_schemes(schemes: &[Scheme], w: &Workload) -> Vec<Measurement> {
     let w = std::slice::from_ref(w);
-    runner::run_matrix(2, &image(), schemes, w, CoreConfig::paper_default())
+    runner::run_matrix(
+        2,
+        &CacheConfig::off(),
+        &image(),
+        schemes,
+        w,
+        CoreConfig::paper_default(),
+    )
+    .unwrap_or_else(|e| panic!("{e:?}"))
 }
 
 #[test]

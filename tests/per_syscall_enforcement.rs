@@ -15,7 +15,7 @@ use perspective::scheme::Scheme;
 
 fn cell(scheme: Scheme, w: &Workload, pcfg: PerspectiveConfig) -> Measurement {
     let image = KernelImage::build(KernelConfig::test_small());
-    runner::measure(scheme, &image, w, pcfg, CoreConfig::paper_default())
+    runner::measure_image_uncached(scheme, &image, w, pcfg, CoreConfig::paper_default())
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
