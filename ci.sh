@@ -85,7 +85,9 @@ fi
 echo "==> fast-vs-slow differential smoke cell (PERSPECTIVE_NO_FASTFWD=1)"
 # The idle-cycle fast-forward must be invisible in every serialized
 # counter: the cycle-by-cycle slow path has to reproduce the checked-in
-# baselines byte for byte.
+# baselines byte for byte. That includes security_poc: every PoC runs on
+# the core RunConfig parses, so this cell runs the attacks on the slow
+# path too.
 for exp in $BASELINED; do
     PERSPECTIVE_KERNEL=small PERSPECTIVE_THREADS=4 PERSPECTIVE_NO_FASTFWD=1 \
         ./target/release/"$exp" --json >"target/bench-json/$exp.slow.json"

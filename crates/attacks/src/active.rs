@@ -19,8 +19,10 @@
 //! lines, but it can always evict them).
 
 use crate::lab::{AttackLab, Scheme};
-use persp_kernel::callgraph::{GadgetKind, GadgetSite, KernelConfig};
+use persp_kernel::callgraph::{GadgetKind, GadgetSite};
+use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
+use persp_uarch::config::CoreConfig;
 use persp_uarch::isa::{AluOp, Assembler, Cond, Inst, REG_ARG0, REG_ARG1, REG_SYSNO};
 use perspective::policy::PerspectiveConfig;
 use perspective::taxonomy::AttackOutcome;
@@ -45,7 +47,7 @@ pub struct ActiveTarget {
 
 /// Find a syscall whose live path contains a Cache gadget.
 pub fn find_active_target(lab: &AttackLab) -> Option<ActiveTarget> {
-    let kernel = lab.kernel.borrow();
+    let kernel = lab.sim.kernel.borrow();
     let graph = &kernel.graph;
     let mut best: Option<(usize, ActiveTarget)> = None;
     for &sys in Sysno::ALL {
@@ -155,46 +157,22 @@ fn attack_program(
     asm.finish()
 }
 
-/// Run the full active Spectre v1 attack against `scheme`.
+/// Run the full active Spectre v1 attack against `scheme` on a lab built
+/// from `image`, under enforcement `pcfg` and core `core_cfg`.
 ///
 /// Plants `secret` in the victim, executes training, eviction, the
 /// out-of-bounds syscall, and the reload measurement, and returns what the
-/// attacker recovered.
-pub fn run_active_attack(scheme: Scheme, kcfg: KernelConfig, secret: u8) -> ActiveAttackReport {
-    run_active_attack_with_config(scheme, kcfg, secret, PerspectiveConfig::default())
-}
-
-/// [`run_active_attack`] under an explicit enforcement ablation: with
-/// `enforce_dsv` off, Perspective degenerates to ISV-only and the active
-/// attack leaks again — the taxonomy's claim that instruction views
-/// cannot stop data-access primitives (§5.1).
-pub fn run_active_attack_with_config(
+/// attacker recovered. With `pcfg.enforce_dsv` off, Perspective
+/// degenerates to ISV-only and the attack leaks again — the taxonomy's
+/// claim that instruction views cannot stop data-access primitives (§5.1).
+pub fn run_active_attack(
     scheme: Scheme,
-    kcfg: KernelConfig,
+    image: &KernelImage,
     secret: u8,
     pcfg: PerspectiveConfig,
+    core_cfg: CoreConfig,
 ) -> ActiveAttackReport {
-    run_active_attack_core(
-        scheme,
-        kcfg,
-        secret,
-        pcfg,
-        persp_uarch::config::CoreConfig::paper_default(),
-    )
-}
-
-/// [`run_active_attack_with_config`] with an explicit core
-/// configuration — the Spectre v1 cell of the fast-vs-slow differential
-/// harness, which runs the identical attack with the idle fast-forward
-/// on and off and asserts the verdicts match.
-pub fn run_active_attack_core(
-    scheme: Scheme,
-    kcfg: KernelConfig,
-    secret: u8,
-    pcfg: PerspectiveConfig,
-    core_cfg: persp_uarch::config::CoreConfig,
-) -> ActiveAttackReport {
-    let mut lab = AttackLab::with_full_config(scheme, kcfg, &[Sysno::Getpid], core_cfg, pcfg);
+    let mut lab = AttackLab::new(scheme, image, &[Sysno::Getpid], pcfg, core_cfg);
     execute_attack(&mut lab, secret).expect("attack harness runs")
 }
 
@@ -207,14 +185,14 @@ pub struct SniAttackReport {
     pub sni: persp_uarch::SniCounters,
 }
 
-/// Run the active attack on an *instrumented* lab (core `core_cfg`)
-/// with the SNI checker's leakage monitor attached: allocation metadata is recorded
-/// even for baseline schemes, so the ground-truth oracle (judging with
-/// `oracle_cfg`, normally full enforcement) can taint the victim's
-/// secret and count transmits. Under UNSAFE the gadget's dependent
-/// probe access is a tainted transmit — the baseline *provably* leaks
-/// at the microarchitectural level, not just via the recovered byte;
-/// under full Perspective every counter must be zero.
+/// Run the active attack on an *instrumented* lab with the SNI checker's
+/// leakage monitor attached: allocation metadata is recorded even for
+/// baseline schemes, so the ground-truth oracle (judging with the lab's
+/// `pcfg`) can taint the victim's secret and count transmits. Under
+/// UNSAFE the gadget's dependent probe access is a tainted transmit —
+/// the baseline *provably* leaks at the microarchitectural level, not
+/// just via the recovered byte; under full Perspective every counter
+/// must be zero.
 ///
 /// # Errors
 ///
@@ -222,66 +200,68 @@ pub struct SniAttackReport {
 /// mid-phase (graceful degradation).
 pub fn run_active_attack_sni(
     scheme: Scheme,
-    kcfg: KernelConfig,
+    image: &KernelImage,
     secret: u8,
     pcfg: PerspectiveConfig,
-    oracle_cfg: PerspectiveConfig,
-    core_cfg: persp_uarch::config::CoreConfig,
+    core_cfg: CoreConfig,
     shadow_budget: u64,
 ) -> Result<SniAttackReport, String> {
-    let mut lab = AttackLab::instrumented(scheme, kcfg, &[Sysno::Getpid], core_cfg, pcfg);
-    let oracle = lab
+    let mut lab = AttackLab::instrumented(scheme, image, &[Sysno::Getpid], pcfg, core_cfg);
+    let sim = &mut lab.sim;
+    let oracle = sim
         .perspective
         .as_ref()
         .expect("instrumented lab")
-        .sni_oracle(oracle_cfg);
-    lab.core
+        .sni_oracle(pcfg);
+    sim.core
         .attach_sni(persp_uarch::SniChecker::new(oracle, shadow_budget));
     let attack = execute_attack(&mut lab, secret)?;
     Ok(SniAttackReport {
         attack,
-        sni: lab.core.stats().sni,
+        sni: lab.sim.core.stats().sni,
     })
 }
 
 /// Execute the train → evict → attack → reload phases against a built
 /// lab; shared by the plain and SNI-instrumented entry points.
 fn execute_attack(lab: &mut AttackLab, secret: u8) -> Result<ActiveAttackReport, String> {
-    let scheme = lab.scheme;
+    let scheme = lab.sim.scheme;
+    let attacker = lab.attacker();
     let target = find_active_target(lab).ok_or("generated kernel has no reachable cache gadget")?;
 
     lab.plant_victim_secret(secret);
     let secret_va = lab.victim_secret_va();
     let oob_index = secret_va.wrapping_sub(target.site.array_base_va);
 
-    let text_base = lab.user_text(lab.attacker);
-    let data_base = lab.user_data(lab.attacker);
+    let text_base = lab.user_text(attacker);
+    let data_base = lab.user_data(attacker);
     let probe_base = data_base + 0x10_0000;
     let result_base = data_base + 0x40_0000;
 
     // Phase 1: mistrain the gadget's bounds check (committed, in-bounds).
     let train = training_program(text_base, &target, probe_base, 8);
-    lab.core.machine.load_text(train);
-    lab.run_as(lab.attacker, text_base, 3_000_000)
+    lab.sim.core.machine.load_text(train);
+    lab.run_as(attacker, text_base, 3_000_000)
         .map_err(|e| format!("training under {scheme} failed: {e}"))?;
 
     // Phase 2 (harness): evict the bound chain and the secret line —
     // models the attacker's cache-contention eviction of kernel lines.
-    lab.core.mem.flush(target.site.bound_ptr_va);
-    lab.core.mem.flush(target.site.bound_val_va);
-    lab.core.mem.flush(secret_va);
+    let mem = &mut lab.sim.core.mem;
+    mem.flush(target.site.bound_ptr_va);
+    mem.flush(target.site.bound_val_va);
+    mem.flush(secret_va);
 
     // Phase 3+4: out-of-bounds syscall and timed reload, fully in µISA.
     let attack_base = text_base + 0x8000;
     let attack = attack_program(attack_base, &target, probe_base, result_base, oob_index);
-    lab.core.machine.load_text(attack);
-    lab.run_as(lab.attacker, attack_base, 3_000_000)
+    lab.sim.core.machine.load_text(attack);
+    lab.run_as(attacker, attack_base, 3_000_000)
         .map_err(|e| format!("attack phase under {scheme} failed: {e}"))?;
 
     // Read the attacker's result bitmap.
     let mut hot_lines = Vec::new();
     for i in 0..PROBE_LINES {
-        if lab.core.machine.mem.read_u8(result_base + i) != 0 {
+        if lab.sim.core.machine.mem.read_u8(result_base + i) != 0 {
             hot_lines.push(i as u8);
         }
     }
@@ -304,22 +284,37 @@ fn execute_attack(lab: &mut AttackLab, secret: u8) -> Result<ActiveAttackReport,
     })
 }
 
-/// Differential verdict: run the attack twice with different secrets; it
-/// "works" only if each run recovers its own secret (noise lines are
-/// identical across runs and cancel out).
-pub fn active_attack_succeeds(scheme: Scheme, kcfg: KernelConfig) -> bool {
-    let r1 = run_active_attack(scheme, kcfg, 0x2A);
-    let r2 = run_active_attack(scheme, kcfg, 0x91);
-    r1.hot_lines.contains(&0x2A) && r2.hot_lines.contains(&0x91)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::{attack_succeeds, test_image};
+
+    /// The probe lines the attack leaves hot under `scheme`.
+    fn hot(scheme: Scheme, secret: u8) -> Vec<u8> {
+        let (pcfg, core_cfg) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+        run_active_attack(scheme, &test_image(), secret, pcfg, core_cfg).hot_lines
+    }
+
+    fn active_attack_succeeds(scheme: Scheme) -> bool {
+        attack_succeeds([0x2A, 0x91], |s| hot(scheme, s))
+    }
+
+    fn run_sni(scheme: Scheme) -> SniAttackReport {
+        let (pcfg, core_cfg) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+        run_active_attack_sni(scheme, &test_image(), 0x2A, pcfg, core_cfg, 500_000)
+            .expect("instrumented attack runs")
+    }
 
     #[test]
     fn target_selection_finds_a_cache_gadget() {
-        let lab = AttackLab::new(Scheme::Unsafe, KernelConfig::test_small(), &[Sysno::Getpid]);
+        let (pcfg, core_cfg) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+        let lab = AttackLab::new(
+            Scheme::Unsafe,
+            &test_image(),
+            &[Sysno::Getpid],
+            pcfg,
+            core_cfg,
+        );
         let t = find_active_target(&lab).expect("target exists");
         assert_eq!(t.site.kind, GadgetKind::Cache);
         assert_ne!(t.site.seq_va, 0);
@@ -328,61 +323,39 @@ mod tests {
     #[test]
     fn active_attack_leaks_on_unsafe_hardware() {
         assert!(
-            active_attack_succeeds(Scheme::Unsafe, KernelConfig::test_small()),
+            active_attack_succeeds(Scheme::Unsafe),
             "the unprotected baseline must leak"
         );
     }
 
     #[test]
     fn perspective_dsv_blocks_the_active_attack() {
-        let r = run_active_attack(Scheme::Perspective, KernelConfig::test_small(), 0x2A);
+        let hot = hot(Scheme::Perspective, 0x2A);
         assert!(
-            !r.hot_lines.contains(&0x2A),
-            "DSV must block the foreign access: {:?}",
-            r.hot_lines
+            !hot.contains(&0x2A),
+            "DSV must block the foreign access: {hot:?}"
         );
-        assert!(!active_attack_succeeds(
-            Scheme::Perspective,
-            KernelConfig::test_small()
-        ));
+        assert!(!active_attack_succeeds(Scheme::Perspective));
     }
 
     #[test]
     fn fence_blocks_the_active_attack() {
-        assert!(!active_attack_succeeds(
-            Scheme::Fence,
-            KernelConfig::test_small()
-        ));
+        assert!(!active_attack_succeeds(Scheme::Fence));
     }
 
     #[test]
     fn stt_blocks_the_transmission() {
-        assert!(!active_attack_succeeds(
-            Scheme::Stt,
-            KernelConfig::test_small()
-        ));
+        assert!(!active_attack_succeeds(Scheme::Stt));
     }
 
     #[test]
     fn dom_blocks_the_cold_secret_access() {
-        assert!(!active_attack_succeeds(
-            Scheme::Dom,
-            KernelConfig::test_small()
-        ));
+        assert!(!active_attack_succeeds(Scheme::Dom));
     }
 
     #[test]
     fn sni_monitor_proves_the_unsafe_leak() {
-        let r = run_active_attack_sni(
-            Scheme::Unsafe,
-            KernelConfig::test_small(),
-            0x2A,
-            PerspectiveConfig::default(),
-            PerspectiveConfig::default(),
-            persp_uarch::config::CoreConfig::paper_default(),
-            500_000,
-        )
-        .expect("instrumented attack runs");
+        let r = run_sni(Scheme::Unsafe);
         assert!(
             r.sni.secret_spec_loads > 0,
             "the gadget's out-of-DSV load must be tainted: {:?}",
@@ -397,16 +370,7 @@ mod tests {
 
     #[test]
     fn sni_monitor_is_silent_under_full_perspective() {
-        let r = run_active_attack_sni(
-            Scheme::Perspective,
-            KernelConfig::test_small(),
-            0x2A,
-            PerspectiveConfig::default(),
-            PerspectiveConfig::default(),
-            persp_uarch::config::CoreConfig::paper_default(),
-            500_000,
-        )
-        .expect("instrumented attack runs");
+        let r = run_sni(Scheme::Perspective);
         assert_eq!(
             r.sni.violations(),
             0,
@@ -425,9 +389,6 @@ mod tests {
         // KPTI + Retpoline are spot mitigations for Meltdown/v2 only —
         // the v1 gadget still leaks (the paper's motivation for
         // principled defenses).
-        assert!(active_attack_succeeds(
-            Scheme::Spot,
-            KernelConfig::test_small()
-        ));
+        assert!(active_attack_succeeds(Scheme::Spot));
     }
 }

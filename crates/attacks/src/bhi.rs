@@ -26,12 +26,13 @@
 
 use crate::lab::{AttackLab, Scheme};
 use persp_kernel::body::DISPATCH_CALL_VA;
-use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_kernel::layout::SYSCALL_TABLE;
 use persp_kernel::syscalls::Sysno;
 use persp_uarch::config::CoreConfig;
 use persp_uarch::isa::{Assembler, Cond, Inst, REG_ARG0, REG_ARG1, REG_ARG2, REG_SYSNO};
 use persp_uarch::predictor::BtbMode;
+use perspective::policy::PerspectiveConfig;
 use perspective::taxonomy::AttackOutcome;
 
 const PROBE_STRIDE: u64 = 4096;
@@ -50,14 +51,8 @@ pub struct BhiReport {
     pub hot_lines: Vec<u8>,
 }
 
-fn ibrs_core_config() -> CoreConfig {
-    ibrs_core_config_from(CoreConfig::paper_default())
-}
-
-/// IBRS-style BTB hardening layered over an arbitrary base
-/// configuration (the differential harness varies only
-/// `idle_fastforward` in the base).
-fn ibrs_core_config_from(base: CoreConfig) -> CoreConfig {
+/// IBRS-style BTB hardening layered over a base configuration.
+fn ibrs_core_config(base: CoreConfig) -> CoreConfig {
     CoreConfig {
         btb_mode: BtbMode::Ibrs,
         ..base
@@ -65,16 +60,23 @@ fn ibrs_core_config_from(base: CoreConfig) -> CoreConfig {
 }
 
 /// Sanity arm: under IBRS, the classic aliased-install injection no
-/// longer reaches kernel predictions.
-pub fn plain_v2_fails_under_ibrs(kcfg: KernelConfig) -> bool {
-    let mut lab =
-        AttackLab::with_core_config(Scheme::Unsafe, kcfg, &[Sysno::Getpid], ibrs_core_config());
-    let gadget_va = lab.kernel.borrow().graph.passive_target.expect("target").0;
-    let gadget_va = lab.kernel.borrow().graph.func(gadget_va).entry_va;
-    let hist = lab.core.pred.hist;
-    let alias = lab.core.pred.btb.aliasing_pc(DISPATCH_CALL_VA);
-    lab.core.pred.btb.install(alias, hist, gadget_va, false); // user install
-    lab.core.pred.btb.predict(DISPATCH_CALL_VA, hist, true) != Some(gadget_va)
+/// longer reaches kernel predictions (IBRS layered on top of `base`).
+pub fn plain_v2_fails_under_ibrs(image: &KernelImage, base: CoreConfig) -> bool {
+    let pcfg = PerspectiveConfig::default();
+    let core_cfg = ibrs_core_config(base);
+    let mut lab = AttackLab::new(Scheme::Unsafe, image, &[Sysno::Getpid], pcfg, core_cfg);
+    let (leak_func, _) = lab
+        .sim
+        .kernel
+        .borrow()
+        .graph
+        .passive_target
+        .expect("target");
+    let gadget_va = lab.sim.kernel.borrow().graph.func(leak_func).entry_va;
+    let hist = lab.sim.core.pred.hist;
+    let alias = lab.sim.core.pred.btb.aliasing_pc(DISPATCH_CALL_VA);
+    lab.sim.core.pred.btb.install(alias, hist, gadget_va, false); // user install
+    lab.sim.core.pred.btb.predict(DISPATCH_CALL_VA, hist, true) != Some(gadget_va)
 }
 
 /// The attacker program: encode the colliding history with a straight
@@ -100,29 +102,32 @@ fn bhi_program(base: u64, history: u64, victim_ptr: u64) -> Vec<(u64, Inst)> {
     asm.finish()
 }
 
-/// Run the full BHI attack against `scheme` (always on IBRS-hardened
-/// hardware — the point is bypassing that hardening).
-pub fn run_bhi(scheme: Scheme, kcfg: KernelConfig, secret: u8) -> BhiReport {
-    run_bhi_core(scheme, kcfg, secret, CoreConfig::paper_default())
-}
-
-/// [`run_bhi`] over an explicit base core configuration (the BHI cell
-/// of the fast-vs-slow differential harness); the IBRS hardening the
-/// attack bypasses is layered on top of `base`.
-pub fn run_bhi_core(scheme: Scheme, kcfg: KernelConfig, secret: u8, base: CoreConfig) -> BhiReport {
-    let mut lab = AttackLab::with_core_config(
+/// Run the full BHI attack against `scheme` on a lab built from `image`
+/// under enforcement `pcfg` — always on IBRS-hardened hardware, layered
+/// on top of `base` (the point is bypassing that hardening).
+pub fn run_bhi(
+    scheme: Scheme,
+    image: &KernelImage,
+    secret: u8,
+    pcfg: PerspectiveConfig,
+    base: CoreConfig,
+) -> BhiReport {
+    let victim_syscalls = [Sysno::Getpid, Sysno::Read];
+    let mut lab = AttackLab::new(
         scheme,
-        kcfg,
-        &[Sysno::Getpid, Sysno::Read],
-        ibrs_core_config_from(base),
+        image,
+        &victim_syscalls,
+        pcfg,
+        ibrs_core_config(base),
     );
     let (handler, kprobe_base) = lab
+        .sim
         .kernel
         .borrow()
         .graph
         .bhi_target
         .expect("kernel has a BHI handler");
-    let handler_va = lab.kernel.borrow().graph.func(handler).entry_va;
+    let handler_va = lab.sim.kernel.borrow().graph.func(handler).entry_va;
 
     lab.plant_victim_secret(secret);
     let secret_va = lab.victim_secret_va();
@@ -140,12 +145,13 @@ pub fn run_bhi_core(scheme: Scheme, kcfg: KernelConfig, secret: u8, base: CoreCo
         warm.push(Inst::Syscall);
     }
     warm.push(Inst::Halt);
-    lab.core.machine.load_text(warm.finish());
+    lab.sim.core.machine.load_text(warm.finish());
     lab.run_as(lab.victim, vbase, 3_000_000)
         .expect("victim warmup");
 
     // Step 2: the offline BHB search.
     let Some(history) = lab
+        .sim
         .core
         .pred
         .btb
@@ -163,23 +169,25 @@ pub fn run_bhi_core(scheme: Scheme, kcfg: KernelConfig, secret: u8, base: CoreCo
     // widen the window, and the victim's secret line is hot because the
     // victim is actively using it).
     for i in 0..256u64 {
-        lab.core.mem.flush(kprobe_base + i * PROBE_STRIDE);
+        lab.sim.core.mem.flush(kprobe_base + i * PROBE_STRIDE);
     }
-    let abase = lab.user_text(lab.attacker);
-    lab.core
+    let abase = lab.user_text(lab.attacker());
+    lab.sim
+        .core
         .machine
         .load_text(bhi_program(abase, history, secret_va));
     for _round in 0..4 {
-        lab.core
+        lab.sim
+            .core
             .mem
             .flush(SYSCALL_TABLE + (Sysno::Getpid as u16 as u64) * 8);
-        lab.core.mem.read(secret_va);
-        lab.run_as(lab.attacker, abase, 3_000_000)
+        lab.sim.core.mem.read(secret_va);
+        lab.run_as(lab.attacker(), abase, 3_000_000)
             .expect("attack syscall");
     }
 
     let hot: Vec<u8> = (0..256u64)
-        .filter(|&i| lab.core.mem.probe_any(kprobe_base + i * PROBE_STRIDE))
+        .filter(|&i| lab.sim.core.mem.probe_any(kprobe_base + i * PROBE_STRIDE))
         .map(|i| i as u8)
         .collect();
     let outcome = if hot.contains(&secret) {
@@ -199,30 +207,33 @@ pub fn run_bhi_core(scheme: Scheme, kcfg: KernelConfig, secret: u8, base: CoreCo
     }
 }
 
-/// Differential verdict over two secrets.
-pub fn bhi_succeeds(scheme: Scheme, kcfg: KernelConfig) -> bool {
-    let r1 = run_bhi(scheme, kcfg, 0x4D);
-    let r2 = run_bhi(scheme, kcfg, 0xB2);
-    r1.hot_lines.contains(&0x4D) && r2.hot_lines.contains(&0xB2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::{attack_succeeds, test_image};
 
-    fn kcfg() -> KernelConfig {
-        KernelConfig::test_small()
+    /// The probe lines BHI leaves hot under `scheme` on the small kernel.
+    fn hot(scheme: Scheme, secret: u8) -> Vec<u8> {
+        let (pcfg, base) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+        run_bhi(scheme, &test_image(), secret, pcfg, base).hot_lines
+    }
+
+    fn bhi_succeeds(scheme: Scheme) -> bool {
+        attack_succeeds([0x4D, 0xB2], |s| hot(scheme, s))
     }
 
     #[test]
     fn ibrs_stops_the_classic_injection() {
-        assert!(plain_v2_fails_under_ibrs(kcfg()));
+        assert!(plain_v2_fails_under_ibrs(
+            &test_image(),
+            CoreConfig::paper_default()
+        ));
     }
 
     #[test]
     fn bhi_bypasses_ibrs_on_unsafe_hardware() {
         assert!(
-            bhi_succeeds(Scheme::Unsafe, kcfg()),
+            bhi_succeeds(Scheme::Unsafe),
             "history injection must reach the dispatch gadget"
         );
     }
@@ -232,13 +243,13 @@ mod tests {
         // The hijacked handler is legitimate kernel code, but the
         // transient dereference targets *foreign* data: an active attack,
         // stopped by DSVs (taxonomy-rooted, variant-agnostic — §8.1).
-        let r = run_bhi(Scheme::Perspective, kcfg(), 0x4D);
-        assert!(!r.hot_lines.contains(&0x4D), "hot: {:?}", r.hot_lines);
-        assert!(!bhi_succeeds(Scheme::Perspective, kcfg()));
+        let hot = hot(Scheme::Perspective, 0x4D);
+        assert!(!hot.contains(&0x4D), "hot: {hot:?}");
+        assert!(!bhi_succeeds(Scheme::Perspective));
     }
 
     #[test]
     fn fence_blocks_bhi_too() {
-        assert!(!bhi_succeeds(Scheme::Fence, kcfg()));
+        assert!(!bhi_succeeds(Scheme::Fence));
     }
 }

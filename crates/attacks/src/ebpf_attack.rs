@@ -18,10 +18,12 @@
 //! access to foreign data violates the attacker's DSV.
 
 use crate::lab::{AttackLab, Scheme};
-use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::ebpf::EBPF_MAP_REG;
+use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
+use persp_uarch::config::CoreConfig;
 use persp_uarch::isa::{AluOp, Assembler, Cond, Inst, Width, INST_BYTES, REG_ARG0, REG_SYSNO};
+use perspective::policy::PerspectiveConfig;
 use perspective::taxonomy::AttackOutcome;
 
 /// Offset within the map where the loader-visible bound lives.
@@ -136,25 +138,33 @@ fn ioctl_program(base: u64, idx: u64, rounds: usize) -> Vec<(u64, Inst)> {
     asm.finish()
 }
 
-/// Run the injected-gadget attack: recover all eight bits of the victim's
-/// secret byte, one transient invocation each.
-pub fn run_ebpf_attack(scheme: Scheme, kcfg: KernelConfig, secret: u8) -> EbpfAttackReport {
-    let mut lab = AttackLab::new(scheme, kcfg, &[Sysno::Getpid]);
+/// Run the injected-gadget attack on a lab built from `image` under
+/// enforcement `pcfg` and core `core_cfg`: recover all eight bits of the
+/// victim's secret byte, one transient invocation each.
+pub fn run_ebpf_attack(
+    scheme: Scheme,
+    image: &KernelImage,
+    secret: u8,
+    pcfg: PerspectiveConfig,
+    core_cfg: CoreConfig,
+) -> EbpfAttackReport {
+    let mut lab = AttackLab::new(scheme, image, &[Sysno::Getpid], pcfg, core_cfg);
     lab.plant_victim_secret(secret);
     let secret_va = lab.victim_secret_va();
 
-    let text = lab.user_text(lab.attacker);
+    let text = lab.user_text(lab.attacker());
     let mut bits: [Option<u8>; 8] = [None; 8];
 
     for (bit, out) in bits.iter_mut().enumerate() {
         // Load this bit's program through the verifier.
         let loaded = {
-            let mut kernel = lab.kernel.borrow_mut();
+            let mut kernel = lab.sim.kernel.borrow_mut();
             kernel
-                .load_ebpf(&leak_program(bit as u32), 1, &mut lab.core.machine)
+                .load_ebpf(&leak_program(bit as u32), 1, &mut lab.sim.core.machine)
                 .expect("the gadget is architecturally safe and must verify")
         };
-        lab.core
+        lab.sim
+            .core
             .machine
             .mem
             .write_u64(loaded.map_va + BOUND_SLOT as u64, BOUND);
@@ -170,29 +180,33 @@ pub fn run_ebpf_attack(scheme: Scheme, kcfg: KernelConfig, secret: u8) -> EbpfAt
             // calls (fresh code addresses each round).
             let round = bit as u64 * MAX_SHOTS + attempt;
             let train_base = text + round * 0x10_000;
-            lab.core.machine.load_text(ioctl_program(train_base, 7, 6));
-            lab.run_as(lab.attacker, train_base, 4_000_000)
+            lab.sim
+                .core
+                .machine
+                .load_text(ioctl_program(train_base, 7, 6));
+            lab.run_as(lab.attacker(), train_base, 4_000_000)
                 .expect("training");
 
             // Evict the memory-resident bound (cache contention) and the
             // two transmit lines; the victim's secret is hot (in use).
-            lab.core.mem.flush(loaded.map_va + BOUND_SLOT as u64);
-            lab.core.mem.flush(loaded.map_va + LINE_BIT1);
-            lab.core.mem.flush(loaded.map_va + LINE_BIT0);
-            lab.core.mem.read(secret_va);
+            lab.sim.core.mem.flush(loaded.map_va + BOUND_SLOT as u64);
+            lab.sim.core.mem.flush(loaded.map_va + LINE_BIT1);
+            lab.sim.core.mem.flush(loaded.map_va + LINE_BIT0);
+            lab.sim.core.mem.read(secret_va);
 
             // One transient shot.
             let attack_base = train_base + 0x8000;
-            lab.core
+            lab.sim
+                .core
                 .machine
                 .load_text(ioctl_program(attack_base, oob_idx, 1));
-            lab.run_as(lab.attacker, attack_base, 4_000_000)
+            lab.run_as(lab.attacker(), attack_base, 4_000_000)
                 .expect("attack");
 
             // Prime+probe: the "1" line is authoritative (a "1" transmit
             // prefetches the "0" line, never the other way around).
-            let one_hot = lab.core.mem.probe_any(loaded.map_va + LINE_BIT1);
-            let zero_hot = lab.core.mem.probe_any(loaded.map_va + LINE_BIT0);
+            let one_hot = lab.sim.core.mem.probe_any(loaded.map_va + LINE_BIT1);
+            let zero_hot = lab.sim.core.mem.probe_any(loaded.map_va + LINE_BIT0);
             *out = match (one_hot, zero_hot) {
                 (true, _) => Some(1),
                 (false, true) => Some(0),
@@ -230,10 +244,12 @@ pub fn run_ebpf_attack(scheme: Scheme, kcfg: KernelConfig, secret: u8) -> EbpfAt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::test_image;
     use persp_kernel::ebpf::EBPF_MAP_BYTES;
 
-    fn kcfg() -> KernelConfig {
-        KernelConfig::test_small()
+    fn run(scheme: Scheme, secret: u8) -> EbpfAttackReport {
+        let (pcfg, core_cfg) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+        run_ebpf_attack(scheme, &test_image(), secret, pcfg, core_cfg)
     }
 
     #[test]
@@ -246,7 +262,7 @@ mod tests {
     #[test]
     fn injected_gadget_leaks_byte_on_unsafe_hardware() {
         for secret in [0x5Au8, 0xC3] {
-            let r = run_ebpf_attack(Scheme::Unsafe, kcfg(), secret);
+            let r = run(Scheme::Unsafe, secret);
             assert_eq!(
                 r.outcome,
                 AttackOutcome::Leaked {
@@ -263,7 +279,7 @@ mod tests {
     fn perspective_dsv_blocks_the_injected_gadget() {
         // No audit, no ISV knowledge of the injected code: the transient
         // access to foreign data violates the attacker's DSV.
-        let r = run_ebpf_attack(Scheme::Perspective, kcfg(), 0x5A);
+        let r = run(Scheme::Perspective, 0x5A);
         assert!(
             !matches!(r.outcome, AttackOutcome::Leaked { recovered, expected } if recovered == expected),
             "must not leak: {:?}",
@@ -273,7 +289,7 @@ mod tests {
 
     #[test]
     fn fence_blocks_the_injected_gadget() {
-        let r = run_ebpf_attack(Scheme::Fence, kcfg(), 0x5A);
+        let r = run(Scheme::Fence, 0x5A);
         assert!(!matches!(
             r.outcome,
             AttackOutcome::Leaked { recovered, expected } if recovered == expected

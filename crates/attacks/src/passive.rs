@@ -28,7 +28,7 @@
 
 use crate::lab::{AttackLab, Scheme};
 use persp_kernel::body::DISPATCH_CALL_VA;
-use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_kernel::layout::SYSCALL_TABLE;
 use persp_kernel::syscalls::Sysno;
 use persp_uarch::config::CoreConfig;
@@ -63,27 +63,30 @@ fn victim_warmup_program(base: u64, sys: Sysno, rounds: usize) -> Vec<(u64, Inst
 
 fn scan_kprobe(lab: &AttackLab, kprobe_base: u64) -> Vec<u8> {
     (0..256u64)
-        .filter(|&i| lab.core.mem.probe_any(kprobe_base + i * PROBE_STRIDE))
+        .filter(|&i| lab.sim.core.mem.probe_any(kprobe_base + i * PROBE_STRIDE))
         .map(|i| i as u8)
         .collect()
 }
 
 fn flush_kprobe(lab: &mut AttackLab, kprobe_base: u64) {
     for i in 0..256u64 {
-        lab.core.mem.flush(kprobe_base + i * PROBE_STRIDE);
+        lab.sim.core.mem.flush(kprobe_base + i * PROBE_STRIDE);
     }
 }
 
 /// Warm the victim's secret-dereference chain, modelling a victim that is
 /// actively using its secret (e.g. a key in a crypto loop).
 fn warm_secret_chain(lab: &mut AttackLab) {
-    let kernel = lab.kernel.borrow();
+    let kernel = lab.sim.kernel.borrow();
     let task_va = kernel.process(lab.victim).expect("victim").task_struct_va;
     let secret_va = kernel.secret_va(lab.victim).expect("victim");
     drop(kernel);
-    lab.core.mem.read(persp_kernel::layout::CURRENT_TASK_PTR);
-    lab.core.mem.read(task_va);
-    lab.core.mem.read(secret_va);
+    lab.sim
+        .core
+        .mem
+        .read(persp_kernel::layout::CURRENT_TASK_PTR);
+    lab.sim.core.mem.read(task_va);
+    lab.sim.core.mem.read(secret_va);
 }
 
 fn classify(hot: Vec<u8>, secret: u8, scheme: Scheme, variant: Variant) -> PassiveAttackReport {
@@ -105,49 +108,36 @@ fn classify(hot: Vec<u8>, secret: u8, scheme: Scheme, variant: Variant) -> Passi
     }
 }
 
-/// Spectre v2-style hijack of the syscall dispatch `CallInd`.
-pub fn run_btb_hijack(scheme: Scheme, kcfg: KernelConfig, secret: u8) -> PassiveAttackReport {
-    run_btb_hijack_with_config(scheme, kcfg, secret, PerspectiveConfig::default())
-}
-
-/// [`run_btb_hijack`] under an explicit enforcement ablation: with
-/// `enforce_isv` off, Perspective degenerates to DSV-only and the hijack
-/// leaks again — data views cannot stop control-flow primitives whose
-/// gadget only touches in-view data (§5.1).
-pub fn run_btb_hijack_with_config(
+/// Spectre v2-style hijack of the syscall dispatch `CallInd`, on a lab
+/// built from `image` under enforcement `pcfg` and core `core_cfg`. With
+/// `pcfg.enforce_isv` off, Perspective degenerates to DSV-only and the
+/// hijack leaks again — data views cannot stop control-flow primitives
+/// whose gadget only touches in-view data (§5.1).
+pub fn run_btb_hijack(
     scheme: Scheme,
-    kcfg: KernelConfig,
-    secret: u8,
-    pcfg: PerspectiveConfig,
-) -> PassiveAttackReport {
-    run_btb_hijack_core(scheme, kcfg, secret, pcfg, CoreConfig::paper_default())
-}
-
-/// [`run_btb_hijack_with_config`] with an explicit core configuration
-/// (the Spectre v2 cell of the fast-vs-slow differential harness).
-pub fn run_btb_hijack_core(
-    scheme: Scheme,
-    kcfg: KernelConfig,
+    image: &KernelImage,
     secret: u8,
     pcfg: PerspectiveConfig,
     core_cfg: CoreConfig,
 ) -> PassiveAttackReport {
     let victim_syscalls = [Sysno::Getpid, Sysno::Read];
-    let mut lab = AttackLab::with_full_config(scheme, kcfg, &victim_syscalls, core_cfg, pcfg);
+    let mut lab = AttackLab::new(scheme, image, &victim_syscalls, pcfg, core_cfg);
     let (leak_func, kprobe_base) = lab
+        .sim
         .kernel
         .borrow()
         .graph
         .passive_target
         .expect("kernel has a passive target");
-    let gadget_va = lab.kernel.borrow().graph.func(leak_func).entry_va;
+    let gadget_va = lab.sim.kernel.borrow().graph.func(leak_func).entry_va;
 
     lab.plant_victim_secret(secret);
 
     // The victim does normal work first (warms its task metadata, fills
     // the predictors with benign history).
     let vbase = lab.user_text(lab.victim);
-    lab.core
+    lab.sim
+        .core
         .machine
         .load_text(victim_warmup_program(vbase, Sysno::Getpid, 4));
     lab.run_as(lab.victim, vbase, 3_000_000)
@@ -159,7 +149,8 @@ pub fn run_btb_hijack_core(
     // within the dispatch-resolution window.
     flush_kprobe(&mut lab, kprobe_base);
     let vbase2 = vbase + 0x4000;
-    lab.core
+    lab.sim
+        .core
         .machine
         .load_text(victim_warmup_program(vbase2, Sysno::Getpid, 1));
     for _round in 0..4 {
@@ -172,18 +163,23 @@ pub fn run_btb_hijack_core(
         // user-mode jump at the aliasing address lands in the same slot
         // the kernel dispatch reads. (The Ibrs mode blocks exactly this;
         // see the BHI PoC for the bypass.)
-        let alias_pc = lab.core.pred.btb.aliasing_pc(DISPATCH_CALL_VA);
-        let hist = lab.core.pred.hist;
-        lab.core.pred.btb.install(alias_pc, hist, gadget_va, false);
+        let alias_pc = lab.sim.core.pred.btb.aliasing_pc(DISPATCH_CALL_VA);
+        let hist = lab.sim.core.pred.hist;
+        lab.sim
+            .core
+            .pred
+            .btb
+            .install(alias_pc, hist, gadget_va, false);
         assert_eq!(
-            lab.core.pred.btb.predict(DISPATCH_CALL_VA, hist, true),
+            lab.sim.core.pred.btb.predict(DISPATCH_CALL_VA, hist, true),
             Some(gadget_va),
             "partial-tag aliasing must reach the victim's branch"
         );
 
         // Evict the dispatch-table line so target resolution is slow
         // (wide transient window); keep the secret chain warm.
-        lab.core
+        lab.sim
+            .core
             .mem
             .flush(SYSCALL_TABLE + (Sysno::Getpid as u16 as u64) * 8);
         warm_secret_chain(&mut lab);
@@ -202,19 +198,13 @@ pub fn run_btb_hijack_core(
 }
 
 /// Retbleed-style hijack: deep `stat` call chain underflows the RSB; the
-/// underflowed return falls back to a poisoned BTB entry.
-pub fn run_retbleed(scheme: Scheme, kcfg: KernelConfig, secret: u8) -> PassiveAttackReport {
-    run_retbleed_core(scheme, kcfg, secret, CoreConfig::paper_default())
-}
-
-/// [`run_retbleed`] over an explicit base core configuration (the
-/// Retbleed cell of the fast-vs-slow differential harness); the
-/// attack's own `ret_resolve_latency` amplification is layered on top
-/// of `base`.
-pub fn run_retbleed_core(
+/// underflowed return falls back to a poisoned BTB entry. The attack's
+/// own `ret_resolve_latency` amplification is layered on top of `base`.
+pub fn run_retbleed(
     scheme: Scheme,
-    kcfg: KernelConfig,
+    image: &KernelImage,
     secret: u8,
+    pcfg: PerspectiveConfig,
     base: CoreConfig,
 ) -> PassiveAttackReport {
     let victim_syscalls = [Sysno::Stat];
@@ -225,20 +215,22 @@ pub fn run_retbleed_core(
         ret_resolve_latency: 30,
         ..base
     };
-    let mut lab = AttackLab::with_core_config(scheme, kcfg, &victim_syscalls, core_cfg);
+    let mut lab = AttackLab::new(scheme, image, &victim_syscalls, pcfg, core_cfg);
     let (leak_func, kprobe_base) = lab
+        .sim
         .kernel
         .borrow()
         .graph
         .passive_target
         .expect("kernel has a passive target");
-    let gadget_va = lab.kernel.borrow().graph.func(leak_func).entry_va;
+    let gadget_va = lab.sim.kernel.borrow().graph.func(leak_func).entry_va;
 
     lab.plant_victim_secret(secret);
 
     // Victim runs stat once to warm the chain.
     let vbase = lab.user_text(lab.victim);
-    lab.core
+    lab.sim
+        .core
         .machine
         .load_text(victim_warmup_program(vbase, Sysno::Stat, 1));
     lab.run_as(lab.victim, vbase, 6_000_000)
@@ -247,7 +239,7 @@ pub fn run_retbleed_core(
     // Poison the BTB for the *returns* of the outer chain functions —
     // the ones whose RSB entries were lost to the deep chain.
     {
-        let kernel = lab.kernel.borrow();
+        let kernel = lab.sim.kernel.borrow();
         let graph = &kernel.graph;
         let entry = graph.entries[&Sysno::Stat];
         let mut chain = Vec::new();
@@ -278,12 +270,12 @@ pub fn run_retbleed_core(
             }
         }
         drop(kernel);
-        let kernel = lab.kernel.borrow();
+        let kernel = lab.sim.kernel.borrow();
         let graph = &kernel.graph;
         for &f in chain.iter().take(6) {
             let kf = graph.func(f);
             let ret_pc = kf.entry_va + u64::from(kf.len_insts - 1) * INST_BYTES;
-            drop_installed(&mut lab.core.pred.btb, ret_pc, gadget_va);
+            drop_installed(&mut lab.sim.core.pred.btb, ret_pc, gadget_va);
         }
     }
 
@@ -293,7 +285,8 @@ pub fn run_retbleed_core(
     // Victim's stat call: the outer returns underflow the RSB and fetch
     // from the poisoned BTB.
     let vbase2 = vbase + 0x4000;
-    lab.core
+    lab.sim
+        .core
         .machine
         .load_text(victim_warmup_program(vbase2, Sysno::Stat, 1));
     lab.run_as(lab.victim, vbase2, 6_000_000)
@@ -312,62 +305,57 @@ fn drop_installed(btb: &mut persp_uarch::predictor::Btb, ret_pc: u64, gadget: u6
     btb.install(alias, 0, gadget, false);
 }
 
-/// Differential verdict for a passive attack runner.
-pub fn passive_attack_succeeds(
-    runner: fn(Scheme, KernelConfig, u8) -> PassiveAttackReport,
-    scheme: Scheme,
-    kcfg: KernelConfig,
-) -> bool {
-    let r1 = runner(scheme, kcfg, 0x3C);
-    let r2 = runner(scheme, kcfg, 0xA7);
-    r1.hot_lines.contains(&0x3C) && r2.hot_lines.contains(&0xA7)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::{attack_succeeds, test_image};
+
+    type Poc = fn(Scheme, &KernelImage, u8, PerspectiveConfig, CoreConfig) -> PassiveAttackReport;
+
+    /// The probe lines `poc` leaves hot under `scheme` on the small kernel.
+    fn hot(poc: Poc, scheme: Scheme, secret: u8) -> Vec<u8> {
+        let (pcfg, core_cfg) = (PerspectiveConfig::default(), CoreConfig::paper_default());
+        poc(scheme, &test_image(), secret, pcfg, core_cfg).hot_lines
+    }
 
     #[test]
     fn btb_hijack_leaks_on_unsafe_hardware() {
         assert!(
-            passive_attack_succeeds(run_btb_hijack, Scheme::Unsafe, KernelConfig::test_small()),
+            attack_succeeds([0x3C, 0xA7], |s| hot(run_btb_hijack, Scheme::Unsafe, s)),
             "dispatch hijack must leak on the unprotected baseline"
         );
     }
 
     #[test]
     fn perspective_isv_blocks_the_btb_hijack() {
-        let r = run_btb_hijack(Scheme::Perspective, KernelConfig::test_small(), 0x3C);
+        let hot = hot(run_btb_hijack, Scheme::Perspective, 0x3C);
         assert!(
-            !r.hot_lines.contains(&0x3C),
-            "the leak gadget is outside the victim's ISV: {:?}",
-            r.hot_lines
+            !hot.contains(&0x3C),
+            "the leak gadget is outside the victim's ISV: {hot:?}"
         );
     }
 
     #[test]
     fn static_isv_also_blocks_the_btb_hijack() {
-        let r = run_btb_hijack(Scheme::PerspectiveStatic, KernelConfig::test_small(), 0x3C);
-        assert!(!r.hot_lines.contains(&0x3C));
+        assert!(!hot(run_btb_hijack, Scheme::PerspectiveStatic, 0x3C).contains(&0x3C));
     }
 
     #[test]
     fn retbleed_leaks_on_unsafe_hardware() {
         assert!(
-            passive_attack_succeeds(run_retbleed, Scheme::Unsafe, KernelConfig::test_small()),
+            attack_succeeds([0x3C, 0xA7], |s| hot(run_retbleed, Scheme::Unsafe, s)),
             "RSB-underflow hijack must leak on the unprotected baseline"
         );
     }
 
     #[test]
     fn perspective_isv_blocks_retbleed() {
-        let r = run_retbleed(Scheme::Perspective, KernelConfig::test_small(), 0x3C);
-        assert!(!r.hot_lines.contains(&0x3C), "hot: {:?}", r.hot_lines);
+        let hot = hot(run_retbleed, Scheme::Perspective, 0x3C);
+        assert!(!hot.contains(&0x3C), "hot: {hot:?}");
     }
 
     #[test]
     fn fence_blocks_passive_attacks_too() {
-        let r = run_btb_hijack(Scheme::Fence, KernelConfig::test_small(), 0x3C);
-        assert!(!r.hot_lines.contains(&0x3C));
+        assert!(!hot(run_btb_hijack, Scheme::Fence, 0x3C).contains(&0x3C));
     }
 }

@@ -6,15 +6,14 @@
 //! hijack of the syscall dispatch and Retbleed-style RSB underflow, both
 //! coercing the *victim's* kernel thread into a leak gadget.
 
-use persp_attacks::active::run_active_attack;
-use persp_attacks::bhi::{plain_v2_fails_under_ibrs, run_bhi};
-use persp_attacks::ebpf_attack::run_ebpf_attack;
-use persp_attacks::passive::{run_btb_hijack, run_retbleed};
-use persp_bench::{header, output};
-use persp_kernel::callgraph::KernelConfig;
+use persp_attacks::{
+    plain_v2_fails_under_ibrs, run_active_attack, run_bhi, run_btb_hijack, run_ebpf_attack,
+    run_retbleed, SCHEMES,
+};
+use persp_bench::{header, kernel_image, output};
 use persp_workloads::report::Json;
-use persp_workloads::RunConfig;
-use perspective::scheme::Scheme;
+use persp_workloads::{KernelScale, RunConfig};
+use perspective::policy::PerspectiveConfig;
 use perspective::taxonomy::AttackOutcome;
 
 /// The JSON keys of the five attack columns.
@@ -42,33 +41,28 @@ fn outcome_str(o: &AttackOutcome, hot: &[u8], secret: u8) -> String {
 }
 
 fn main() {
-    let cfg = RunConfig::from_process();
-    // The attack PoCs use the fast kernel; attack feasibility does not
-    // depend on kernel scale (the gadget and predictors are what matter).
-    let kcfg = KernelConfig::test_small();
+    // The attack PoCs always run on the small kernel; attack feasibility
+    // does not depend on kernel scale (the gadget and predictors are what
+    // matter). The image and the document's kernel tag come from the same
+    // configuration, so they cannot disagree.
+    let cfg = RunConfig {
+        kernel: KernelScale::Small,
+        ..RunConfig::from_process()
+    };
+    let image = kernel_image(&cfg);
+    let (pcfg, core) = (PerspectiveConfig::default(), cfg.core);
     let secret = 0x2A;
-
-    let schemes = [
-        Scheme::Unsafe,
-        Scheme::Spot,
-        Scheme::Fence,
-        Scheme::Dom,
-        Scheme::Stt,
-        Scheme::PerspectiveStatic,
-        Scheme::Perspective,
-        Scheme::PerspectivePlusPlus,
-    ];
 
     // Per scheme: the five attack-outcome cells, pre-rendered (the same
     // strings feed the transcript and the JSON document).
-    let rows: Vec<(&'static str, [String; 5])> = schemes
+    let rows: Vec<(&'static str, [String; 5])> = SCHEMES
         .iter()
         .map(|&scheme| {
-            let active = run_active_attack(scheme, kcfg, secret);
-            let v2 = run_btb_hijack(scheme, kcfg, secret);
-            let rb = run_retbleed(scheme, kcfg, secret);
-            let bhi = run_bhi(scheme, kcfg, secret);
-            let ebpf = run_ebpf_attack(scheme, kcfg, secret);
+            let active = run_active_attack(scheme, &image, secret, pcfg, core);
+            let v2 = run_btb_hijack(scheme, &image, secret, pcfg, core);
+            let rb = run_retbleed(scheme, &image, secret, pcfg, core);
+            let bhi = run_bhi(scheme, &image, secret, pcfg, core);
+            let ebpf = run_ebpf_attack(scheme, &image, secret, pcfg, core);
             let ebpf_str = match &ebpf.outcome {
                 perspective::taxonomy::AttackOutcome::Leaked { recovered, .. } => {
                     format!("LEAKED 0x{recovered:02x} (8 bits)")
@@ -90,7 +84,7 @@ fn main() {
         .collect();
 
     // eIBRS stops the plain v2 injection: BHI is the bypass.
-    let ibrs_sanity = plain_v2_fails_under_ibrs(kcfg);
+    let ibrs_sanity = plain_v2_fails_under_ibrs(&image, core);
     assert!(
         ibrs_sanity,
         "sanity: eIBRS stops the plain v2 injection — BHI is the bypass"

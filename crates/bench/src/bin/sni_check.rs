@@ -158,10 +158,11 @@ fn main() {
         (sni(&w, Scheme::Perspective, plan), seed)
     });
 
-    // Section 2: the active-attack scenario (serial; builds its own labs).
+    // Section 2: the active-attack scenario (serial; one lab per scheme
+    // on the same image).
     let attack = |label, scheme| {
-        let (kcfg, budget) = (cfg.kernel.config(), DEFAULT_SHADOW_BUDGET);
-        let report = run_active_attack_sni(scheme, kcfg, SECRET, pcfg, pcfg, cfg.core, budget);
+        let budget = DEFAULT_SHADOW_BUDGET;
+        let report = run_active_attack_sni(scheme, &image, SECRET, pcfg, cfg.core, budget);
         let leaked = report
             .as_ref()
             .is_ok_and(|r| r.attack.hot_lines.contains(&SECRET));

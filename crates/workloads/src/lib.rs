@@ -16,7 +16,6 @@ pub mod cve_study;
 pub mod differential;
 pub mod lebench;
 pub mod memo;
-pub mod multiproc;
 pub mod report;
 pub mod runner;
 pub mod sni;

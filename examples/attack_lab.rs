@@ -12,10 +12,11 @@
 //! Retbleed-style RSB underflow) into a kernel gadget that leaks the
 //! victim's own secret.
 
-use persp_attacks::active::run_active_attack;
-use persp_attacks::bhi::run_bhi;
-use persp_attacks::passive::{run_btb_hijack, run_retbleed};
+use persp_attacks::{run_active_attack, run_bhi, run_btb_hijack, run_retbleed};
 use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use perspective::taxonomy::AttackOutcome;
 
@@ -35,18 +36,19 @@ fn show(label: &str, outcome: &AttackOutcome) {
 }
 
 fn main() {
-    let kcfg = KernelConfig::test_small();
+    let image = KernelImage::build(KernelConfig::test_small());
+    let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
     let secret = 0x2A;
 
     for scheme in [Scheme::Unsafe, Scheme::Perspective] {
         println!("--- {} ---", scheme.name());
-        let active = run_active_attack(scheme, kcfg, secret);
+        let active = run_active_attack(scheme, &image, secret, pcfg, core);
         show("active Spectre v1 (steals victim)", &active.outcome);
-        let v2 = run_btb_hijack(scheme, kcfg, secret);
+        let v2 = run_btb_hijack(scheme, &image, secret, pcfg, core);
         show("passive v2 dispatch hijack", &v2.outcome);
-        let rb = run_retbleed(scheme, kcfg, secret);
+        let rb = run_retbleed(scheme, &image, secret, pcfg, core);
         show("passive Retbleed (RSB underflow)", &rb.outcome);
-        let bhi = run_bhi(scheme, kcfg, secret);
+        let bhi = run_bhi(scheme, &image, secret, pcfg, core);
         show("active BHI (bypassing eIBRS)", &bhi.outcome);
         println!();
     }

@@ -13,24 +13,27 @@
 //! the full cross-tenant attack, including the ablation where disabling
 //! DSVs (keeping only instruction views) re-opens the leak.
 
-use persp_attacks::active::{run_active_attack, run_active_attack_with_config};
+use persp_attacks::active::run_active_attack;
 use persp_attacks::lab::{AttackLab, Scheme};
 use persp_kernel::callgraph::KernelConfig;
+use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
+use persp_uarch::config::CoreConfig;
 use perspective::dsv::DsvClass;
 use perspective::policy::PerspectiveConfig;
 use perspective::taxonomy::AttackOutcome;
 
 fn main() {
-    let kcfg = KernelConfig::test_small();
+    let image = KernelImage::build(KernelConfig::test_small());
+    let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
 
     // --- 1. Ownership: what each tenant's DSV actually contains. -------
-    let lab = AttackLab::new(Scheme::Perspective, kcfg, &[Sysno::Getpid]);
-    let perspective = lab.perspective.as_ref().expect("perspective scheme");
+    let lab = AttackLab::new(Scheme::Perspective, &image, &[Sysno::Getpid], pcfg, core);
+    let perspective = lab.sim.perspective.as_ref().expect("perspective scheme");
     let dsv = perspective.dsv();
 
-    let kernel = lab.kernel.borrow();
-    let a = lab.attacker;
+    let kernel = lab.sim.kernel.borrow();
+    let a = lab.attacker();
     let b = lab.victim;
     let task_a = kernel.process(a).unwrap().task_struct_va;
     let task_b = kernel.process(b).unwrap().task_struct_va;
@@ -59,10 +62,10 @@ fn main() {
     println!("\ncross-tenant Spectre v1 (A mistrains a kernel gadget, reads B's data):");
     let secret = 0x5C;
 
-    let unprotected = run_active_attack(Scheme::Unsafe, kcfg, secret);
+    let unprotected = run_active_attack(Scheme::Unsafe, &image, secret, pcfg, core);
     report("unprotected kernel", &unprotected.outcome);
 
-    let protected = run_active_attack(Scheme::Perspective, kcfg, secret);
+    let protected = run_active_attack(Scheme::Perspective, &image, secret, pcfg, core);
     report("Perspective (DSV + ISV)", &protected.outcome);
 
     // --- 3. Ablation: instruction views alone are not isolation. -------
@@ -72,7 +75,7 @@ fn main() {
         block_unknown: false,
         ..PerspectiveConfig::default()
     };
-    let ablated = run_active_attack_with_config(Scheme::Perspective, kcfg, secret, isv_only);
+    let ablated = run_active_attack(Scheme::Perspective, &image, secret, isv_only, core);
     report("ablated: ISV-only (no DSVs)", &ablated.outcome);
 
     println!("\nThe gadget A abuses sits *inside* A's own instruction view — ISVs");

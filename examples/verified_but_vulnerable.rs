@@ -17,12 +17,16 @@
 use persp_attacks::ebpf_attack::run_ebpf_attack;
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::ebpf::{verify, EBPF_MAP_REG};
+use persp_kernel::kernel::KernelImage;
+use persp_uarch::config::CoreConfig;
 use persp_uarch::isa::{AluOp, Cond, Inst, Width, INST_BYTES};
+use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use perspective::taxonomy::AttackOutcome;
 
 fn main() {
-    let kcfg = KernelConfig::test_small();
+    let image = KernelImage::build(KernelConfig::test_small());
+    let (pcfg, core) = (PerspectiveConfig::default(), CoreConfig::paper_default());
 
     // 1. The verifier does its job on obviously bad programs ...
     let oob = vec![
@@ -82,7 +86,7 @@ fn main() {
     // 3. Transiently, "architecturally safe" is not safe.
     let secret = 0xC3;
     for scheme in [Scheme::Unsafe, Scheme::Perspective] {
-        let r = run_ebpf_attack(scheme, kcfg, secret);
+        let r = run_ebpf_attack(scheme, &image, secret, pcfg, core);
         let verdict = match r.outcome {
             AttackOutcome::Leaked { recovered, .. } => {
                 format!("LEAKED 0x{recovered:02x}, bit by bit: {:?}", r.bits)
