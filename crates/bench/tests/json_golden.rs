@@ -100,3 +100,56 @@ fn fig_9_2_json_is_identical_with_the_fast_forward_disabled() {
         "--json output must be byte-identical with the fast-forward on and off"
     );
 }
+
+/// The experiments whose small-kernel `--json` documents are pinned by a
+/// checked-in `BENCH_<name>.json` (`table_4_1`, `table_7_1` and
+/// `table_9_1` are pinned by `experiments_output.txt` instead).
+const BASELINED: [&str; 11] = [
+    "table_8_1",
+    "table_8_2",
+    "security_poc",
+    "fig_9_1",
+    "fig_9_2",
+    "fig_9_3",
+    "table_10_1",
+    "sensitivity",
+    "ablation",
+    "per_syscall_views",
+    "cache_sweep",
+];
+
+#[test]
+fn run_all_json_embeds_every_baselined_document_verbatim() {
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .arg("--json")
+        .env("PERSPECTIVE_KERNEL", "small")
+        .env_remove("PERSPECTIVE_CACHE")
+        .env_remove("PERSPECTIVE_NO_FASTFWD")
+        .output()
+        .expect("spawn run_all");
+    assert!(
+        out.status.success(),
+        "run_all --json failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("JSON output is UTF-8");
+    let doc = Json::parse(text.trim()).expect("run_all emits valid JSON");
+    assert_eq!(
+        doc.get("experiment").and_then(Json::as_str),
+        Some("run_all")
+    );
+    let experiments = doc.get("experiments").expect("experiments member");
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for name in BASELINED {
+        let path = format!("{root}/BENCH_{name}.json");
+        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let embedded = experiments
+            .get(name)
+            .unwrap_or_else(|| panic!("run_all --json has no {name} document"));
+        assert_eq!(
+            embedded.render(),
+            baseline.trim(),
+            "run_all's {name} document differs from BENCH_{name}.json"
+        );
+    }
+}
