@@ -1,107 +1,4 @@
-//! Design-point ablation: sweep the ISV / DSVMT cache geometry around
-//! the paper's 128-entry choice (Table 9.1, §9.2) and measure where the
-//! hit-rate knee sits. The paper reports ~99 % hit rates at 128 entries;
-//! this sweep shows how much headroom the design point has in either
-//! direction — the justification a hardware architect would ask for.
-
-use persp_bench::{cell, header, kernel_image, lebench_tests, mixed_workload, norm, output, pct};
-use persp_workloads::report::Json;
-use persp_workloads::{run_parallel, RunConfig};
-use perspective::hwcache::HwCacheStats;
-use perspective::policy::PerspectiveConfig;
-use perspective::scheme::Scheme;
-
-const SIZES: [usize; 5] = [16, 32, 64, 128, 256];
-
-/// One sweep point: cache entries, latency normalized to UNSAFE, the
-/// ISV-cache and DSVMT-cache hit rates, and ISV fences per kilo-instruction.
-struct Row {
-    entries: usize,
-    latency: f64,
-    isv_hit: f64,
-    dsvmt_hit: f64,
-    fences_per_ki: f64,
-}
-
+//! The `cache_sweep` experiment (`persp_bench::experiments::cache_sweep`) as a binary.
 fn main() {
-    let cfg = RunConfig::from_process();
-    let image = kernel_image(&cfg);
-    // A syscall-mixing workload stresses the caches hardest: union the
-    // pools of three LEBench tests.
-    let parts = lebench_tests(&["small-read", "mmap", "select"]);
-    let w = mixed_workload("read+mmap+select", &parts);
-
-    // Baseline plus the five sweep points, as one parallel batch over
-    // the shared kernel image.
-    let jobs: Vec<Option<usize>> = std::iter::once(None).chain(SIZES.map(Some)).collect();
-    let mut cells = run_parallel(cfg.threads, jobs, |entries| match entries {
-        None => cell(&cfg, &image, Scheme::Unsafe, &w, Default::default()),
-        Some(entries) => {
-            let pcfg = PerspectiveConfig {
-                isv_cache_entries: entries,
-                dsvmt_cache_entries: entries,
-                ..PerspectiveConfig::default()
-            };
-            cell(&cfg, &image, Scheme::Perspective, &w, pcfg)
-        }
-    })
-    .into_iter();
-    let base = cells.next().expect("baseline cell").stats.cycles as f64;
-    let hit_rate = |c: Option<HwCacheStats>| c.map_or(0.0, |c| c.hit_rate());
-    let rows: Vec<Row> = SIZES
-        .into_iter()
-        .zip(cells)
-        .map(|(entries, m)| Row {
-            entries,
-            latency: m.stats.cycles as f64 / base,
-            isv_hit: hit_rate(m.isv_cache),
-            dsvmt_hit: hit_rate(m.dsvmt_cache),
-            fences_per_ki: m.fences.map_or(0.0, |f| {
-                1000.0 * f.isv as f64 / m.stats.committed_insts.max(1) as f64
-            }),
-        })
-        .collect();
-
-    output(
-        &cfg,
-        "cache_sweep",
-        || {
-            let json_rows = rows.iter().map(|r| {
-                Json::obj(vec![
-                    ("entries", Json::UInt(r.entries as u64)),
-                    ("latency", Json::str(norm(r.latency))),
-                    ("isv_hit_rate", Json::str(pct(r.isv_hit))),
-                    ("dsvmt_hit_rate", Json::str(pct(r.dsvmt_hit))),
-                    (
-                        "isv_fences_per_ki",
-                        Json::str(format!("{:.2}", r.fences_per_ki)),
-                    ),
-                ])
-            });
-            vec![("rows", Json::Array(json_rows.collect()))]
-        },
-        || {
-            header(
-                "Ablation: ISV/DSVMT cache size sweep",
-                "paper §9.2 hit rates + Table 9.1 design point",
-            );
-            let (l, i, d, f) = ("latency", "ISV hit", "DSVMT hit", "ISV fences/ki");
-            println!("{:<8} | {l:>10} | {i:>12} | {d:>12} | {f:>14}", "entries");
-            println!("{}", "-".repeat(68));
-            for r in &rows {
-                let (l, i, d, f) = (
-                    norm(r.latency),
-                    pct(r.isv_hit),
-                    pct(r.dsvmt_hit),
-                    r.fences_per_ki,
-                );
-                println!("{:<8} | {l:>10} | {i:>12} | {d:>12} | {f:>14.2}", r.entries);
-            }
-            println!();
-            println!("the hit-rate knee sits at the paper's 128-entry design point:");
-            println!("halving the caches roughly doubles the ISV fence rate, while");
-            println!("doubling them buys the last ~1.5 % of overhead — the Table 9.1");
-            println!("area/energy numbers price exactly this geometry.");
-        },
-    );
+    persp_bench::run_bin(persp_bench::experiments::cache_sweep::run);
 }

@@ -1,102 +1,4 @@
-//! Experiment E5 — Figure 9.1: speedup of Kasper's gadget discovery rate
-//! (gadgets/hour) when the search is bounded to each workload's ISV.
-//!
-//! Per workload, two fuzz-and-scan campaigns run on the live simulator:
-//! the whole-interface baseline and the ISV-bounded campaign. The rate
-//! counts discoveries of the gadgets that remain speculatively reachable
-//! under the deployed ISV (the audit targets, §8.2); work is simulated
-//! execution cycles plus taint-analysis instructions.
-
-use persp_bench::{audit_workloads, header, kernel_image, mean, output, trace_workload};
-use persp_scanner::fuzzer::compare_bounded;
-use persp_workloads::report::Json;
-use persp_workloads::{RunConfig, SimInstance};
-use perspective::isv::Isv;
-use perspective::policy::PerspectiveConfig;
-use perspective::scheme::Scheme;
-
-/// One workload's campaign pair: ISV size, baseline and bounded
-/// discovery rates, and the resulting speedup.
-struct Row {
-    name: &'static str,
-    n_funcs: usize,
-    baseline_rate: f64,
-    bounded_rate: f64,
-    speedup: f64,
-}
-
+//! The `fig_9_1` experiment (`persp_bench::experiments::fig_9_1`) as a binary.
 fn main() {
-    let cfg = RunConfig::from_process();
-    let image = kernel_image(&cfg);
-    let workloads = audit_workloads();
-
-    let rows: Vec<Row> = workloads
-        .iter()
-        .map(|w| {
-            // Derive the workload's dynamic ISV from a real trace.
-            let isv = Isv::dynamic_from_funcs(&image.graph, trace_workload(&image, w));
-            let pcfg = PerspectiveConfig::default();
-            let mut inst = SimInstance::from_image_core(Scheme::Unsafe, &image, pcfg, cfg.core);
-            let (asid, kernel) = (inst.asid, inst.kernel.clone());
-            let profile = w.syscall_profile();
-            let (baseline, bounded) =
-                compare_bounded(&mut inst.core, kernel, asid, &profile, isv.funcs(), 16);
-            let b = baseline.relevant_rate(isv.funcs());
-            let r = bounded.relevant_rate(isv.funcs());
-            Row {
-                name: w.name,
-                n_funcs: isv.num_funcs(),
-                baseline_rate: b,
-                bounded_rate: r,
-                speedup: if b > 0.0 { r / b } else { f64::INFINITY },
-            }
-        })
-        .collect();
-    let avg = mean(rows.iter().map(|r| r.speedup), rows.len());
-
-    output(
-        &cfg,
-        "fig_9_1",
-        || {
-            let fixed = |x: f64, digits: usize| Json::str(format!("{x:.digits$}"));
-            let json_rows = rows.iter().map(|r| {
-                Json::obj(vec![
-                    ("workload", Json::str(r.name)),
-                    ("isv_funcs", Json::UInt(r.n_funcs as u64)),
-                    ("baseline_rate", fixed(r.baseline_rate, 1)),
-                    ("bounded_rate", fixed(r.bounded_rate, 1)),
-                    ("speedup", fixed(r.speedup, 2)),
-                ])
-            });
-            vec![
-                ("rows", Json::Array(json_rows.collect())),
-                ("avg_speedup", fixed(avg, 2)),
-            ]
-        },
-        || {
-            header(
-                "Figure 9.1: Speedup of Kasper's gadget discovery rate",
-                "paper §8.2, Figure 9.1",
-            );
-            let (n, b, r, x) = ("ISV funcs", "baseline rate", "bounded rate", "speedup");
-            println!("{:<10} | {n:>12} | {b:>14} | {r:>14} | {x:>8}", "workload");
-            let rule = "-".repeat(72);
-            println!("{rule}");
-            for r in &rows {
-                let (n, b, bounded, x) = (r.n_funcs, r.baseline_rate, r.bounded_rate, r.speedup);
-                println!(
-                    "{:<10} | {n:>12} | {b:>14.1} | {bounded:>14.1} | {x:>7.2}x",
-                    r.name
-                );
-            }
-            println!("{rule}");
-            println!(
-                "{:<10} | {:>12} | {:>14} | {:>14} | {avg:>7.2}x",
-                "average", "", "", ""
-            );
-            println!();
-            println!("paper: speedups 1.14x-2.23x across workloads, 1.57x on average;");
-            println!("       search space reduced from 28K kernel functions to ~1.4K.");
-        },
-    );
+    persp_bench::run_bin(persp_bench::experiments::fig_9_1::run);
 }

@@ -1,78 +1,6 @@
-//! Experiment E6/E12/E13 — Figure 9.2: LEBench latency normalized to the
-//! UNSAFE baseline under each defense scheme.
-//!
-//! Default: the paper's five main schemes. `--all` adds the §9.1
-//! comparison points (DOM, STT, KPTI+Retpoline, Retpoline-only).
-//! `--json` emits the measurement rows and derived normalizations as a
-//! single machine-readable document instead of the transcript.
-
-use persp_bench::{header, kernel_image, matrix, norm, output, scheme_values_json, vs_unsafe};
-use persp_workloads::report::{self, Json};
-use persp_workloads::{lebench, RunConfig};
-use perspective::scheme::Scheme;
-
+//! The `fig_9_2` experiment (`persp_bench::experiments::fig_9_2`) as a binary;
+//! `--all` runs every scheme instead of the five main ones.
 fn main() {
-    let cfg = RunConfig::from_process();
     let all = std::env::args().any(|a| a == "--all");
-    let image = kernel_image(&cfg);
-    let schemes = if all { Scheme::ALL } else { Scheme::MAIN };
-    let defenses = &schemes[1..];
-    let suite = lebench::suite();
-    let cells = matrix(&cfg, &image, schemes, &suite);
-    // Per test, each defense's latency normalized to UNSAFE; then each
-    // defense's average over the suite.
-    let (normalized, avg) = vs_unsafe(&cells, schemes.len(), |m, base| {
-        m.stats.cycles as f64 / base.stats.cycles.max(1) as f64
-    });
-
-    output(
-        &cfg,
-        "fig_9_2",
-        || {
-            let mut rows = Vec::new();
-            for (w, row) in suite.iter().zip(&normalized) {
-                for (s, &value) in defenses.iter().zip(row) {
-                    rows.push(Json::obj(vec![
-                        ("workload", Json::str(w.name)),
-                        ("scheme", Json::str(s.name())),
-                        ("value", Json::str(norm(value))),
-                    ]));
-                }
-            }
-            vec![
-                ("schemes", persp_bench::schemes_json(schemes)),
-                ("rows", report::measurements_json(&cells)),
-                ("normalized", Json::Array(rows)),
-                ("avg", scheme_values_json(defenses, &avg)),
-            ]
-        },
-        || {
-            header(
-                "Figure 9.2: LEBench normalized latency (UNSAFE = 1.000)",
-                "paper §9.1, Figure 9.2 (+ §9.1 hardware/software comparisons with --all)",
-            );
-            print!("{:<16}", "test");
-            for s in defenses {
-                print!(" {:>18}", s.name());
-            }
-            let rule = "-".repeat(16 + 19 * defenses.len());
-            println!("\n{rule}");
-            for (w, row) in suite.iter().zip(&normalized) {
-                print!("{:<16}", w.name);
-                for &value in row {
-                    print!(" {:>18}", norm(value));
-                }
-                println!();
-            }
-            print!("{rule}\n{:<16}", "geomean-ish avg");
-            for &value in &avg {
-                print!(" {:>18}", norm(value));
-            }
-            println!("\n");
-            println!("paper: FENCE avg 1.475 (select/poll up to 3.28),");
-            println!("       PERSPECTIVE-STATIC 1.041, PERSPECTIVE 1.036, PERSPECTIVE++ 1.035;");
-            println!("       §9.1 comparisons: DOM 1.231, STT 1.037, KPTI+Retpoline 1.145,");
-            println!("       Retpoline-only 1.066.");
-        },
-    );
+    persp_bench::run_bin(|cfg, images| persp_bench::experiments::fig_9_2::run(cfg, images, all));
 }

@@ -24,7 +24,7 @@
 //! property fails, so the CI smoke run is a real check.
 
 use persp_attacks::active::{run_active_attack_sni, SniAttackReport};
-use persp_bench::{header, kernel_image, output};
+use persp_bench::{header, output, Images};
 use persp_workloads::report::Json;
 use persp_workloads::sni::{run_sni_workload, SniReport, DEFAULT_SHADOW_BUDGET};
 use persp_workloads::{lebench, run_parallel, RunConfig, Workload};
@@ -122,14 +122,15 @@ fn fault_json(r: &SniReport, seed: u64) -> Json {
 
 fn main() {
     let cfg = RunConfig::from_process();
-    let image = kernel_image(&cfg);
+    let images = Images::default();
+    let image = images.get(&cfg);
     let suite = lebench::suite();
     let pcfg = PerspectiveConfig::default();
 
     let sni = |w: &Workload, scheme, plan| {
         run_sni_workload(
             scheme,
-            &image,
+            image,
             w,
             pcfg,
             cfg.core,
@@ -162,7 +163,7 @@ fn main() {
     // on the same image).
     let attack = |label, scheme| {
         let budget = DEFAULT_SHADOW_BUDGET;
-        let report = run_active_attack_sni(scheme, &image, SECRET, pcfg, cfg.core, budget);
+        let report = run_active_attack_sni(scheme, image, SECRET, pcfg, cfg.core, budget);
         let leaked = report
             .as_ref()
             .is_ok_and(|r| r.attack.hot_lines.contains(&SECRET));
@@ -240,18 +241,18 @@ fn main() {
             ]
         },
         || {
-            header(
+            let mut t = header(
                 "SNI check: shadow oracle, leakage monitor, fault injection",
                 "the paper's security claims (§8), verified dynamically",
             );
-            println!(
-                "{:<16} {:>12} {:>10} {:>10} {:>10} {:>10}",
+            t += &format!(
+                "{:<16} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
                 "workload", "scheme", "violations", "secrets", "transmits", "shadow"
             );
-            println!("{}", "-".repeat(74));
+            t += &format!("{}\n", "-".repeat(74));
             for r in &clean {
-                println!(
-                    "{:<16} {:>12} {:>10} {:>10} {:>10} {:>10}{}",
+                t += &format!(
+                    "{:<16} {:>12} {:>10} {:>10} {:>10} {:>10}{}\n",
                     r.workload,
                     r.scheme.name(),
                     r.violations(),
@@ -261,30 +262,30 @@ fn main() {
                     degraded_note(&r.degraded),
                 );
             }
-            println!();
+            t.push('\n');
             for a in &attacks {
                 let label = a.label;
-                match &a.report {
-                    Ok(r) => println!(
-                        "attack under {label:<12}: secrets={} transmits={} unsafe={} leaked={}",
+                t += &match &a.report {
+                    Ok(r) => format!(
+                        "attack under {label:<12}: secrets={} transmits={} unsafe={} leaked={}\n",
                         r.sni.secret_spec_loads,
                         r.sni.tainted_transmits,
                         r.sni.unsafe_issues,
                         a.leaked,
                     ),
-                    Err(e) => println!("attack under {label:<12}: DEGRADED: {e}"),
-                }
+                    Err(e) => format!("attack under {label:<12}: DEGRADED: {e}\n"),
+                };
             }
-            println!();
-            println!(
-                "{:<16} {:>10} {:>10} {:>10} {:>10}",
+            t.push('\n');
+            t += &format!(
+                "{:<16} {:>10} {:>10} {:>10} {:>10}\n",
                 "fault workload", "decisions", "injected", "detected", "evictions"
             );
-            println!("{}", "-".repeat(62));
+            t += &format!("{}\n", "-".repeat(62));
             for (r, _) in &faulted {
                 let f = r.faults.expect("plan active");
-                println!(
-                    "{:<16} {:>10} {:>10} {:>10} {:>10}{}",
+                t += &format!(
+                    "{:<16} {:>10} {:>10} {:>10} {:>10}{}\n",
                     r.workload,
                     f.decisions_seen,
                     f.injected_violations,
@@ -293,24 +294,21 @@ fn main() {
                     degraded_note(&r.degraded),
                 );
             }
-            println!();
-            println!(
-                "clean Perspective violations: {clean_violations} (want 0) — {}",
-                if clean_ok { "ok" } else { "FAIL" }
-            );
-            println!(
-                "UNSAFE workload runs flagged: {baseline_flagged}/{} (want >0) — {}",
-                unsafe_clean.len(),
-                if baseline_ok { "ok" } else { "FAIL" }
-            );
-            println!(
-                "injected faults detected: {detected_total}/{injected_total} — {}",
-                if faults_ok { "ok" } else { "FAIL" }
-            );
-            println!("attack scenario: {}", if attack_ok { "ok" } else { "FAIL" });
-            println!("verdict: {}", if pass { "PASS" } else { "FAIL" });
+            let ok = |pass: bool| if pass { "ok" } else { "FAIL" };
+            let (c, b, f, a) = (ok(clean_ok), ok(baseline_ok), ok(faults_ok), ok(attack_ok));
+            let (n, verdict) = (unsafe_clean.len(), if pass { "PASS" } else { "FAIL" });
+            t + &format!(
+                "
+clean Perspective violations: {clean_violations} (want 0) — {c}
+UNSAFE workload runs flagged: {baseline_flagged}/{n} (want >0) — {b}
+injected faults detected: {detected_total}/{injected_total} — {f}
+attack scenario: {a}
+verdict: {verdict}
+"
+            )
         },
-    );
+    )
+    .print();
 
     if !pass {
         std::process::exit(1);

@@ -1,6 +1,6 @@
-//! Experiment harness for the Perspective reproduction: shared helpers
-//! for the per-table/per-figure binaries (see DESIGN.md §4 for the
-//! experiment index) and the Criterion benches.
+//! Experiment harness for the Perspective reproduction: every experiment
+//! as a library function ([`experiments`], indexed in DESIGN.md §4), the
+//! helpers they share, and the `main` of their binaries ([`run_bin`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -9,91 +9,127 @@ use persp_kernel::callgraph::FuncId;
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
 use persp_workloads::report::{self, Json};
-use persp_workloads::{lebench, memo, runner, Measurement, RunConfig, Workload};
+use persp_workloads::{
+    lebench, runner, CellFailure, KernelScale, Measurement, RunConfig, Workload,
+};
 use perspective::isv::Isv;
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
-/// Generate the experiment kernel image once, at the scale `cfg.kernel`
-/// (the paper-scale 28 K-function kernel unless `PERSPECTIVE_KERNEL=small`).
-/// Every (scheme, workload) cell of an experiment shares this image
-/// (graph, text segment and boot memory) instead of regenerating it.
-///
-/// The image is rebuilt per bin process, not cached on disk like the
-/// simulation cells are: building it takes about 40 ms at paper scale
-/// and 2 ms on the small kernel (measured in EXPERIMENTS.md), so there
-/// is nothing to save. Under `cfg.image_timing`
-/// (`PERSPECTIVE_IMAGE_TIMING=1`) the measured build time goes to stderr
-/// (observability only — never on stdout, so transcripts stay
-/// byte-identical).
-pub fn kernel_image(cfg: &RunConfig) -> KernelImage {
-    let t0 = std::time::Instant::now();
-    let image = KernelImage::build(cfg.kernel.config());
-    if cfg.image_timing {
-        eprintln!(
-            "kernel image: {} functions, {} text instructions, built in {:.3} s",
-            image.graph.len(),
-            image.text.len(),
-            t0.elapsed().as_secs_f64()
-        );
+pub mod experiments;
+
+/// The kernel images of one process, built lazily, once per
+/// [`KernelScale`]. `run_all` (or a binary's `main`) owns one and passes
+/// it to every experiment it runs, so all cells at a scale share one
+/// image. Images are not cached on disk: building one takes about 40 ms
+/// at paper scale and 2 ms on the small kernel (EXPERIMENTS.md). Under
+/// `cfg.image_timing` each build reports its time on stderr, never on
+/// stdout, so transcripts stay byte-identical.
+#[derive(Default)]
+pub struct Images([OnceLock<KernelImage>; 2]);
+
+impl Images {
+    /// The image at `cfg.kernel`'s scale, built on first use.
+    pub fn get(&self, cfg: &RunConfig) -> &KernelImage {
+        let slot = match cfg.kernel {
+            KernelScale::Paper => &self.0[0],
+            KernelScale::Small => &self.0[1],
+        };
+        slot.get_or_init(|| {
+            let t0 = std::time::Instant::now();
+            let image = KernelImage::build(cfg.kernel.config());
+            if cfg.image_timing {
+                eprintln!(
+                    "kernel image: {} functions, {} text instructions, built in {:.3} s",
+                    image.graph.len(),
+                    image.text.len(),
+                    t0.elapsed().as_secs_f64()
+                );
+            }
+            image
+        })
     }
-    image
 }
 
-/// Measure one cell ([`runner::measure`]) with `cfg`'s cache and core.
-///
-/// # Panics
-///
-/// Panics with the cell's message if the measurement fails.
-pub fn cell(
+/// Measure a batch of (scheme, workload, Perspective configuration)
+/// cells ([`runner::run_cells`]) with `cfg`'s width, cache and core, in
+/// job order. Every cell runs; if any fail, the error names each failed
+/// cell.
+pub fn cells(
     cfg: &RunConfig,
     image: &KernelImage,
-    scheme: Scheme,
-    workload: &Workload,
-    pcfg: PerspectiveConfig,
-) -> Measurement {
-    runner::measure(&cfg.cache, scheme, image, workload, pcfg, cfg.core)
-        .unwrap_or_else(|e| panic!("{e}"))
+    jobs: Vec<(Scheme, &Workload, PerspectiveConfig)>,
+) -> Result<Vec<Measurement>, String> {
+    runner::run_cells(cfg.threads, &cfg.cache, image, jobs, cfg.core).map_err(failed)
 }
 
 /// Measure a workload × scheme matrix ([`runner::run_matrix`]) with
-/// `cfg`'s width, cache and core. If any cell fails, every failure is
-/// printed on stderr and the process exits nonzero.
+/// `cfg`'s width, cache and core; failures as in [`cells`].
 pub fn matrix(
     cfg: &RunConfig,
     image: &KernelImage,
     schemes: &[Scheme],
     workloads: &[Workload],
-) -> Vec<Measurement> {
-    runner::run_matrix(cfg.threads, &cfg.cache, image, schemes, workloads, cfg.core).unwrap_or_else(
-        |failures| {
-            for f in &failures {
-                eprintln!("error: cell {f}");
-            }
-            eprintln!("error: {} cell(s) failed", failures.len());
-            std::process::exit(1);
-        },
-    )
+) -> Result<Vec<Measurement>, String> {
+    runner::run_matrix(cfg.threads, &cfg.cache, image, schemes, workloads, cfg.core).map_err(failed)
 }
 
-/// Print an experiment's output: under `--json` the document
+/// The error of a batch with failed cells: their count, then one line
+/// per cell.
+fn failed(failures: Vec<CellFailure>) -> String {
+    let mut msg = format!("{} cell(s) failed", failures.len());
+    for f in &failures {
+        msg += &format!("\n  cell {f}");
+    }
+    msg
+}
+
+/// What an experiment produces: its `--json` document or its transcript.
+pub enum Output {
+    /// The document (`--json`).
+    Json(Json),
+    /// The human-readable transcript.
+    Transcript(String),
+}
+
+impl Output {
+    /// Print to stdout: the document as one line, the transcript as is.
+    pub fn print(&self) {
+        match self {
+            Output::Json(doc) => println!("{}", doc.render()),
+            Output::Transcript(text) => print!("{text}"),
+        }
+    }
+}
+
+/// An experiment's output: under `--json` the document
 /// (`experiment_json` around the fields `doc` returns), otherwise the
-/// transcript. Both render rows the caller computed once. Then write
-/// the cache counters to `PERSPECTIVE_CACHE_STATS_FILE`, when set.
+/// transcript. Both render rows the caller computed once.
 pub fn output(
     cfg: &RunConfig,
     experiment: &str,
     doc: impl FnOnce() -> Vec<(&'static str, Json)>,
-    transcript: impl FnOnce(),
-) {
-    if cfg.json {
-        report::emit(&report::experiment_json(experiment, cfg.kernel, doc()));
-    } else {
-        transcript();
+    transcript: impl FnOnce() -> String,
+) -> Output {
+    match cfg.json {
+        true => Output::Json(report::experiment_json(experiment, cfg.kernel, doc())),
+        false => Output::Transcript(transcript()),
     }
-    if let Some(path) = &cfg.cache_stats_file {
-        memo::write_stats(path);
+}
+
+/// The `main` of an experiment binary: parse this process's
+/// [`RunConfig`], run `experiment`, and print its output; if it fails,
+/// print the error on stderr and exit 1.
+pub fn run_bin(experiment: impl FnOnce(&RunConfig, &Images) -> Result<Output, String>) {
+    let cfg = RunConfig::from_process();
+    match experiment(&cfg, &Images::default()) {
+        Ok(out) => out.print(),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -136,12 +172,14 @@ pub fn scheme_values_json(schemes: &[Scheme], values: &[f64]) -> Json {
     Json::Array(schemes.iter().zip(values).map(obj).collect())
 }
 
-/// Print an experiment header.
-pub fn header(title: &str, source: &str) {
-    println!();
-    println!("=== {title} ===");
-    println!("    (reproduces {source})");
-    println!();
+/// An experiment transcript's header.
+pub fn header(title: &str, source: &str) -> String {
+    format!("\n=== {title} ===\n    (reproduces {source})\n\n")
+}
+
+/// Values as the transcript's 19-character matrix columns.
+pub fn columns<T: std::fmt::Display>(values: impl IntoIterator<Item = T>) -> String {
+    values.into_iter().map(|v| format!(" {v:>18}")).collect()
 }
 
 /// Format a fraction as a percentage.

@@ -55,9 +55,6 @@ pub struct RunConfig {
     pub core: CoreConfig,
     /// `PERSPECTIVE_CACHE` (mode) and `PERSPECTIVE_CACHE_DIR` (directory).
     pub cache: CacheConfig,
-    /// `PERSPECTIVE_CACHE_STATS_FILE`: where the binary writes its cache
-    /// counters when it finishes.
-    pub cache_stats_file: Option<PathBuf>,
     /// `--json`: print one machine-readable document, not the transcript.
     pub json: bool,
 }
@@ -131,20 +128,16 @@ impl RunConfig {
             "verify" => Some(CacheMode::Verify),
             _ => None,
         });
-        // The two path variables have no invalid value: blank is unset.
-        let path = |var: &str| {
-            lookup(var)
-                .filter(|p| !p.trim().is_empty())
-                .map(PathBuf::from)
-        };
-        let dir = path("PERSPECTIVE_CACHE_DIR").unwrap_or_else(|| PathBuf::from(DEFAULT_DIR));
+        // The directory has no invalid value: blank is unset.
+        let dir = lookup("PERSPECTIVE_CACHE_DIR")
+            .filter(|p| !p.trim().is_empty())
+            .map_or_else(|| PathBuf::from(DEFAULT_DIR), PathBuf::from);
         let cfg = RunConfig {
             kernel,
             image_timing,
             threads,
             core,
             cache: CacheConfig { mode, dir },
-            cache_stats_file: path("PERSPECTIVE_CACHE_STATS_FILE"),
             json: args.into_iter().any(|a| a == "--json"),
         };
         (cfg, w)

@@ -24,7 +24,7 @@ pub mod spec;
 pub use apps::App;
 pub use config::{KernelScale, RunConfig};
 pub use runner::{
-    measure, measure_image_uncached, overhead, run_matrix, run_parallel, trace_to_funcs,
+    measure, measure_image_uncached, overhead, run_cells, run_matrix, run_parallel, trace_to_funcs,
     CellFailure, Measurement, SimInstance,
 };
 pub use spec::{ArgVal, SyscallStep, Workload};

@@ -10,8 +10,9 @@
 //! calibration bins re-run large subsets of the same cells), and every
 //! bin cold-simulates each cell from scratch. This module turns each
 //! simulated cell into a disk-backed cache entry keyed by a stable
-//! fingerprint of *every* simulation input, so `run_all`'s concurrently
-//! spawned children — and repeated runs — share work.
+//! fingerprint of *every* simulation input, so the experiments `run_all`
+//! runs concurrently — and repeated runs and separate binaries — share
+//! work.
 //!
 //! # Key derivation
 //!
@@ -40,7 +41,7 @@
 //! (`PERSPECTIVE_CACHE_DIR`, default `target/persp-cache/`). Writers
 //! serialize to a process-unique temp file in the same directory and
 //! `rename(2)` it into place, so readers never observe a half-written
-//! entry even when `run_all`'s children populate one cache
+//! entry even when several threads or processes populate one cache
 //! concurrently; concurrent writers of the same cell race benignly
 //! (identical bytes). Any unreadable, unparseable, truncated, or
 //! mismatched entry is treated as a miss and counted, never a panic.
@@ -362,24 +363,6 @@ pub fn reset_stats() {
     STORES.store(0, Ordering::Relaxed);
     VERIFIED.store(0, Ordering::Relaxed);
     INVALID.store(0, Ordering::Relaxed);
-}
-
-/// Write the counter snapshot to `path`
-/// (`hits=H misses=M stores=S verified=V invalid=I`) if this process
-/// used the cache at all. A binary calls this once, when it finishes;
-/// `run_all` points each child at its own file to build the per-bin
-/// summary table without touching the children's stdout. Best effort: a
-/// failed write never fails a run.
-pub fn write_stats(path: &Path) {
-    let s = stats();
-    if s == CacheStats::default() {
-        return;
-    }
-    let body = format!(
-        "hits={} misses={} stores={} verified={} invalid={}\n",
-        s.hits, s.misses, s.stores, s.verified, s.invalid
-    );
-    let _ = std::fs::write(path, body);
 }
 
 fn bump(counter: &AtomicU64) {

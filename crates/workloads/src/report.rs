@@ -394,11 +394,6 @@ pub fn experiment_json(name: &str, kernel: KernelScale, fields: Vec<(&str, Json)
     Json::obj(pairs)
 }
 
-/// Print an experiment document to stdout (single line, trailing newline).
-pub fn emit(doc: &Json) {
-    println!("{}", doc.render());
-}
-
 // ---------------------------------------------------------------------------
 // Lossless Measurement codec (the cell-cache entry format).
 // ---------------------------------------------------------------------------

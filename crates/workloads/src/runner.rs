@@ -17,7 +17,8 @@
 //!
 //! Steps 2–3 are shared with the SNI harness ([`crate::sni`]). The entry
 //! points are [`measure`] (one cell, through the cell cache in
-//! [`crate::memo`]), [`run_matrix`] (a workload × scheme matrix),
+//! [`crate::memo`]), [`run_cells`] (a batch of cells, every failure
+//! reported), [`run_matrix`] (a workload × scheme matrix of them),
 //! [`run_parallel`] (any batch of jobs on a worker pool) and
 //! [`measure_image_uncached`] (the protocol without the cache). They take
 //! the pool width, cache and core configuration as arguments and read no
@@ -455,32 +456,22 @@ impl std::fmt::Display for CellFailure {
     }
 }
 
-/// Measure every (workload, scheme) cell of an experiment matrix on a
-/// pool of `threads` workers through the cell cache `cache`, sharing one
-/// pre-generated kernel image, with the default Perspective configuration
-/// and core configuration `core_cfg`.
-///
-/// Results are ordered workload-major and scheme-minor regardless of
-/// which worker finishes first: cell `(w, s)` is at index
-/// `w * schemes.len() + s`, so `chunks(schemes.len())` yields one
-/// per-workload row after another, each in `schemes` order.
+/// Measure a batch of `(scheme, workload, Perspective configuration)`
+/// cells on a pool of `threads` workers through the cell cache `cache`,
+/// sharing one pre-generated kernel image, with core configuration
+/// `core_cfg`. Results come back in job order regardless of which worker
+/// finishes first.
 ///
 /// Every cell runs even when some fail; the failures come back together,
-/// in matrix order.
-pub fn run_matrix(
+/// in job order.
+pub fn run_cells(
     threads: usize,
     cache: &memo::CacheConfig,
     image: &KernelImage,
-    schemes: &[Scheme],
-    workloads: &[Workload],
+    cells: Vec<(Scheme, &Workload, PerspectiveConfig)>,
     core_cfg: CoreConfig,
 ) -> Result<Vec<Measurement>, Vec<CellFailure>> {
-    let pcfg = PerspectiveConfig::default();
-    let cells: Vec<(&Workload, Scheme)> = workloads
-        .iter()
-        .flat_map(|w| schemes.iter().map(move |&s| (w, s)))
-        .collect();
-    let results = run_parallel(threads, cells, |(w, scheme)| {
+    let results = run_parallel(threads, cells, |(scheme, w, pcfg)| {
         measure(cache, scheme, image, w, pcfg, core_cfg).map_err(|message| CellFailure {
             scheme,
             workload: w.name,
@@ -497,6 +488,29 @@ pub fn run_matrix(
     } else {
         Err(failures)
     }
+}
+
+/// Measure every (workload, scheme) cell of an experiment matrix with
+/// the default Perspective configuration ([`run_cells`] over the cross
+/// product).
+///
+/// Results are ordered workload-major and scheme-minor: cell `(w, s)` is
+/// at index `w * schemes.len() + s`, so `chunks(schemes.len())` yields
+/// one per-workload row after another, each in `schemes` order.
+pub fn run_matrix(
+    threads: usize,
+    cache: &memo::CacheConfig,
+    image: &KernelImage,
+    schemes: &[Scheme],
+    workloads: &[Workload],
+    core_cfg: CoreConfig,
+) -> Result<Vec<Measurement>, Vec<CellFailure>> {
+    let pcfg = PerspectiveConfig::default();
+    let cells = workloads
+        .iter()
+        .flat_map(|w| schemes.iter().map(move |&s| (s, w, pcfg)))
+        .collect();
+    run_cells(threads, cache, image, cells, core_cfg)
 }
 
 /// Normalized overhead of `m` versus a baseline measurement.

@@ -163,17 +163,13 @@ fn cache_mode() {
     );
 }
 
-/// The two path variables have no invalid value: an empty or blank
-/// one means unset.
+/// The cache directory has no invalid value: an empty or blank one
+/// means unset.
 #[test]
-fn cache_dir_and_stats_file() {
+fn cache_dir() {
     for v in [None, Some(""), Some("  ")] {
         let cfg = quiet("PERSPECTIVE_CACHE_DIR", v);
         assert_eq!(cfg.cache.dir, PathBuf::from(DEFAULT_DIR));
-        assert_eq!(
-            quiet("PERSPECTIVE_CACHE_STATS_FILE", v).cache_stats_file,
-            None
-        );
     }
     let cfg = quiet("PERSPECTIVE_CACHE_DIR", Some("/tmp/cells"));
     assert_eq!(cfg.cache.dir, PathBuf::from("/tmp/cells"));
@@ -181,10 +177,6 @@ fn cache_dir_and_stats_file() {
         cfg.cache.mode,
         CacheMode::Off,
         "the directory alone enables nothing"
-    );
-    assert_eq!(
-        quiet("PERSPECTIVE_CACHE_STATS_FILE", Some("/tmp/stats.txt")).cache_stats_file,
-        Some(PathBuf::from("/tmp/stats.txt"))
     );
 }
 
