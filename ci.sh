@@ -19,6 +19,11 @@ cargo build --release
 echo "==> cargo test (PERSPECTIVE_KERNEL=small)"
 PERSPECTIVE_KERNEL=small cargo test -q --release
 
+# Clippy only type-checks the Criterion benches; run the matrix and
+# instance-construction groups once, with few samples, so they must work.
+echo "==> Criterion smoke run (bench_matrix, CRITERION_QUICK=1)"
+CRITERION_QUICK=1 cargo bench -p persp-bench --bench bench_matrix
+
 # Experiments whose small-kernel --json documents are pinned by a
 # checked-in BENCH_<exp>.json baseline (deterministic at any
 # PERSPECTIVE_THREADS width). The cache cell below covers only the ones

@@ -1,13 +1,17 @@
 //! Criterion bench: the experiment matrix end to end on the small
 //! kernel — image generation, one measured cell, and the serial vs.
-//! parallel harness around a 2-scheme × 2-workload matrix.
+//! parallel harness around a 2-scheme × 2-workload matrix — plus the
+//! construction of one simulated machine: the Table 7.1 memory
+//! hierarchy alone, and a whole instance from a prebuilt image at both
+//! kernel scales.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
+use persp_mem::{HierarchyConfig, MemoryHierarchy};
 use persp_uarch::config::CoreConfig;
 use persp_workloads::memo::CacheConfig;
-use persp_workloads::{lebench, runner, Workload};
+use persp_workloads::{lebench, runner, SimInstance, Workload};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
 use std::hint::black_box;
@@ -73,10 +77,31 @@ fn bench_matrix_widths(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_instance(c: &mut Criterion) {
+    let mut group = c.benchmark_group("instance");
+    group.bench_function("memory-hierarchy-paper", |b| {
+        b.iter(|| black_box(MemoryHierarchy::new(HierarchyConfig::paper_default())))
+    });
+    for (scale, cfg) in [
+        ("small", KernelConfig::test_small()),
+        ("paper", KernelConfig::paper()),
+    ] {
+        let image = KernelImage::build(cfg);
+        for scheme in SCHEMES {
+            let id = format!("from-image-{scale}-{}", scheme.name().to_lowercase());
+            group.bench_function(id, |b| {
+                b.iter(|| black_box(SimInstance::from_image(scheme, &image)))
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_image_build,
     bench_single_cell,
-    bench_matrix_widths
+    bench_matrix_widths,
+    bench_instance
 );
 criterion_main!(benches);

@@ -197,13 +197,6 @@ impl MemoryHierarchy {
     pub fn l2_stats(&self) -> CacheStats {
         self.l2.stats()
     }
-
-    /// Reset statistics on all levels; contents are untouched.
-    pub fn reset_stats(&mut self) {
-        self.l1d.reset_stats();
-        self.l1i.reset_stats();
-        self.l2.reset_stats();
-    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! * [`hierarchy`] — a two-level private L1I/L1D + shared L2 + DRAM model
 //!   matching Table 7.1 of the paper.
 //! * [`tlb`] — an ASID-tagged TLB used by the ISV/DSVMT refill paths.
+//! * [`setassoc`] — the flat set-associative array behind the caches, the
+//!   TLB and Perspective's metadata caches, with their one LRU victim rule.
 //! * [`sram`] — a CACTI-inspired analytical SRAM model used to regenerate
 //!   Table 9.1 (area / access time / energy / leakage at 22 nm).
 //! * [`covert`] — flush+reload timing classification helpers used by the
@@ -32,6 +34,7 @@
 pub mod cache;
 pub mod covert;
 pub mod hierarchy;
+pub mod setassoc;
 pub mod sram;
 pub mod tlb;
 

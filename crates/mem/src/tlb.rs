@@ -6,7 +6,7 @@
 //! whose only observable behavior is hit/miss latency; translation itself is
 //! identity in the simulator (the mini-OS uses a direct-mapped layout).
 
-use std::fmt;
+use crate::setassoc::{SetAssoc, Way};
 
 /// Geometry of the TLB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,16 +53,11 @@ pub struct TlbStats {
 impl TlbStats {
     /// Hit rate in `[0, 1]`; `1.0` when empty.
     pub fn hit_rate(&self) -> f64 {
-        let t = self.hits + self.misses;
-        if t == 0 {
-            1.0
-        } else {
-            self.hits as f64 / t as f64
-        }
+        crate::setassoc::hit_rate(self.hits, self.misses)
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct TlbEntry {
     vpn: u64,
     asid: u16,
@@ -70,23 +65,23 @@ struct TlbEntry {
     lru: u64,
 }
 
-/// ASID-tagged set-associative TLB.
-pub struct Tlb {
-    cfg: TlbConfig,
-    sets: Vec<Vec<TlbEntry>>,
-    clock: u64,
-    stats: TlbStats,
-    set_mask: u64,
-    page_shift: u32,
+impl Way for TlbEntry {
+    fn valid(&self) -> bool {
+        self.valid
+    }
+    fn lru(&self) -> u64 {
+        self.lru
+    }
 }
 
-impl fmt::Debug for Tlb {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tlb")
-            .field("cfg", &self.cfg)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
+/// ASID-tagged set-associative TLB.
+#[derive(Debug)]
+pub struct Tlb {
+    cfg: TlbConfig,
+    entries: SetAssoc<TlbEntry>,
+    clock: u64,
+    stats: TlbStats,
+    page_shift: u32,
 }
 
 impl Tlb {
@@ -101,29 +96,16 @@ impl Tlb {
             cfg.ways > 0 && cfg.entries.is_multiple_of(cfg.ways),
             "entries must be a multiple of ways"
         );
-        let sets = cfg.entries / cfg.ways;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let entries = SetAssoc::new(cfg.entries / cfg.ways, cfg.ways, TlbEntry::default());
         assert!(
             cfg.page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
         Tlb {
             cfg,
-            sets: vec![
-                vec![
-                    TlbEntry {
-                        vpn: 0,
-                        asid: 0,
-                        valid: false,
-                        lru: 0
-                    };
-                    cfg.ways
-                ];
-                sets
-            ],
+            entries,
             clock: 0,
             stats: TlbStats::default(),
-            set_mask: (sets - 1) as u64,
             page_shift: cfg.page_bytes.trailing_zeros(),
         }
     }
@@ -135,21 +117,17 @@ impl Tlb {
         self.clock += 1;
         let clock = self.clock;
         let vpn = va >> self.page_shift;
-        let set_idx = (vpn & self.set_mask) as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(e) = set
-            .iter_mut()
-            .find(|e| e.valid && e.vpn == vpn && e.asid == asid)
+        let (set_idx, _) = self.entries.locate(vpn);
+        if let Some(e) = self
+            .entries
+            .find(set_idx, |e| e.vpn == vpn && e.asid == asid)
         {
             e.lru = clock;
             self.stats.hits += 1;
             return self.cfg.hit_latency;
         }
         self.stats.misses += 1;
-        let victim = set
-            .iter_mut()
-            .min_by_key(|e| if e.valid { e.lru } else { 0 })
-            .expect("tlb set is never empty");
+        let victim = self.entries.victim(set_idx);
         if victim.valid {
             self.stats.evictions += 1;
         }
@@ -170,12 +148,10 @@ impl Tlb {
     /// Drop every entry belonging to `asid` (used when an address space is
     /// destroyed).
     pub fn invalidate_asid(&mut self, asid: u16) {
-        for set in &mut self.sets {
-            for e in set.iter_mut() {
-                if e.valid && e.asid == asid {
-                    e.valid = false;
-                    self.stats.flushes += 1;
-                }
+        for e in self.entries.iter_mut() {
+            if e.valid && e.asid == asid {
+                e.valid = false;
+                self.stats.flushes += 1;
             }
         }
     }
