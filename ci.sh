@@ -20,9 +20,12 @@ echo "==> cargo test (PERSPECTIVE_KERNEL=small)"
 PERSPECTIVE_KERNEL=small cargo test -q --release
 
 # Clippy only type-checks the Criterion benches; run the matrix and
-# instance-construction groups once, with few samples, so they must work.
-echo "==> Criterion smoke run (bench_matrix, CRITERION_QUICK=1)"
-CRITERION_QUICK=1 cargo bench -p persp-bench --bench bench_matrix
+# instance-construction groups, and the ISV and scanner groups (which
+# consume the FuncSet views), once, with few samples, so they must work.
+for bench in bench_matrix bench_isv bench_scanner; do
+    echo "==> Criterion smoke run ($bench, CRITERION_QUICK=1)"
+    CRITERION_QUICK=1 cargo bench -p persp-bench --bench "$bench"
+done
 
 # Experiments whose small-kernel --json documents are pinned by a
 # checked-in BENCH_<exp>.json baseline (deterministic at any

@@ -15,7 +15,7 @@ use persp_uarch::config::CoreConfig;
 use persp_uarch::pipeline::{RunSummary, SimError};
 use persp_uarch::Asid;
 use persp_workloads::SimInstance;
-use perspective::isv::{Isv, IsvKind};
+use perspective::isv::Isv;
 use perspective::policy::PerspectiveConfig;
 
 pub use perspective::scheme::Scheme;
@@ -92,24 +92,14 @@ impl AttackLab {
             let graph = &kernel_ref.graph;
             let isv = match sim.scheme {
                 Scheme::PerspectiveStatic => Isv::static_for(graph, victim_syscalls),
-                Scheme::Perspective => Isv::from_func_set(
-                    graph,
-                    graph.live_reachable(victim_syscalls),
-                    IsvKind::Dynamic,
-                ),
+                Scheme::Perspective => {
+                    Isv::dynamic_from_funcs(graph, graph.live_reachable(victim_syscalls))
+                }
                 Scheme::PerspectivePlusPlus => {
-                    let dynamic = Isv::from_func_set(
-                        graph,
-                        graph.live_reachable(victim_syscalls),
-                        IsvKind::Dynamic,
-                    );
-                    let flagged: Vec<_> = graph
-                        .gadgets
-                        .iter()
-                        .map(|(f, _)| *f)
-                        .filter(|f| dynamic.contains_func(*f))
-                        .collect();
-                    dynamic.hardened_with_audit(graph, flagged)
+                    let dynamic =
+                        Isv::dynamic_from_funcs(graph, graph.live_reachable(victim_syscalls));
+                    let flagged = graph.gadgets_within(dynamic.funcs());
+                    dynamic.hardened_with_audit(graph, flagged.into_iter().map(|(f, _)| f))
                 }
                 _ => unreachable!("is_perspective() gated"),
             };
@@ -250,8 +240,7 @@ mod tests {
         {
             let kernel = lab.sim.kernel.borrow();
             let g = &kernel.graph;
-            let view =
-                Isv::from_func_set(g, g.live_reachable(&a.syscall_profile()), IsvKind::Dynamic);
+            let view = Isv::dynamic_from_funcs(g, g.live_reachable(&a.syscall_profile()));
             lab.sim
                 .perspective
                 .as_ref()

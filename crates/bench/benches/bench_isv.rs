@@ -47,7 +47,7 @@ fn bench_lookup(c: &mut Criterion) {
 fn bench_membership_representation(c: &mut Criterion) {
     let g = graph();
     let isv = Isv::static_for(&g, Sysno::ALL);
-    let oracle: HashSet<FuncId> = isv.funcs().clone();
+    let oracle: HashSet<FuncId> = isv.funcs().iter().collect();
     let ids: Vec<FuncId> = (0..g.len() as u32).map(FuncId).collect();
     c.bench_function("isv/contains-func-bitset", |b| {
         let mut i = 0;

@@ -5,7 +5,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use persp_kernel::callgraph::FuncId;
+use persp_kernel::callgraph::FuncSet;
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
 use persp_workloads::report::{self, Json};
@@ -15,7 +15,6 @@ use persp_workloads::{
 use perspective::isv::Isv;
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 pub mod experiments;
@@ -240,7 +239,7 @@ const TRACE_INSTS: u64 = 400_000_000;
 fn traced_instance(
     image: &KernelImage,
     workload: &Workload,
-) -> (persp_workloads::SimInstance, HashSet<FuncId>) {
+) -> (persp_workloads::SimInstance, FuncSet) {
     let mut inst = persp_workloads::SimInstance::from_image(Scheme::Unsafe, image);
     let text = inst.text_base();
     let data = inst.data_base();
@@ -256,7 +255,7 @@ fn traced_instance(
 
 /// Collect a dynamic-ISV trace for a workload (see [`traced_instance`]),
 /// resolved to function ids so callers never handle addresses.
-pub fn trace_workload(image: &KernelImage, workload: &Workload) -> HashSet<FuncId> {
+pub fn trace_workload(image: &KernelImage, workload: &Workload) -> FuncSet {
     traced_instance(image, workload).1
 }
 

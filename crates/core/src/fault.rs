@@ -105,14 +105,6 @@ impl FaultPlan {
             corrupt_dsv: 17,
         }
     }
-
-    /// Does this plan inject anything at all?
-    pub fn is_active(&self) -> bool {
-        self.flip_block_to_allow != 0
-            || self.flip_allow_to_block != 0
-            || self.evict_metadata != 0
-            || self.corrupt_dsv != 0
-    }
 }
 
 /// What the injector did, shared with the harness via `Rc<RefCell<..>>`

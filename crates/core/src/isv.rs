@@ -10,18 +10,22 @@
 //!   direct-edge closure of the application's syscall set over the kernel
 //!   call graph (the radare2-based analysis of the paper). Indirect-call
 //!   targets are invisible and excluded.
-//! * [`Isv::dynamic_from_trace`] — dynamic tracing: the functions whose
-//!   entries were observed in a committed-call trace (ftrace analog).
+//! * [`Isv::dynamic_from_funcs`] — dynamic tracing: the functions whose
+//!   entries were observed in a committed-call trace (ftrace analog),
+//!   resolved from call-target VAs by the tracing harness.
 //! * [`Isv::exclude_function`] — auditing/CVE hardening: removing
 //!   functions flagged by the gadget scanner yields ISV++, and the same
 //!   interface gives runtime reconfigurability ("swiftly patching gadgets
 //!   without kernel patches", §5.4).
+//!
+//! A view holds its functions once, as a [`FuncSet`] (one bit per kernel
+//! function); its VA ranges are derived from that set in one ascending
+//! pass, since emission lays functions out in [`FuncId`] order.
 
-use persp_kernel::callgraph::{CallGraph, FuncId, VaFuncMap};
+use persp_kernel::callgraph::{CallGraph, FuncId, FuncSet, VaFuncMap};
 use persp_kernel::layout::KTEXT_BASE;
 use persp_kernel::syscalls::Sysno;
 use persp_uarch::isa::INST_BYTES;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// How an ISV was produced.
@@ -39,24 +43,20 @@ pub enum IsvKind {
 
 /// An instruction speculation view.
 ///
-/// Membership is answered from a dense bitset indexed by [`FuncId`]
-/// (one bit per kernel function) plus the graph's shared VA → function
-/// map — both O(1) probes on the simulation hot path, where the policy
-/// layer queries [`Isv::contains_va`] for every instruction of an
-/// ISV-cache line fill. The function [`HashSet`] is retained only as
-/// construction-time ingest and for set-valued consumers
-/// ([`Isv::funcs`]); the probe paths never touch it.
+/// Membership is answered from the view's [`FuncSet`] plus the graph's
+/// shared VA → function map — both O(1) probes on the simulation hot
+/// path, where the policy layer queries [`Isv::contains_va`] for every
+/// instruction of an ISV-cache line fill.
 #[derive(Debug, Clone)]
 pub struct Isv {
     kind: IsvKind,
-    funcs: HashSet<FuncId>,
-    /// Dense membership bitset, bit `f.0` ⇔ function `f` in the view.
-    words: Vec<u64>,
+    funcs: FuncSet,
     /// Shared VA → function map (absent before kernel emission or for
     /// the unrestricted view; [`Isv::contains_va`] then falls back to
     /// binary search over `ranges`).
     va_map: Option<Arc<VaFuncMap>>,
-    /// Sorted, disjoint `[start, end)` VA ranges allowed to speculate.
+    /// Sorted, disjoint `[start, end)` VA ranges allowed to speculate:
+    /// the entry stub and the members' text, merged.
     ranges: Vec<(u64, u64)>,
 }
 
@@ -64,68 +64,45 @@ pub struct Isv {
 /// path itself.
 const STUB_RANGE: (u64, u64) = (KTEXT_BASE, KTEXT_BASE + 0x1000);
 
-impl Isv {
-    fn from_funcs(kind: IsvKind, graph: &CallGraph, funcs: HashSet<FuncId>) -> Self {
-        let mut ranges: Vec<(u64, u64)> = funcs
-            .iter()
-            .map(|&f| {
-                let kf = graph.func(f);
-                (
-                    kf.entry_va,
-                    kf.entry_va + u64::from(kf.len_insts) * INST_BYTES,
-                )
-            })
-            .collect();
-        ranges.push(STUB_RANGE);
-        ranges.sort_unstable();
-        // Merge adjacent/overlapping ranges.
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-        for (s, e) in ranges {
-            match merged.last_mut() {
-                Some((_, le)) if s <= *le => *le = (*le).max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        let mut words = vec![0u64; graph.len().div_ceil(64)];
-        for &f in &funcs {
-            words[f.0 as usize / 64] |= 1 << (f.0 % 64);
-        }
-        let va_map = graph.va_map.is_built().then(|| graph.va_map.clone());
-        Isv {
-            kind,
-            funcs,
-            words,
-            va_map,
-            ranges: merged,
+/// The merged VA ranges of the stub and `funcs`, in one pass: members
+/// come in ascending [`FuncId`] order, which is ascending VA order
+/// (asserted when the VA map is built).
+fn ranges_of(graph: &CallGraph, funcs: &FuncSet) -> Vec<(u64, u64)> {
+    let mut ranges = vec![STUB_RANGE];
+    for f in funcs {
+        let kf = graph.func(f);
+        let end = kf.entry_va + u64::from(kf.len_insts) * INST_BYTES;
+        match ranges.last_mut() {
+            Some((_, le)) if kf.entry_va <= *le => *le = (*le).max(end),
+            _ => ranges.push((kf.entry_va, end)),
         }
     }
+    ranges
+}
 
+impl Isv {
     /// Static ISV (ISV-S): direct-edge closure of the application's
     /// syscall set.
     pub fn static_for(graph: &CallGraph, syscalls: &[Sysno]) -> Self {
         let funcs = graph.static_reachable(syscalls);
-        Self::from_funcs(IsvKind::Static, graph, funcs)
+        Self::from_func_set(graph, funcs, IsvKind::Static)
     }
 
     /// Build a view from an explicit function set (e.g. the runtime
     /// reachability ground truth that a long dynamic trace converges to).
-    pub fn from_func_set(graph: &CallGraph, funcs: HashSet<FuncId>, kind: IsvKind) -> Self {
-        Self::from_funcs(kind, graph, funcs)
-    }
-
-    /// Dynamic ISV: functions observed in a committed call-target trace.
-    pub fn dynamic_from_trace(graph: &CallGraph, trace: &HashSet<u64>) -> Self {
-        let funcs: HashSet<FuncId> = trace
-            .iter()
-            .filter_map(|&va| graph.func_of_va(va))
-            .collect();
-        Self::from_funcs(IsvKind::Dynamic, graph, funcs)
+    pub fn from_func_set(graph: &CallGraph, funcs: FuncSet, kind: IsvKind) -> Self {
+        Isv {
+            kind,
+            ranges: ranges_of(graph, &funcs),
+            funcs,
+            va_map: graph.va_map.is_built().then(|| graph.va_map.clone()),
+        }
     }
 
     /// Dynamic ISV from an already-resolved function set (the form the
     /// tracing harness produces once call targets are attributed).
-    pub fn dynamic_from_funcs(graph: &CallGraph, funcs: HashSet<FuncId>) -> Self {
-        Self::from_funcs(IsvKind::Dynamic, graph, funcs)
+    pub fn dynamic_from_funcs(graph: &CallGraph, funcs: FuncSet) -> Self {
+        Self::from_func_set(graph, funcs, IsvKind::Dynamic)
     }
 
     /// The unrestricted view: every kernel instruction may speculate (the
@@ -133,8 +110,7 @@ impl Isv {
     pub fn unrestricted() -> Self {
         Isv {
             kind: IsvKind::Unrestricted,
-            funcs: HashSet::new(),
-            words: Vec::new(),
+            funcs: FuncSet::default(),
             va_map: None,
             ranges: vec![(KTEXT_BASE, u64::MAX)],
         }
@@ -151,16 +127,14 @@ impl Isv {
     }
 
     /// The functions inside the view.
-    pub fn funcs(&self) -> &HashSet<FuncId> {
+    pub fn funcs(&self) -> &FuncSet {
         &self.funcs
     }
 
     /// Is this function inside the view? O(1) bitset probe.
     #[inline]
     pub fn contains_func(&self, f: FuncId) -> bool {
-        self.words
-            .get(f.0 as usize / 64)
-            .is_some_and(|w| w >> (f.0 % 64) & 1 == 1)
+        self.funcs.contains(f)
     }
 
     /// Is the instruction at `va` allowed to execute speculatively?
@@ -188,31 +162,7 @@ impl Isv {
     /// runtime shrinking). Upgrades the kind to [`IsvKind::Hardened`] and
     /// returns whether the function was present.
     pub fn exclude_function(&mut self, graph: &CallGraph, f: FuncId) -> bool {
-        let was_present = self.funcs.remove(&f);
-        if let Some(w) = self.words.get_mut(f.0 as usize / 64) {
-            *w &= !(1 << (f.0 % 64));
-        }
-        let kf = graph.func(f);
-        let (fs, fe) = (
-            kf.entry_va,
-            kf.entry_va + u64::from(kf.len_insts) * INST_BYTES,
-        );
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        for &(s, e) in &self.ranges {
-            if e <= fs || s >= fe {
-                out.push((s, e));
-                continue;
-            }
-            if s < fs {
-                out.push((s, fs));
-            }
-            if e > fe {
-                out.push((fe, e));
-            }
-        }
-        self.ranges = out;
-        self.kind = IsvKind::Hardened;
-        was_present
+        self.exclude(graph, [f]) > 0
     }
 
     /// Harden a view by excluding every gadget-hosting function found by
@@ -222,10 +172,27 @@ impl Isv {
         graph: &CallGraph,
         flagged: impl IntoIterator<Item = FuncId>,
     ) -> Self {
-        for f in flagged {
-            self.exclude_function(graph, f);
-        }
+        self.exclude(graph, flagged);
         self
+    }
+
+    /// Clear every function of `funcs` from the view, then rebuild its
+    /// ranges once; returns how many were members. The unrestricted view
+    /// lists no functions, so it has none to exclude and stays as it is.
+    fn exclude(&mut self, graph: &CallGraph, funcs: impl IntoIterator<Item = FuncId>) -> usize {
+        if self.kind == IsvKind::Unrestricted {
+            return 0;
+        }
+        let before = self.funcs.len();
+        for f in funcs {
+            self.funcs.remove(f);
+            self.kind = IsvKind::Hardened;
+        }
+        let removed = before - self.funcs.len();
+        if removed > 0 {
+            self.ranges = ranges_of(graph, &self.funcs);
+        }
+        removed
     }
 
     /// Attack-surface reduction versus an unprotected kernel:
@@ -257,7 +224,7 @@ mod tests {
         let g = graph();
         let isv = Isv::static_for(&g, &[Sysno::Read, Sysno::Write]);
         assert_eq!(isv.kind(), IsvKind::Static);
-        for &f in isv.funcs() {
+        for f in isv.funcs() {
             let kf = g.func(f);
             assert!(
                 isv.contains_va(kf.entry_va),
@@ -289,8 +256,7 @@ mod tests {
     fn dynamic_isv_from_trace() {
         let g = graph();
         let read_entry = g.entries[&Sysno::Read];
-        let trace: HashSet<u64> = [g.func(read_entry).entry_va].into_iter().collect();
-        let isv = Isv::dynamic_from_trace(&g, &trace);
+        let isv = Isv::dynamic_from_funcs(&g, [read_entry].into_iter().collect());
         assert_eq!(isv.kind(), IsvKind::Dynamic);
         assert_eq!(isv.num_funcs(), 1);
         assert!(isv.contains_func(read_entry));
@@ -300,12 +266,13 @@ mod tests {
     fn exclude_function_removes_its_range() {
         let g = graph();
         let mut isv = Isv::static_for(&g, &[Sysno::Read]);
-        let victim = *isv.funcs().iter().next().expect("nonempty view");
+        let victim = g.entries[&Sysno::Read];
         let va = g.func(victim).entry_va;
         assert!(isv.contains_va(va));
         assert!(isv.exclude_function(&g, victim));
         assert!(!isv.contains_va(va));
         assert!(!isv.contains_func(victim));
+        assert!(!isv.ranges().iter().any(|&(s, e)| s <= va && va < e));
         assert_eq!(isv.kind(), IsvKind::Hardened);
         // Idempotent.
         assert!(!isv.exclude_function(&g, victim));

@@ -77,7 +77,7 @@ pub fn body_len(body: &[BodyOp]) -> u32 {
 }
 
 /// Emit the kernel: assigns `entry_va`/`len_insts` on every function,
-/// fills the `va_index`, records gadget sequence addresses, and returns
+/// builds the VA → function map, records gadget sequence addresses, and returns
 /// the full text image (including the entry stub) as one dense segment.
 pub fn emit_kernel(graph: &mut CallGraph) -> TextSegment {
     // Pass 1: addresses.
@@ -90,7 +90,6 @@ pub fn emit_kernel(graph: &mut CallGraph) -> TextSegment {
         text_end = va;
         va = (va + 63) & !63; // 64-byte align the next function
     }
-    graph.va_index = graph.funcs.iter().map(|f| (f.entry_va, f.id)).collect();
     graph.va_map = std::sync::Arc::new(crate::callgraph::VaFuncMap::build(&graph.funcs));
 
     // Pass 2: emission.

@@ -26,12 +26,157 @@ use crate::layout::{KDATA_KPRIV_BASE, SHARED_GLOBALS};
 use crate::syscalls::Sysno;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of a kernel function (index into [`CallGraph::funcs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FuncId(pub u32);
+
+/// A set of kernel functions: one bit per [`FuncId`] in growable `u64`
+/// words, with the member count kept alongside. Membership is one word
+/// probe, iteration is in ascending [`FuncId`] order, and two sets are
+/// equal when they hold the same functions, whatever their word counts.
+#[derive(Clone, Default)]
+pub struct FuncSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl FuncSet {
+    /// An empty set with room for `FuncId`s below `n` without growing.
+    pub fn with_capacity(n: usize) -> Self {
+        FuncSet {
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Add `f`; returns whether it was absent.
+    pub fn insert(&mut self, f: FuncId) -> bool {
+        let i = f.0 as usize / 64;
+        if i >= self.words.len() {
+            self.words.resize(i + 1, 0);
+        }
+        let (w, bit) = (&mut self.words[i], 1 << (f.0 % 64));
+        let added = *w & bit == 0;
+        *w |= bit;
+        self.len += usize::from(added);
+        added
+    }
+
+    /// Drop `f`; returns whether it was present.
+    pub fn remove(&mut self, f: FuncId) -> bool {
+        let present = self.contains(f);
+        if present {
+            self.words[f.0 as usize / 64] &= !(1 << (f.0 % 64));
+            self.len -= 1;
+        }
+        present
+    }
+
+    /// Is `f` in the set?
+    #[inline]
+    pub fn contains(&self, f: FuncId) -> bool {
+        self.words
+            .get(f.0 as usize / 64)
+            .is_some_and(|w| w >> (f.0 % 64) & 1 == 1)
+    }
+
+    /// Number of functions in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The members in ascending [`FuncId`] order.
+    pub fn iter(&self) -> FuncIter<&[u64]> {
+        FuncIter {
+            words: self.words.as_slice(),
+            next: 0,
+            bits: 0,
+        }
+    }
+}
+
+impl PartialEq for FuncSet {
+    /// Equal counts and equal common words leave no member in either
+    /// set's extra words.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words.iter().zip(&other.words).all(|(a, b)| a == b)
+    }
+}
+
+impl Eq for FuncSet {}
+
+impl std::fmt::Debug for FuncSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter().map(|id| id.0)).finish()
+    }
+}
+
+impl Extend<FuncId> for FuncSet {
+    fn extend<I: IntoIterator<Item = FuncId>>(&mut self, iter: I) {
+        for f in iter {
+            self.insert(f);
+        }
+    }
+}
+
+impl FromIterator<FuncId> for FuncSet {
+    fn from_iter<I: IntoIterator<Item = FuncId>>(iter: I) -> Self {
+        let mut set = FuncSet::default();
+        set.extend(iter);
+        set
+    }
+}
+
+impl IntoIterator for FuncSet {
+    type Item = FuncId;
+    type IntoIter = FuncIter<Vec<u64>>;
+    fn into_iter(self) -> Self::IntoIter {
+        FuncIter {
+            words: self.words,
+            next: 0,
+            bits: 0,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a FuncSet {
+    type Item = FuncId;
+    type IntoIter = FuncIter<&'a [u64]>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Ascending iterator over a [`FuncSet`]'s words (borrowed or owned).
+#[derive(Debug, Clone)]
+pub struct FuncIter<W> {
+    words: W,
+    /// Index of the next word to load.
+    next: usize,
+    /// The members of the word before it not yet yielded.
+    bits: u64,
+}
+
+impl<W: AsRef<[u64]>> Iterator for FuncIter<W> {
+    type Item = FuncId;
+    fn next(&mut self) -> Option<FuncId> {
+        while self.bits == 0 {
+            self.bits = *self.words.as_ref().get(self.next)?;
+            self.next += 1;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(FuncId((self.next - 1) as u32 * 64 + bit))
+    }
+}
 
 /// Dense VA → function-index map over the contiguous function region.
 ///
@@ -54,15 +199,21 @@ impl VaFuncMap {
 
     /// Build from emitted functions (requires `entry_va`/`len_insts`
     /// assigned, i.e. run after [`crate::body::emit_kernel`] pass 1).
+    /// Panics unless they lie in ascending [`FuncId`] order without
+    /// overlap, which the views' one-pass VA ranges rely on.
     pub fn build(funcs: &[KFunction]) -> Self {
         let Some(first) = funcs.first() else {
             return VaFuncMap::default();
         };
+        assert!(
+            funcs.windows(2).all(|w| w[0].id.0 + 1 == w[1].id.0
+                && w[0].entry_va + u64::from(w[0].len_insts) * 4 <= w[1].entry_va),
+            "kernel functions must be emitted in FuncId order"
+        );
         let base = first.entry_va;
         let end = funcs
             .last()
-            .map(|f| f.entry_va + u64::from(f.len_insts) * 4)
-            .unwrap_or(base);
+            .map_or(base, |f| f.entry_va + u64::from(f.len_insts) * 4);
         let mut slots = vec![Self::NONE; ((end - base) / 4) as usize];
         for f in funcs {
             let start = ((f.entry_va - base) / 4) as usize;
@@ -85,11 +236,6 @@ impl VaFuncMap {
     pub fn is_built(&self) -> bool {
         !self.slots.is_empty()
     }
-
-    /// Number of instruction slots covered (padding included).
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Transient-execution gadget categories, following Kasper's taxonomy
@@ -103,6 +249,29 @@ pub enum GadgetKind {
     Port,
     /// Leaks through the cache (secret-dependent load address).
     Cache,
+}
+
+/// The reachability closures, as the bits of a call edge's mask.
+const STATIC: u8 = 1;
+const LIVE: u8 = 2;
+const LIVE_ALWAYS: u8 = 4;
+
+/// A call op as a closure edge: the callee (indirect calls resolved
+/// through the ops table) and the closures that follow it. Static
+/// analysis sees every direct call but no indirect one; the runtime
+/// closures follow a conditional call only if its flag is set, and the
+/// live-always one skips rarely-taken calls.
+fn call_edge(ops_table: &[FuncId], op: &BodyOp) -> Option<(FuncId, u8)> {
+    let every = STATIC | LIVE | LIVE_ALWAYS;
+    match *op {
+        BodyOp::CallDirect(c) => Some((c, every)),
+        BodyOp::CallCond { callee, taken, .. } => {
+            Some((callee, if taken { every } else { STATIC }))
+        }
+        BodyOp::CallRare { callee, .. } => Some((callee, STATIC | LIVE)),
+        BodyOp::CallIndirect { slot } => Some((ops_table[slot as usize], LIVE | LIVE_ALWAYS)),
+        _ => None,
+    }
 }
 
 /// The role a function plays in the kernel.
@@ -311,7 +480,8 @@ impl KernelConfig {
 pub struct CallGraph {
     /// Configuration used for generation.
     pub cfg: KernelConfig,
-    /// All functions, indexed by [`FuncId`].
+    /// All functions, indexed by [`FuncId`]. Generation indexes their
+    /// call ops for the reachability closures, so those must not change.
     pub funcs: Vec<KFunction>,
     /// Entry function per syscall.
     pub entries: HashMap<Sysno, FuncId>,
@@ -337,12 +507,14 @@ pub struct CallGraph {
     next_global: u64,
     /// Next free kernel-private global address (bump allocator).
     next_kpriv: u64,
-    /// Sorted `(entry_va, id)` for VA lookup; built during emission.
-    pub va_index: Vec<(u64, FuncId)>,
     /// Dense O(1) VA → function map; built during emission. Shared via
     /// `Arc` so speculation views can keep a handle without cloning the
     /// table.
     pub va_map: Arc<VaFuncMap>,
+    /// Every function's call edges in one array, built at generation:
+    /// function `f`'s are `calls[call_index[f]..call_index[f + 1]]`.
+    call_index: Vec<u32>,
+    calls: Vec<(FuncId, u8)>,
 }
 
 impl CallGraph {
@@ -362,8 +534,9 @@ impl CallGraph {
             rare_funcs: Vec::new(),
             next_global: SHARED_GLOBALS,
             next_kpriv: KDATA_KPRIV_BASE,
-            va_index: Vec::new(),
             va_map: Arc::new(VaFuncMap::default()),
+            call_index: Vec::with_capacity(cfg.num_functions + 1),
+            calls: Vec::new(),
         };
 
         // 1. Syscall entry functions.
@@ -534,6 +707,15 @@ impl CallGraph {
             graph.gadgets.push((host, site));
         }
 
+        for f in &graph.funcs {
+            graph.call_index.push(graph.calls.len() as u32);
+            let edges = f
+                .body
+                .iter()
+                .filter_map(|op| call_edge(&graph.ops_table, op));
+            graph.calls.extend(edges);
+        }
+        graph.call_index.push(graph.calls.len() as u32);
         graph
     }
 
@@ -762,32 +944,8 @@ impl CallGraph {
     /// entry points following *direct* edges only (unconditional and
     /// conditional calls). Indirect-call targets are invisible to static
     /// analysis (§5.3, Figure 5.3a) and are not included.
-    pub fn static_reachable(&self, syscalls: &[Sysno]) -> HashSet<FuncId> {
-        let mut seen = HashSet::new();
-        let mut stack: Vec<FuncId> = syscalls
-            .iter()
-            .filter_map(|s| self.entries.get(s))
-            .copied()
-            .collect();
-        for &f in &stack {
-            seen.insert(f);
-        }
-        while let Some(f) = stack.pop() {
-            for op in &self.funcs[f.0 as usize].body {
-                let callee = match op {
-                    BodyOp::CallDirect(c) => Some(*c),
-                    BodyOp::CallCond { callee, .. } => Some(*callee),
-                    BodyOp::CallRare { callee, .. } => Some(*callee),
-                    _ => None,
-                };
-                if let Some(c) = callee {
-                    if seen.insert(c) {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        seen
+    pub fn static_reachable(&self, syscalls: &[Sysno]) -> FuncSet {
+        self.closure(syscalls, STATIC)
     }
 
     /// Runtime-reachability: the set of functions the execution of
@@ -795,68 +953,31 @@ impl CallGraph {
     /// edges, *plus* indirect-call targets (which execute even though
     /// static analysis cannot see them). This is the ground truth a
     /// dynamic trace converges to.
-    pub fn live_reachable(&self, syscalls: &[Sysno]) -> HashSet<FuncId> {
-        let mut seen = HashSet::new();
-        let mut stack: Vec<FuncId> = syscalls
-            .iter()
-            .filter_map(|s| self.entries.get(s))
-            .copied()
-            .collect();
-        for &f in &stack {
-            seen.insert(f);
-        }
-        while let Some(f) = stack.pop() {
-            for op in &self.funcs[f.0 as usize].body {
-                let callee = match op {
-                    BodyOp::CallDirect(c) => Some(*c),
-                    BodyOp::CallCond {
-                        callee,
-                        taken: true,
-                        ..
-                    } => Some(*callee),
-                    BodyOp::CallIndirect { slot } => Some(self.ops_table[*slot as usize]),
-                    BodyOp::CallRare { callee, .. } => Some(*callee),
-                    _ => None,
-                };
-                if let Some(c) = callee {
-                    if seen.insert(c) {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        seen
+    pub fn live_reachable(&self, syscalls: &[Sysno]) -> FuncSet {
+        self.closure(syscalls, LIVE)
     }
 
     /// Like [`CallGraph::live_reachable`] but excluding rarely-taken
     /// (`CallRare`) edges: the set of functions *every* execution of the
     /// syscalls enters, regardless of sequence alignment.
-    pub fn live_always_reachable(&self, syscalls: &[Sysno]) -> HashSet<FuncId> {
-        let mut seen = HashSet::new();
+    pub fn live_always_reachable(&self, syscalls: &[Sysno]) -> FuncSet {
+        self.closure(syscalls, LIVE_ALWAYS)
+    }
+
+    /// The functions reachable from the syscalls' entry functions over
+    /// the call edges that closure `which` follows (depth-first).
+    fn closure(&self, syscalls: &[Sysno], which: u8) -> FuncSet {
+        let mut seen = FuncSet::with_capacity(self.funcs.len());
         let mut stack: Vec<FuncId> = syscalls
             .iter()
-            .filter_map(|s| self.entries.get(s))
-            .copied()
+            .filter_map(|s| self.entries.get(s).copied())
+            .filter(|&f| seen.insert(f))
             .collect();
-        for &f in &stack {
-            seen.insert(f);
-        }
         while let Some(f) = stack.pop() {
-            for op in &self.funcs[f.0 as usize].body {
-                let callee = match op {
-                    BodyOp::CallDirect(c) => Some(*c),
-                    BodyOp::CallCond {
-                        callee,
-                        taken: true,
-                        ..
-                    } => Some(*callee),
-                    BodyOp::CallIndirect { slot } => Some(self.ops_table[*slot as usize]),
-                    _ => None,
-                };
-                if let Some(c) = callee {
-                    if seen.insert(c) {
-                        stack.push(c);
-                    }
+            let span = self.call_index[f.0 as usize]..self.call_index[f.0 as usize + 1];
+            for &(callee, closures) in &self.calls[span.start as usize..span.end as usize] {
+                if closures & which != 0 && seen.insert(callee) {
+                    stack.push(callee);
                 }
             }
         }
@@ -865,23 +986,14 @@ impl CallGraph {
 
     /// The function containing `va`, if any (valid after emission).
     pub fn func_of_va(&self, va: u64) -> Option<FuncId> {
-        if self.va_map.is_built() {
-            return self.va_map.func_of_va(va);
-        }
-        let idx = self.va_index.partition_point(|&(entry, _)| entry <= va);
-        if idx == 0 {
-            return None;
-        }
-        let (entry, id) = self.va_index[idx - 1];
-        let f = self.func(id);
-        (va < entry + u64::from(f.len_insts) * 4).then_some(id)
+        self.va_map.func_of_va(va)
     }
 
     /// Gadgets hosted by functions in `set`.
-    pub fn gadgets_within(&self, set: &HashSet<FuncId>) -> Vec<(FuncId, GadgetSite)> {
+    pub fn gadgets_within(&self, set: &FuncSet) -> Vec<(FuncId, GadgetSite)> {
         self.gadgets
             .iter()
-            .filter(|(f, _)| set.contains(f))
+            .filter(|&&(f, _)| set.contains(f))
             .copied()
             .collect()
     }
@@ -964,7 +1076,7 @@ mod tests {
         let small_set = g.static_reachable(&[Sysno::Getpid]);
         let bigger = g.static_reachable(&[Sysno::Getpid, Sysno::Read, Sysno::Mmap]);
         assert!(bigger.len() > small_set.len());
-        assert!(small_set.is_subset(&bigger));
+        assert!(small_set.iter().all(|f| bigger.contains(f)));
     }
 
     #[test]
@@ -974,7 +1086,7 @@ mod tests {
         let reach = g.static_reachable(&all);
         // At least one ops-table target whose only inbound edge is the
         // indirect call must be outside the static closure.
-        let mut direct_targets = HashSet::new();
+        let mut direct_targets = FuncSet::default();
         for f in &g.funcs {
             for op in &f.body {
                 match op {
@@ -992,21 +1104,21 @@ mod tests {
             .ops_table
             .iter()
             .copied()
-            .filter(|t| !direct_targets.contains(t))
+            .filter(|&t| !direct_targets.contains(t))
             .collect();
         assert!(
             !indirect_only.is_empty(),
             "generator produced no indirect-only functions"
         );
-        assert!(indirect_only.iter().any(|t| !reach.contains(t)));
+        assert!(indirect_only.iter().any(|&t| !reach.contains(t)));
     }
 
     #[test]
     fn gadgets_within_filters_by_set() {
         let g = small();
-        let all_funcs: HashSet<FuncId> = g.funcs.iter().map(|f| f.id).collect();
+        let all_funcs: FuncSet = g.funcs.iter().map(|f| f.id).collect();
         assert_eq!(g.gadgets_within(&all_funcs).len(), g.gadgets.len());
-        assert!(g.gadgets_within(&HashSet::new()).is_empty());
+        assert!(g.gadgets_within(&FuncSet::default()).is_empty());
     }
 
     #[test]

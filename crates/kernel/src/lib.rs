@@ -46,7 +46,7 @@ pub mod mm;
 pub mod sink;
 pub mod syscalls;
 
-pub use callgraph::{CallGraph, FuncId, GadgetKind, GadgetSite, KernelConfig};
+pub use callgraph::{CallGraph, FuncId, FuncSet, GadgetKind, GadgetSite, KernelConfig};
 pub use context::{CgroupId, Pid, Process};
 pub use kernel::{Kernel, KernelImage, SharedKernel};
 pub use sink::{AllocSink, NullSink, Owner};

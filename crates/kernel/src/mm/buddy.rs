@@ -129,11 +129,6 @@ impl BuddyAllocator {
         Some(frame)
     }
 
-    /// Allocate a single frame (order 0) for `owner`.
-    pub fn alloc_page(&mut self, owner: Owner, sink: &mut dyn AllocSink) -> Option<u64> {
-        self.alloc(0, owner, sink)
-    }
-
     /// Convenience: allocate for a cgroup.
     pub fn alloc_for_cgroup(
         &mut self,

@@ -89,11 +89,6 @@ impl SlabAllocator {
         }
     }
 
-    /// Is this the secure (per-cgroup) variant?
-    pub fn is_secure(&self) -> bool {
-        self.secure
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> SlabStats {
         self.stats

@@ -8,9 +8,8 @@
 //! 1.14–2.23× range the paper reports; execution work is unchanged, which
 //! is why the speedup is far below the raw 20× search-space reduction.
 
-use crate::scanner::ScanReport;
 use crate::taint::scan_functions;
-use persp_kernel::callgraph::FuncId;
+use persp_kernel::callgraph::{FuncId, FuncSet};
 use persp_kernel::kernel::SharedKernel;
 use persp_kernel::layout;
 use persp_kernel::syscalls::Sysno;
@@ -46,21 +45,16 @@ impl FuzzReport {
         self.found.len()
     }
 
-    /// Discovery rate in gadgets per mega-work-unit (∝ gadgets/hour).
-    pub fn discovery_rate(&self) -> f64 {
-        self.rate_over(self.found.len())
-    }
-
     /// Discovery rate counting only the gadgets inside `relevant` — the
     /// ones that remain speculatively reachable under the deployed ISV,
     /// i.e. the audit targets of §8.2. This is the Figure 9.1 metric: a
     /// baseline Kasper campaign spends most of its work on code the ISV
     /// already blocks.
-    pub fn relevant_rate(&self, relevant: &HashSet<FuncId>) -> f64 {
+    pub fn relevant_rate(&self, relevant: &FuncSet) -> f64 {
         let n = self
             .found
             .iter()
-            .filter(|(f, _)| relevant.contains(f))
+            .filter(|&&(f, _)| relevant.contains(f))
             .count();
         self.rate_over(n)
     }
@@ -121,10 +115,10 @@ impl<'a> Fuzzer<'a> {
         &mut self,
         rounds: usize,
         syscalls: &[Sysno],
-        bound: Option<&HashSet<FuncId>>,
+        bound: Option<&FuncSet>,
     ) -> FuzzReport {
-        let mut covered: HashSet<FuncId> = HashSet::new();
-        let mut scanned: HashSet<FuncId> = HashSet::new();
+        let mut covered = FuncSet::default();
+        let mut scanned = FuncSet::default();
         let mut found: HashSet<(FuncId, u64)> = HashSet::new();
         let mut exec_cycles = 0u64;
         let mut insts_scanned = 0u64;
@@ -151,7 +145,7 @@ impl<'a> Fuzzer<'a> {
                 let kernel = self.kernel.borrow();
                 for va in trace {
                     if let Some(f) = kernel.graph.func_of_va(va) {
-                        if bound.is_none_or(|b| b.contains(&f)) {
+                        if bound.is_none_or(|b| b.contains(f)) {
                             covered.insert(f);
                         }
                     }
@@ -160,7 +154,7 @@ impl<'a> Fuzzer<'a> {
 
             // Analysis: scan functions covered since the last scan.
             if (round + 1) % self.rounds_between_scans == 0 || round + 1 == rounds {
-                let fresh: Vec<FuncId> = covered.difference(&scanned).copied().collect();
+                let fresh: Vec<FuncId> = covered.iter().filter(|&f| !scanned.contains(f)).collect();
                 let kernel = self.kernel.borrow();
                 let machine = &self.core.machine;
                 let (findings, insts) =
@@ -192,7 +186,7 @@ pub fn compare_bounded(
     kernel: SharedKernel,
     asid: u16,
     app_syscalls: &[Sysno],
-    isv_funcs: &HashSet<FuncId>,
+    isv_funcs: &FuncSet,
     rounds: usize,
 ) -> (FuzzReport, FuzzReport) {
     // Both campaigns explore the same (whole) syscall interface with the
@@ -216,31 +210,6 @@ pub fn compare_bounded(
         .write_u64(persp_kernel::layout::SYSCALL_SEQ, 0);
     let bounded = Fuzzer::new(core, kernel, asid, 0xF055).campaign(rounds, &all, Some(isv_funcs));
     (baseline, bounded)
-}
-
-/// Gadget search-space summary (the "28 K → 1.4 K" numbers of §8.2).
-#[derive(Debug, Clone, Copy)]
-pub struct SearchSpace {
-    /// Functions in the whole kernel.
-    pub kernel_functions: usize,
-    /// Functions inside the ISV.
-    pub isv_functions: usize,
-}
-
-impl SearchSpace {
-    /// Reduction factor.
-    pub fn reduction(&self) -> f64 {
-        self.kernel_functions as f64 / self.isv_functions.max(1) as f64
-    }
-}
-
-/// Scan-only acceleration report: how much faster a single full-space
-/// sweep becomes when bounded (pure analysis, no fuzzing).
-pub fn sweep_speedup(full: &ScanReport, bounded: &ScanReport) -> f64 {
-    if bounded.insts_scanned == 0 {
-        return 1.0;
-    }
-    full.insts_scanned as f64 / bounded.insts_scanned as f64
 }
 
 #[cfg(test)]
@@ -303,15 +272,6 @@ mod tests {
             r > b,
             "bounding must accelerate discovery of ISV gadgets: {r} vs {b}"
         );
-    }
-
-    #[test]
-    fn search_space_reduction_factor() {
-        let s = SearchSpace {
-            kernel_functions: 28_000,
-            isv_functions: 1_400,
-        };
-        assert!((s.reduction() - 20.0).abs() < 1e-9);
     }
 
     #[test]

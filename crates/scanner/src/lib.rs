@@ -21,6 +21,6 @@ pub mod fuzzer;
 pub mod scanner;
 pub mod taint;
 
-pub use fuzzer::{compare_bounded, FuzzReport, Fuzzer, SearchSpace};
+pub use fuzzer::{compare_bounded, FuzzReport, Fuzzer};
 pub use scanner::{scan_bounded, scan_kernel, ScanReport};
 pub use taint::{scan_function, scan_functions, Finding};

@@ -6,9 +6,8 @@
 //! yields the exclusion list that hardens the view into ISV++.
 
 use crate::taint::{scan_functions, Finding};
-use persp_kernel::callgraph::{CallGraph, FuncId, GadgetKind};
+use persp_kernel::callgraph::{CallGraph, FuncSet, GadgetKind};
 use persp_uarch::isa::Inst;
-use std::collections::HashSet;
 
 /// Result of one scanning campaign.
 #[derive(Debug, Clone)]
@@ -29,36 +28,32 @@ impl ScanReport {
 
     /// The set of functions hosting at least one finding — the exclusion
     /// list for ISV++ hardening.
-    pub fn flagged_functions(&self) -> HashSet<FuncId> {
+    pub fn flagged_functions(&self) -> FuncSet {
         self.findings.iter().map(|f| f.func).collect()
     }
 }
 
 /// Scan the whole kernel.
 pub fn scan_kernel(graph: &CallGraph, fetch: impl Fn(u64) -> Option<Inst> + Copy) -> ScanReport {
-    let all: Vec<FuncId> = graph.funcs.iter().map(|f| f.id).collect();
-    let functions_scanned = all.len();
-    let (findings, insts_scanned) = scan_functions(graph, all, fetch);
+    let (findings, insts_scanned) = scan_functions(graph, graph.funcs.iter().map(|f| f.id), fetch);
     ScanReport {
         findings,
-        functions_scanned,
+        functions_scanned: graph.len(),
         insts_scanned,
     }
 }
 
-/// Scan only the functions inside an ISV (the bounded search space).
+/// Scan only the functions inside an ISV (the bounded search space), in
+/// ascending function-id order.
 pub fn scan_bounded(
     graph: &CallGraph,
-    bound: &HashSet<FuncId>,
+    bound: &FuncSet,
     fetch: impl Fn(u64) -> Option<Inst> + Copy,
 ) -> ScanReport {
-    let mut funcs: Vec<FuncId> = bound.iter().copied().collect();
-    funcs.sort_unstable();
-    let functions_scanned = funcs.len();
-    let (findings, insts_scanned) = scan_functions(graph, funcs, fetch);
+    let (findings, insts_scanned) = scan_functions(graph, bound, fetch);
     ScanReport {
         findings,
-        functions_scanned,
+        functions_scanned: bound.len(),
         insts_scanned,
     }
 }
@@ -102,7 +97,7 @@ mod tests {
         assert!(bounded.insts_scanned < full.insts_scanned / 2);
         let full_set = full.flagged_functions();
         for f in bounded.flagged_functions() {
-            assert!(full_set.contains(&f));
+            assert!(full_set.contains(f));
         }
     }
 

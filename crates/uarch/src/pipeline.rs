@@ -263,11 +263,6 @@ impl Core {
         self.sni = Some(checker);
     }
 
-    /// Is an SNI checker attached?
-    pub fn sni_attached(&self) -> bool {
-        self.sni.is_some()
-    }
-
     /// Start recording the *committed* control-transfer targets (calls,
     /// indirect calls, indirect jumps) — the substrate of dynamic ISV
     /// generation, analogous to kernel-level tracing (ftrace).
@@ -293,11 +288,6 @@ impl Core {
     /// Mutable access to the policy (e.g. to reconfigure ISVs at runtime).
     pub fn policy_mut(&mut self) -> &mut dyn SpecPolicy {
         self.policy.as_mut()
-    }
-
-    /// Mutable access to the hook handler (the kernel).
-    pub fn hooks_mut(&mut self) -> &mut dyn HookHandler {
-        self.hooks.as_mut()
     }
 
     /// Current cycle.

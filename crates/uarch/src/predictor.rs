@@ -247,15 +247,6 @@ impl Btb {
         pc.wrapping_add(stride)
     }
 
-    /// Number of live entries mapping to `target` (diagnostics).
-    pub fn entries_with_target(&self, target: u64) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .filter(|e| e.target == target)
-            .count()
-    }
-
     /// Brute-force a user-controllable history value that makes a lookup
     /// of `pc` (in kernel mode) hit a currently installed kernel entry
     /// with target `wanted` — the offline Branch-History-Buffer search of

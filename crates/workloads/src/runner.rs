@@ -27,7 +27,7 @@
 
 use crate::memo;
 use crate::spec::Workload;
-use persp_kernel::callgraph::{CallGraph, FuncId};
+use persp_kernel::callgraph::{CallGraph, FuncSet};
 use persp_kernel::kernel::{Kernel, KernelImage, SharedKernel, SharedSink};
 use persp_kernel::layout;
 use persp_kernel::sink::NullSink;
@@ -233,7 +233,7 @@ fn collect_metrics(instance: &SimInstance, stats: &SimStats) -> MetricsRegistry 
 /// Resolve a raw call trace (committed call-target VAs) to the set of
 /// traced kernel functions. One dense-map probe per distinct VA; the
 /// result feeds [`Isv::dynamic_from_funcs`] without further VA decoding.
-pub fn trace_to_funcs(graph: &CallGraph, trace: &HashSet<u64>) -> HashSet<FuncId> {
+pub fn trace_to_funcs(graph: &CallGraph, trace: &HashSet<u64>) -> FuncSet {
     trace
         .iter()
         .filter_map(|&va| graph.func_of_va(va))
@@ -242,7 +242,7 @@ pub fn trace_to_funcs(graph: &CallGraph, trace: &HashSet<u64>) -> HashSet<FuncId
 
 /// The per-scheme ISV used for a workload: static from the declared
 /// profile, dynamic from the warmup trace, ISV++ audit-hardened.
-fn build_isv(instance: &SimInstance, workload: &Workload, trace: &HashSet<FuncId>) -> Option<Isv> {
+fn build_isv(instance: &SimInstance, workload: &Workload, trace: &FuncSet) -> Option<Isv> {
     let kernel = instance.kernel.borrow();
     let graph = &kernel.graph;
     match instance.scheme {

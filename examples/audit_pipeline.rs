@@ -68,7 +68,7 @@ fn main() {
 
     // 4. Runtime CVE response through the pliable interface of a live
     // PERSPECTIVE instance running on the image.
-    let victim_func = *hardened.funcs().iter().min().expect("nonempty view");
+    let victim_func = hardened.funcs().iter().min().expect("nonempty view");
     let inst = persp_workloads::SimInstance::from_image(Scheme::Perspective, &image);
     let perspective = inst.perspective.as_ref().expect("perspective scheme");
     perspective.install_isv(inst.asid, hardened);
