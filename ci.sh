@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy --release (warnings are errors)"
 cargo clippy --workspace --release -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings, such as broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -38,9 +38,8 @@ pub fn run(cfg: &RunConfig, images: &Images) -> Result<Output, String> {
             let pcfg = PerspectiveConfig::default();
             let mut inst = SimInstance::from_image_core(Scheme::Unsafe, image, pcfg, cfg.core);
             let (asid, kernel) = (inst.asid, inst.kernel.clone());
-            let profile = w.syscall_profile();
             let (baseline, bounded) =
-                compare_bounded(&mut inst.core, kernel, asid, &profile, isv.funcs(), 16);
+                compare_bounded(&mut inst.core, kernel, asid, isv.funcs(), 16);
             let b = baseline.relevant_rate(isv.funcs());
             let r = bounded.relevant_rate(isv.funcs());
             Row {

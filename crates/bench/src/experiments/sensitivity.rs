@@ -8,7 +8,7 @@ use persp_kernel::kernel::KernelImage;
 use persp_kernel::mm::{BuddyAllocator, SlabAllocator};
 use persp_kernel::sink::NullSink;
 use persp_workloads::report::Json;
-use persp_workloads::{apps, run_parallel, runner, Measurement, RunConfig};
+use persp_workloads::{apps, run_parallel, runner, ArchInstance, Measurement, RunConfig};
 use perspective::hwcache::HwCacheStats;
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
@@ -113,17 +113,16 @@ fn fragmentation(threads: usize) -> [f64; 4] {
 
 fn domain_reassignment(threads: usize, image: &KernelImage) -> Vec<(&'static str, u64, u64, f64)> {
     run_parallel(threads, apps::apps(), |app| {
-        let mut inst = persp_workloads::SimInstance::from_image(Scheme::Perspective, image);
+        let mut inst = ArchInstance::new(Scheme::Perspective, image);
         let text = inst.text_base();
         let data = inst.data_base();
         // A longer serving window than the throughput runs, so the free
         // counter is statistically meaningful.
         let mut workload = app.workload.clone();
         workload.iters *= 4;
-        inst.core.machine.load_text(workload.compile(text, data));
+        inst.machine.load_text(workload.compile(text, data));
         // Slab counts are architectural: retire in commit order.
-        inst.core
-            .run_in_order(text, APP_RUN_INSTS)
+        inst.run_in_order(text, APP_RUN_INSTS, None)
             .expect("app run");
         let s = inst.kernel.borrow().slab.stats();
         (

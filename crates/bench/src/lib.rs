@@ -10,11 +10,12 @@ use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
 use persp_workloads::report::{self, Json};
 use persp_workloads::{
-    lebench, runner, CellFailure, KernelScale, Measurement, RunConfig, Workload,
+    lebench, runner, ArchInstance, CellFailure, KernelScale, Measurement, RunConfig, Workload,
 };
 use perspective::isv::Isv;
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 pub mod experiments;
@@ -231,42 +232,38 @@ pub fn lebench_tests(names: &[&str]) -> Vec<Workload> {
 /// workload, far above what any traced workload retires.
 const TRACE_INSTS: u64 = 400_000_000;
 
-/// Run a workload once on a fresh UNSAFE instance with call tracing, in
-/// commit order ([`persp_uarch::Core::run_in_order`]): a trace is the
-/// committed call path, which neither the scheme nor speculation
+/// Run a workload once on a fresh UNSAFE [`ArchInstance`] with call
+/// tracing, in commit order ([`ArchInstance::run_in_order`]): a trace is
+/// the committed call path, which neither the scheme nor speculation
 /// changes. Returns the instance and the traced functions (the raw
 /// call-target VAs resolved against the image's graph).
-fn traced_instance(
-    image: &KernelImage,
-    workload: &Workload,
-) -> (persp_workloads::SimInstance, FuncSet) {
-    let mut inst = persp_workloads::SimInstance::from_image(Scheme::Unsafe, image);
-    let text = inst.text_base();
-    let data = inst.data_base();
-    inst.core.machine.load_text(workload.compile(text, data));
-    inst.core.enable_call_trace();
-    inst.core
-        .run_in_order(text, TRACE_INSTS)
+fn traced_instance(image: &KernelImage, workload: &Workload) -> (ArchInstance, FuncSet) {
+    let mut inst = ArchInstance::new(Scheme::Unsafe, image);
+    let (text, data) = (inst.text_base(), inst.data_base());
+    inst.machine.load_text(workload.compile(text, data));
+    let mut raw = HashSet::new();
+    inst.run_in_order(text, TRACE_INSTS, Some(&mut raw))
         .expect("trace run completes");
-    let raw = inst.core.take_call_trace();
     let trace = runner::trace_to_funcs(&image.graph, &raw);
     (inst, trace)
 }
 
-/// Collect a dynamic-ISV trace for a workload (see [`traced_instance`]),
-/// resolved to function ids so callers never handle addresses.
+/// Collect a dynamic-ISV trace for a workload: run it once in commit
+/// order on a fresh UNSAFE [`ArchInstance`], and resolve the committed
+/// call targets to function ids so callers never handle addresses.
 pub fn trace_workload(image: &KernelImage, workload: &Workload) -> FuncSet {
     traced_instance(image, workload).1
 }
 
 /// Build the three ISV flavors for a workload — `(ISV-S, ISV, ISV++)` —
 /// plus the instance whose kernel they were derived from (the traced
-/// one). The bounded scan reads the image's kernel text.
+/// one, see [`trace_workload`]). The bounded scan reads the image's
+/// kernel text.
 pub fn isv_trio(
     image: &KernelImage,
     workload: &Workload,
     profile: &[Sysno],
-) -> (Isv, Isv, Isv, persp_workloads::SimInstance) {
+) -> (Isv, Isv, Isv, ArchInstance) {
     let (inst, trace) = traced_instance(image, workload);
     let graph = &image.graph;
     let isv_s = Isv::static_for(graph, profile);

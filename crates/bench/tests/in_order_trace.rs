@@ -1,28 +1,32 @@
 //! The in-order engine retires the same committed path as the pipeline.
 //!
 //! Traces (dynamic ISVs) and slab counts come from
-//! `Core::run_in_order`, not `Core::run`, on the premise that the
-//! committed path is architectural: speculation changes timing and
-//! microarchitectural state, never what retires. This test pins that
-//! premise on every workload the traced experiments run — each LEBench
-//! test, the four datacenter apps and the LEBench union, on both kernel
-//! scales, plus the shapes the `audit` benchmark workload varies them
-//! into. Each test runs each workload once on the in-order engine under
-//! UNSAFE, and compares that reference with the runs of both engines
-//! under its schemes (the three small-kernel tests split the nine of
+//! `ArchInstance::run_in_order`, the in-order engine
+//! (`persp_uarch::run_in_order`) on a machine with no core, not from
+//! `Core::run`, on the premise that the committed path is
+//! architectural: speculation changes timing and microarchitectural
+//! state, never what retires. This test pins that premise on every
+//! workload the traced experiments run — each LEBench test, the four
+//! datacenter apps and the LEBench union, on both kernel scales, plus
+//! the shapes the `audit` benchmark workload varies them into. Each
+//! test runs each workload once on the in-order engine under UNSAFE,
+//! and compares that reference with the runs of both engines under its
+//! schemes (the three small-kernel tests split the nine of
 //! `Scheme::ALL` between them; the paper-scale test runs UNSAFE): the
 //! call-target set, the retired-instruction count and the whole
 //! architectural end state — registers, mode, call stack, every memory
 //! page and the kernel's allocator metrics. So the check also shows
-//! that what retires does not depend on the scheme.
+//! that what retires does not depend on the scheme. The in-order runs
+//! build no core, so they have no timing state to leave untouched.
 
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
 use persp_uarch::config::CoreConfig;
-use persp_uarch::{Core, MetricsRegistry, MetricsSource};
-use persp_workloads::{apps, lebench, SimInstance, Workload};
+use persp_uarch::{Machine, MetricsRegistry, MetricsSource};
+use persp_workloads::{apps, lebench, ArchInstance, Workload};
 use perspective::policy::PerspectiveConfig;
 use perspective::scheme::Scheme;
+use std::collections::HashSet;
 
 /// The cycle budget of the pipeline runs (the one trace runs had).
 const CYCLES: u64 = 400_000_000;
@@ -66,52 +70,38 @@ fn workloads() -> Vec<Workload> {
 
 /// Everything architectural a run leaves behind.
 struct EndState {
-    trace: std::collections::HashSet<u64>,
+    trace: HashSet<u64>,
     retired: u64,
-    core: Core,
+    machine: Machine,
     kernel: MetricsRegistry,
 }
 
 fn run(scheme: Scheme, image: &KernelImage, w: &Workload, in_order: bool) -> EndState {
-    let mut inst = SimInstance::from_image_core(
-        scheme,
-        image,
-        PerspectiveConfig::default(),
-        CoreConfig::paper_default(),
-    );
-    let (text, data) = (inst.text_base(), inst.data_base());
-    inst.core.machine.load_text(w.compile(text, data));
-    inst.core.enable_call_trace();
-    let retired = if in_order {
-        let (stats, now) = (inst.core.stats(), inst.core.now());
-        let caches = [
-            inst.core.mem.l1i_stats(),
-            inst.core.mem.l1d_stats(),
-            inst.core.mem.l2_stats(),
-        ];
-        let retired = inst.core.run_in_order(text, INSTS);
+    let mut arch = ArchInstance::new(scheme, image);
+    let (text, data) = (arch.text_base(), arch.data_base());
+    arch.machine.load_text(w.compile(text, data));
+    let (trace, retired, machine, kernel) = if in_order {
+        let mut trace = HashSet::new();
+        let retired = arch.run_in_order(text, INSTS, Some(&mut trace));
         let retired = retired.unwrap_or_else(|e| panic!("{} in order: {e}", w.name));
-        assert_eq!(inst.core.stats(), stats, "{}: stats moved", w.name);
-        assert_eq!(inst.core.now(), now, "{}: the clock moved", w.name);
-        let after = [
-            inst.core.mem.l1i_stats(),
-            inst.core.mem.l1d_stats(),
-            inst.core.mem.l2_stats(),
-        ];
-        assert_eq!(after, caches, "{}: the caches moved", w.name);
-        retired
+        (trace, retired, arch.machine, arch.kernel)
     } else {
+        let pcfg = PerspectiveConfig::default();
+        let mut inst = arch.timed(pcfg, CoreConfig::paper_default(), |p, _| p);
+        inst.core.enable_call_trace();
         let summary = inst.core.run(text, CYCLES);
         let summary = summary.unwrap_or_else(|e| panic!("{} pipelined: {e}", w.name));
-        summary.stats.committed_insts
+        let trace = inst.core.take_call_trace();
+        let retired = summary.stats.committed_insts;
+        (trace, retired, inst.core.machine, inst.kernel)
     };
-    let mut kernel = MetricsRegistry::new();
-    inst.kernel.borrow().export_metrics("kernel", &mut kernel);
+    let mut metrics = MetricsRegistry::new();
+    kernel.borrow().export_metrics("kernel", &mut metrics);
     EndState {
-        trace: inst.core.take_call_trace(),
+        trace,
         retired,
-        core: inst.core,
-        kernel,
+        machine,
+        kernel: metrics,
     }
 }
 
@@ -130,7 +120,7 @@ fn assert_same_committed_path(schemes: &[Scheme], cfg: KernelConfig) {
             let b = &reference;
             assert!(a.trace == b.trace, "{what}: call-target sets differ");
             assert_eq!(a.retired, b.retired, "{what}: retired counts differ");
-            let (ma, mb) = (&a.core.machine, &b.core.machine);
+            let (ma, mb) = (&a.machine, &b.machine);
             assert_eq!(ma.regs(), mb.regs(), "{what}: registers differ");
             assert_eq!(ma.mode, mb.mode, "{what}: modes differ");
             assert_eq!(ma.call_stack, mb.call_stack, "{what}: call stacks differ");

@@ -31,15 +31,6 @@ pub enum WalkLevel {
 }
 
 impl WalkLevel {
-    /// Memory accesses the walk performed (one per level traversed).
-    pub fn walk_accesses(self) -> u64 {
-        match self {
-            WalkLevel::Huge1G => 1,
-            WalkLevel::Huge2M => 2,
-            WalkLevel::Page4K => 3,
-        }
-    }
-
     /// Bytes covered by an entry at this level.
     pub fn span_bytes(self) -> u64 {
         match self {
@@ -389,7 +380,6 @@ mod tests {
         let r = t.walk(0xFFFF_9000_0000_0000);
         assert!(!r.in_view);
         assert_eq!(r.level, WalkLevel::Huge1G, "short-circuits at the top");
-        assert_eq!(r.level.walk_accesses(), 1);
     }
 
     #[test]
@@ -412,7 +402,6 @@ mod tests {
         let r = t.walk((1 << 30) + 0x1234);
         assert!(r.in_view);
         assert_eq!(r.level, WalkLevel::Huge1G);
-        assert_eq!(r.level.walk_accesses(), 1, "huge granules shorten walks");
     }
 
     #[test]

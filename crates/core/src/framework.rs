@@ -69,18 +69,6 @@ impl Perspective {
         }
     }
 
-    /// Exclude a function from *every* installed view (the administrator
-    /// "install ISVs applied to all applications" use case).
-    pub fn exclude_function_globally(&self, graph: &CallGraph, func: FuncId) {
-        let mut reg = self.isvs.borrow_mut();
-        let asids: Vec<Asid> = reg.asids();
-        for asid in asids {
-            if let Some(isv) = reg.get_mut(asid) {
-                isv.exclude_function(graph, func);
-            }
-        }
-    }
-
     /// Read access to a context's installed view.
     pub fn with_isv<R>(&self, asid: Asid, f: impl FnOnce(Option<&Isv>) -> R) -> R {
         f(self.isvs.borrow().get(asid))
@@ -110,7 +98,7 @@ impl Perspective {
 mod tests {
     use super::*;
     use persp_kernel::body::emit_kernel;
-    use persp_kernel::callgraph::{FuncKind, KernelConfig};
+    use persp_kernel::callgraph::KernelConfig;
     use persp_kernel::syscalls::Sysno;
 
     fn graph() -> CallGraph {
@@ -146,24 +134,6 @@ mod tests {
             !p.exclude_function(9, &g, f),
             "no view installed for asid 9"
         );
-    }
-
-    #[test]
-    fn global_exclusion_hits_every_view() {
-        let g = graph();
-        let p = Perspective::new();
-        let isv = Isv::static_for(&g, Sysno::ALL);
-        // A shared utility, reached from many syscalls' paths.
-        let util = isv
-            .funcs()
-            .iter()
-            .find(|&f| g.func(f).kind == FuncKind::SharedUtil);
-        let f = util.expect("the static view reaches a shared utility");
-        p.install_isv(1, isv.clone());
-        p.install_isv(2, isv);
-        p.exclude_function_globally(&g, f);
-        p.with_isv(1, |v| assert!(!v.unwrap().contains_func(f)));
-        p.with_isv(2, |v| assert!(!v.unwrap().contains_func(f)));
     }
 
     #[test]

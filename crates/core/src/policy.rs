@@ -124,11 +124,6 @@ impl IsvRegistry {
         self.generation
     }
 
-    /// The contexts with installed views.
-    pub fn asids(&self) -> Vec<Asid> {
-        self.views.keys().copied().collect()
-    }
-
     /// Install (or replace) the view used while `asid` services `sysno`
     /// (per-syscall ISVs, §11 future work).
     pub fn install_per_syscall(&mut self, asid: Asid, sysno: u16, isv: Isv) {
@@ -146,11 +141,6 @@ impl IsvRegistry {
             }
         }
         self.views.get(&asid)
-    }
-
-    /// Does `asid` have any per-syscall views installed?
-    pub fn has_per_syscall(&self, asid: Asid) -> bool {
-        self.per_syscall.keys().any(|(a, _)| *a == asid)
     }
 }
 
@@ -553,8 +543,6 @@ mod tests {
         let mut reg = IsvRegistry::default();
         reg.install(1, wide);
         reg.install_per_syscall(1, Sysno::Getpid as u16, narrow);
-        assert!(reg.has_per_syscall(1));
-        assert!(!reg.has_per_syscall(2));
 
         // Scoped to getpid: the narrow view answers.
         let v = reg.get_scoped(1, Some(Sysno::Getpid as u16)).unwrap();

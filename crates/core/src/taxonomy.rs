@@ -46,12 +46,6 @@ impl Variant {
             Variant::Bhi => "BHI",
         }
     }
-
-    /// Does this variant rely on hijacking the victim's speculative
-    /// control flow (the passive-attack enabler)?
-    pub fn is_control_flow_hijack(self) -> bool {
-        !matches!(self, Variant::SpectreV1)
-    }
 }
 
 /// The two attack scenarios of the taxonomy.
@@ -61,16 +55,6 @@ pub enum Scenario {
     Active,
     /// The victim's kernel thread is coerced into the gadget (Figure 4.2).
     Passive,
-}
-
-impl Scenario {
-    /// The speculation view that mitigates this scenario.
-    pub fn mitigated_by(self) -> &'static str {
-        match self {
-            Scenario::Active => "DSV",
-            Scenario::Passive => "ISV",
-        }
-    }
 }
 
 /// Verdict of an attack proof-of-concept run.
@@ -102,16 +86,7 @@ mod tests {
 
     #[test]
     fn variant_classification() {
-        assert!(!Variant::SpectreV1.is_control_flow_hijack());
-        assert!(Variant::SpectreV2.is_control_flow_hijack());
-        assert!(Variant::Retbleed.is_control_flow_hijack());
         assert_eq!(Variant::ALL.len(), 5);
-    }
-
-    #[test]
-    fn scenario_mitigations_match_the_paper() {
-        assert_eq!(Scenario::Active.mitigated_by(), "DSV");
-        assert_eq!(Scenario::Passive.mitigated_by(), "ISV");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use persp_uarch::hooks::NullHooks;
 use persp_uarch::isa::{AluOp, Cond, Inst, Width};
 use persp_uarch::machine::{Machine, Mode};
 use persp_uarch::pipeline::Core;
-use persp_uarch::policy::{SpecPolicy, UnsafePolicy};
+use persp_uarch::run_in_order;
 use persp_uarch::testkit::{build_program, interpret, Template, POOL_BASE, POOL_SLOTS};
 use perspective::dsv::DsvTable;
 use perspective::isv::Isv;
@@ -115,9 +115,9 @@ fn run_perspective(
     }
     let policy = PerspectivePolicy::new(cfg, dsv, isvs);
 
-    // The pipeline under Perspective, and the in-order engine on a
-    // second core (which never consults its policy).
-    let core_with = |policy: Box<dyn SpecPolicy>| {
+    // The pipeline under Perspective, and the in-order engine (which has
+    // no policy) on a second machine.
+    let machine = || {
         let mut machine = Machine::new();
         machine.load_text(text_vec.iter().copied());
         machine.mode = Mode::Kernel; // Perspective gates kernel execution
@@ -128,19 +128,18 @@ fn run_perspective(
         machine.set_reg(3, seeds[2]);
         machine.set_reg(4, seeds[3]);
         machine.set_reg(31, POOL_BASE);
-        Core::new(
-            CoreConfig::paper_default(),
-            machine,
-            MemoryHierarchy::new(HierarchyConfig::paper_default()),
-            policy,
-            Box::new(NullHooks),
-        )
+        machine
     };
-    let mut core = core_with(Box::new(policy));
+    let mut core = Core::new(
+        CoreConfig::paper_default(),
+        machine(),
+        MemoryHierarchy::new(HierarchyConfig::paper_default()),
+        Box::new(policy),
+        Box::new(NullHooks),
+    );
     core.run(base, 2_000_000).expect("pipeline completes");
-    let mut in_order = core_with(Box::new(UnsafePolicy::new()));
-    in_order
-        .run_in_order(base, 10_000)
+    let mut in_order = machine();
+    run_in_order(&mut in_order, &mut NullHooks, None, base, 10_000)
         .expect("in-order run completes");
 
     let got = core.machine.regs();
@@ -163,23 +162,17 @@ fn run_perspective(
     }
 
     // The in-order engine against both.
-    assert_eq!(in_order.machine.regs(), oracle_regs, "in-order registers");
-    assert_eq!(
-        in_order.machine.regs(),
-        got,
-        "in-order vs pipeline registers"
-    );
+    assert_eq!(in_order.regs(), oracle_regs, "in-order registers");
+    assert_eq!(in_order.regs(), got, "in-order vs pipeline registers");
     for slot in 0..POOL_SLOTS {
         let addr = POOL_BASE + slot * 8;
         let oracle: Vec<u8> = (0..8)
             .map(|i| *oracle_mem.get(&(addr + i)).unwrap_or(&0))
             .collect();
-        let bytes: Vec<u8> = (0..8)
-            .map(|i| in_order.machine.mem.read_u8(addr + i))
-            .collect();
+        let bytes: Vec<u8> = (0..8).map(|i| in_order.mem.read_u8(addr + i)).collect();
         assert_eq!(bytes, oracle, "in-order memory at {addr:#x}");
         assert_eq!(
-            in_order.machine.mem.read_u64(addr),
+            in_order.mem.read_u64(addr),
             core.machine.mem.read_u64(addr),
             "in-order vs pipeline memory at {addr:#x}"
         );

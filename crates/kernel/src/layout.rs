@@ -78,11 +78,6 @@ pub fn va_to_frame(va: u64) -> Option<u64> {
     }
 }
 
-/// Is this a kernel-space address (text, globals, or direct map)?
-pub fn is_kernel_va(va: u64) -> bool {
-    va >= KTEXT_BASE
-}
-
 /// Userspace text base of process `pid`.
 pub fn user_text_base(pid: u32) -> u64 {
     USER_TEXT_BASE + u64::from(pid) * USER_TEXT_STRIDE
@@ -106,10 +101,9 @@ mod tests {
 
     #[test]
     fn kernel_classification() {
-        assert!(is_kernel_va(KTEXT_BASE));
-        assert!(is_kernel_va(frame_to_va(7)));
-        assert!(is_kernel_va(CURRENT_TASK_PTR));
-        assert!(!is_kernel_va(user_text_base(3)));
+        // Kernel space (text, globals, direct map) starts at KTEXT_BASE.
+        assert!(frame_to_va(7) >= KTEXT_BASE);
+        assert!(user_text_base(3) < KTEXT_BASE);
     }
 
     #[test]

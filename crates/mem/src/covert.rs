@@ -4,11 +4,12 @@
 //! *probe array* indexed by the secret value. The receiver then times a
 //! reload of every candidate line: the one that comes back fast was touched
 //! transiently. This module supplies the timing classifier and a helper
-//! that scans a probe array over a [`MemoryHierarchy`].
+//! that scans a probe array over a [`MemoryHierarchy`], and the flushless
+//! prime+probe receivers.
 //!
 //! The actual attacks in `persp-attacks` run real µISA probe loops through
-//! the pipeline; these helpers are shared verdict logic and are also handy
-//! for unit tests.
+//! the pipeline; these host-side receivers are exercised by this module's
+//! tests and, for prime+probe, by `crates/uarch/tests/prime_probe_e2e.rs`.
 
 use crate::hierarchy::MemoryHierarchy;
 
@@ -40,13 +41,6 @@ impl TimingClassifier {
 /// prefetcher, exactly as in Kocher et al.'s PoC (`array2[s * 4096]`).
 pub const PROBE_STRIDE: u64 = 4096;
 
-/// Flush all `n` probe lines of the array starting at `base`.
-pub fn flush_probe_array(mem: &mut MemoryHierarchy, base: u64, n: usize) {
-    for i in 0..n {
-        mem.flush(base + i as u64 * PROBE_STRIDE);
-    }
-}
-
 /// Reload every probe line and return the indices classified as hits.
 ///
 /// Reload order is permuted (simple stride-7 walk) so the scan itself does
@@ -63,27 +57,6 @@ pub fn reload_and_classify(mem: &mut MemoryHierarchy, base: u64, n: usize) -> Ve
     }
     hits.sort_unstable();
     hits
-}
-
-/// Outcome of one covert-channel transmission attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChannelVerdict {
-    /// Exactly one probe line was hot: the secret byte was recovered.
-    Recovered(u8),
-    /// No probe line was hot: the transmission was blocked.
-    NoSignal,
-    /// More than one line was hot: noisy/ambiguous.
-    Ambiguous(Vec<usize>),
-}
-
-/// Classify the full probe array into a channel verdict.
-pub fn channel_verdict(mem: &mut MemoryHierarchy, base: u64, n: usize) -> ChannelVerdict {
-    let hits = reload_and_classify(mem, base, n);
-    match hits.as_slice() {
-        [] => ChannelVerdict::NoSignal,
-        [only] => ChannelVerdict::Recovered(*only as u8),
-        _ => ChannelVerdict::Ambiguous(hits),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -191,12 +164,6 @@ impl PrimeProbeChannel {
             .map(EvictionSet::set_index)
             .collect()
     }
-
-    /// The set a victim address would signal in.
-    pub fn set_of(&self, mem: &MemoryHierarchy, victim_addr: u64) -> usize {
-        let cfg = &mem.config().l1d;
-        ((victim_addr / cfg.line_bytes as u64) % cfg.num_sets() as u64) as usize
-    }
 }
 
 #[cfg(test)]
@@ -206,6 +173,13 @@ mod tests {
 
     fn mem() -> MemoryHierarchy {
         MemoryHierarchy::new(HierarchyConfig::paper_default())
+    }
+
+    /// Flush all `n` probe lines of the array starting at `base`.
+    fn flush_probe_array(mem: &mut MemoryHierarchy, base: u64, n: usize) {
+        for i in 0..n {
+            mem.flush(base + i as u64 * PROBE_STRIDE);
+        }
     }
 
     #[test]
@@ -224,10 +198,7 @@ mod tests {
         flush_probe_array(&mut m, base, 256);
         // "Transient" touch of the line for secret byte 0x2a.
         m.read(base + 0x2a * PROBE_STRIDE);
-        assert_eq!(
-            channel_verdict(&mut m, base, 256),
-            ChannelVerdict::Recovered(0x2a)
-        );
+        assert_eq!(reload_and_classify(&mut m, base, 256), vec![0x2a]);
     }
 
     #[test]
@@ -235,7 +206,7 @@ mod tests {
         let mut m = mem();
         let base = 0x10_0000;
         flush_probe_array(&mut m, base, 256);
-        assert_eq!(channel_verdict(&mut m, base, 256), ChannelVerdict::NoSignal);
+        assert!(reload_and_classify(&mut m, base, 256).is_empty());
     }
 
     #[test]
@@ -245,10 +216,7 @@ mod tests {
         flush_probe_array(&mut m, base, 16);
         m.read(base + 3 * PROBE_STRIDE);
         m.read(base + 9 * PROBE_STRIDE);
-        assert_eq!(
-            channel_verdict(&mut m, base, 16),
-            ChannelVerdict::Ambiguous(vec![3, 9])
-        );
+        assert_eq!(reload_and_classify(&mut m, base, 16), vec![3, 9]);
     }
 
     #[test]
@@ -278,7 +246,8 @@ mod tests {
         let mut m = MemoryHierarchy::new(HierarchyConfig::no_prefetch());
         let chan = PrimeProbeChannel::new(&m, 0x80_0000);
         let victim = 0x40_0000u64 + 23 * PROBE_STRIDE;
-        let expected = chan.set_of(&m, victim);
+        let l1d = &m.config().l1d;
+        let expected = ((victim / l1d.line_bytes as u64) % l1d.num_sets() as u64) as usize;
         chan.prime(&mut m);
         m.read(victim);
         let hot = chan.probe(&m);

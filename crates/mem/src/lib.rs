@@ -14,8 +14,8 @@
 //!   TLB and Perspective's metadata caches, with their one LRU victim rule.
 //! * [`sram`] — a CACTI-inspired analytical SRAM model used to regenerate
 //!   Table 9.1 (area / access time / energy / leakage at 22 nm).
-//! * [`covert`] — flush+reload timing classification helpers used by the
-//!   attack proof-of-concepts.
+//! * [`covert`] — host-side covert-channel receivers: flush+reload timing
+//!   classification and prime+probe eviction sets.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@
 //! yields the exclusion list that hardens the view into ISV++.
 
 use crate::taint::{scan_functions, Finding};
-use persp_kernel::callgraph::{CallGraph, FuncSet, GadgetKind};
+use persp_kernel::callgraph::{CallGraph, FuncSet};
 use persp_uarch::isa::Inst;
 
 /// Result of one scanning campaign.
@@ -21,11 +21,6 @@ pub struct ScanReport {
 }
 
 impl ScanReport {
-    /// Count findings of one category.
-    pub fn count_kind(&self, kind: GadgetKind) -> usize {
-        self.findings.iter().filter(|f| f.kind == kind).count()
-    }
-
     /// The set of functions hosting at least one finding — the exclusion
     /// list for ISV++ hardening.
     pub fn flagged_functions(&self) -> FuncSet {
@@ -62,7 +57,7 @@ pub fn scan_bounded(
 mod tests {
     use super::*;
     use persp_kernel::body::emit_kernel;
-    use persp_kernel::callgraph::KernelConfig;
+    use persp_kernel::callgraph::{GadgetKind, KernelConfig};
     use persp_kernel::syscalls::Sysno;
     use persp_uarch::machine::Machine;
 
@@ -81,9 +76,12 @@ mod tests {
         assert_eq!(report.findings.len(), g.gadgets.len());
         assert_eq!(report.functions_scanned, g.len());
         // Category split follows Kasper's proportions (MDS > Port > Cache).
-        let mds = report.count_kind(GadgetKind::Mds);
-        let port = report.count_kind(GadgetKind::Port);
-        let cache = report.count_kind(GadgetKind::Cache);
+        let count = |kind| report.findings.iter().filter(|f| f.kind == kind).count();
+        let (mds, port, cache) = (
+            count(GadgetKind::Mds),
+            count(GadgetKind::Port),
+            count(GadgetKind::Cache),
+        );
         assert!(mds > port && port > cache, "{mds}/{port}/{cache}");
     }
 

@@ -326,19 +326,6 @@ impl Inst {
         }
     }
 
-    /// Is this a control-flow instruction that can redirect fetch?
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. }
-                | Inst::Jump { .. }
-                | Inst::JumpInd { .. }
-                | Inst::Call { .. }
-                | Inst::CallInd { .. }
-                | Inst::Ret
-        )
-    }
-
     /// Is this instruction serializing (fetch stops behind it; it executes
     /// only at the ROB head)?
     pub fn is_serializing(&self) -> bool {
@@ -631,12 +618,5 @@ mod tests {
         let text = a.finish();
         assert_eq!(text[0].0, 0x1000);
         assert_eq!(text[1].0, 0x1004);
-    }
-
-    #[test]
-    fn control_classification() {
-        assert!(Inst::Ret.is_control());
-        assert!(Inst::CallInd { base: 4 }.is_control());
-        assert!(!Inst::Nop.is_control());
     }
 }

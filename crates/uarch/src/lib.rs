@@ -13,10 +13,11 @@
 //! * a pluggable [`policy::SpecPolicy`] that decides which speculative
 //!   loads may issue — the pliable interface the paper builds on.
 //!
-//! [`Core::run_in_order`] retires the same program in program order
-//! without the pipeline, for runs whose output is architectural (call
-//! traces, kernel allocator counts); both engines share one retirement
-//! function, so they cannot disagree on committed state.
+//! [`run_in_order`] retires the same program in program order on a bare
+//! [`Machine`] and its kernel hooks, with no core at all, for runs whose
+//! output is architectural (call traces, kernel allocator counts); both
+//! engines share one retirement function, so they cannot disagree on
+//! committed state.
 //!
 //! The evaluation baselines (UNSAFE, FENCE, DOM, STT, KPTI+Retpoline) live
 //! in [`policy`]; Perspective's own policy is in the `perspective` crate.
@@ -74,5 +75,6 @@ pub use machine::{Asid, Machine, Mode};
 pub use metrics::{MetricsRegistry, MetricsSource};
 pub use pipeline::{Core, RunSummary, SimError};
 pub use policy::{BlockSource, LoadCtx, LoadDecision, PolicyCounters, SpecPolicy};
+pub use retire::run_in_order;
 pub use sni::{RetiredInst, SniChecker, SniOracle};
 pub use stats::{SimStats, SniCounters};

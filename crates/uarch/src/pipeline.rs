@@ -57,14 +57,14 @@ pub enum SimError {
         /// The budget that was exceeded.
         budget: u64,
     },
-    /// The instruction budget given to [`Core::run_in_order`] retired
-    /// without a `Halt`.
+    /// The instruction budget given to [`run_in_order`](crate::run_in_order)
+    /// retired without a `Halt`.
     InstBudgetExhausted {
         /// The budget that was exceeded.
         budget: u64,
     },
-    /// [`Core::run_in_order`] reached an instruction whose result only a
-    /// cycle-level run has (`RdTsc`).
+    /// [`run_in_order`](crate::run_in_order) reached an instruction whose
+    /// result only a cycle-level run has (`RdTsc`).
     TimingDependent {
         /// The instruction's address.
         pc: u64,
@@ -354,34 +354,6 @@ impl Core {
         Ok(RunSummary {
             stats: self.stats.delta_since(&start_stats),
         })
-    }
-
-    /// Retire the program at `entry` in program order, without the
-    /// pipeline: until a `Halt` retires or `max_insts` instructions have.
-    /// Returns the number of instructions retired, the `Halt` included.
-    ///
-    /// Only architectural state moves: the machine, the kernel hooks and
-    /// the call trace end exactly as [`Core::run`] would leave them, but
-    /// the pipeline, caches, predictors, policy, SNI checker, clock and
-    /// [`SimStats`] are never touched. This is for runs whose output is
-    /// architectural (a call trace, kernel allocator counts); a run that
-    /// measures time or microarchitectural state needs [`Core::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnmappedFetch`] and
-    /// [`SimError::CallStackUnderflow`] as [`Core::run`] does,
-    /// [`SimError::TimingDependent`] on `RdTsc` (its value exists only in
-    /// a cycle-level run), and [`SimError::InstBudgetExhausted`] when
-    /// `max_insts` instructions retire without a `Halt`.
-    pub fn run_in_order(&mut self, entry: u64, max_insts: u64) -> Result<u64, SimError> {
-        crate::retire::run_in_order(
-            &mut self.machine,
-            self.hooks.as_mut(),
-            &mut self.call_trace,
-            entry,
-            max_insts,
-        )
     }
 
     fn step(&mut self) -> Result<(), SimError> {
@@ -1226,7 +1198,7 @@ impl Core {
             let (next_pc, hook_cycles) = match retire(
                 &mut self.machine,
                 self.hooks.as_mut(),
-                &mut self.call_trace,
+                self.call_trace.as_mut(),
                 &r,
             )? {
                 Flow::Halt => {

@@ -1,6 +1,5 @@
 //! Architectural retirement, shared by both engines: the out-of-order
-//! pipeline's commit stage and the in-order engine behind
-//! [`Core::run_in_order`](crate::pipeline::Core::run_in_order).
+//! pipeline's commit stage and the in-order engine, [`run_in_order`].
 //!
 //! [`retire`] is the one place an instruction's committed effects reach
 //! the [`Machine`]: register write-back, the store to memory, the call
@@ -47,7 +46,7 @@ pub(crate) enum Flow {
 pub(crate) fn retire(
     machine: &mut Machine,
     hooks: &mut dyn HookHandler,
-    call_trace: &mut Option<HashSet<u64>>,
+    call_trace: Option<&mut HashSet<u64>>,
     r: &RetiredInst,
 ) -> Result<Flow, SimError> {
     if let Some(dst) = r.inst.dst() {
@@ -175,16 +174,25 @@ fn execute(machine: &Machine, seq: u64, pc: u64, inst: Inst) -> Result<RetiredIn
 /// at a time, in program order, until a `Halt` retires. Returns the
 /// number of instructions retired, the `Halt` included.
 ///
+/// It takes only what architecture depends on: the machine, the kernel
+/// hooks and, when given, the set that records committed call targets
+/// (calls, indirect calls and jumps, syscall entries). It holds no
+/// clock, caches, predictors, policy or statistics, so it is for runs
+/// whose output is architectural (a call trace, kernel allocator
+/// counts); the machine, the hooks and the trace end exactly as
+/// [`Core::run`](crate::pipeline::Core::run) would leave them.
+///
 /// # Errors
 ///
-/// [`SimError::UnmappedFetch`], [`SimError::CallStackUnderflow`] and
-/// [`SimError::TimingDependent`] as their instructions are reached, and
-/// [`SimError::InstBudgetExhausted`] when `max_insts` instructions
-/// retire without a `Halt`.
-pub(crate) fn run_in_order(
+/// [`SimError::UnmappedFetch`] and [`SimError::CallStackUnderflow`] as
+/// [`Core::run`](crate::pipeline::Core::run) returns them,
+/// [`SimError::TimingDependent`] on `RdTsc` (its value exists only in a
+/// cycle-level run), and [`SimError::InstBudgetExhausted`] when
+/// `max_insts` instructions retire without a `Halt`.
+pub fn run_in_order(
     machine: &mut Machine,
     hooks: &mut dyn HookHandler,
-    call_trace: &mut Option<HashSet<u64>>,
+    mut call_trace: Option<&mut HashSet<u64>>,
     entry: u64,
     max_insts: u64,
 ) -> Result<u64, SimError> {
@@ -192,7 +200,7 @@ pub(crate) fn run_in_order(
     for retired in 0..max_insts {
         let inst = machine.inst_at(pc).ok_or(SimError::UnmappedFetch { pc })?;
         let r = execute(machine, retired, pc, inst)?;
-        match retire(machine, hooks, call_trace, &r)? {
+        match retire(machine, hooks, call_trace.as_deref_mut(), &r)? {
             Flow::Next { pc: next, .. } => pc = next,
             Flow::Halt => return Ok(retired + 1),
         }
@@ -204,27 +212,30 @@ pub(crate) fn run_in_order(
 mod tests {
     use super::*;
     use crate::config::CoreConfig;
+    use crate::hooks::NullHooks;
     use crate::isa::{AluOp, Assembler};
-    use crate::pipeline::Core;
     use crate::policy::UnsafePolicy;
-    use crate::testkit::testkit_core;
+    use crate::testkit::{testkit_core, POOL_BASE};
 
-    fn core_with(text: &[(u64, Inst)]) -> Core {
+    /// A machine holding `text`, set up as [`testkit_core`] sets up its
+    /// core's.
+    fn machine_with(text: &[(u64, Inst)]) -> Machine {
+        let mut machine = Machine::new();
+        machine.load_text(text.to_vec());
+        machine.set_reg(31, POOL_BASE);
+        machine
+    }
+
+    fn in_order(machine: &mut Machine, entry: u64, budget: u64) -> Result<u64, SimError> {
+        run_in_order(machine, &mut NullHooks, None, entry, budget)
+    }
+
+    fn pipelined(text: &[(u64, Inst)]) -> crate::pipeline::Core {
         testkit_core(
             text,
             CoreConfig::paper_default(),
             Box::new(UnsafePolicy::new()),
         )
-    }
-
-    /// Run in order, then check that nothing but architecture moved.
-    fn run_in_order_untimed(core: &mut Core, entry: u64, budget: u64) -> Result<u64, SimError> {
-        let result = core.run_in_order(entry, budget);
-        assert_eq!(core.now(), 0);
-        assert_eq!(core.stats(), Default::default());
-        assert_eq!(core.mem.l1i_stats(), Default::default());
-        assert_eq!(core.mem.l1d_stats(), Default::default());
-        result
     }
 
     #[test]
@@ -246,21 +257,22 @@ mod tests {
         k.push(Inst::Sysret);
         text.extend(k.finish());
 
-        let mut pipelined = core_with(&text);
-        let mut in_order = core_with(&text);
-        for core in [&mut pipelined, &mut in_order] {
-            core.machine.kernel_entry = 0xFFFF_0000;
-            core.enable_call_trace();
-        }
-        let stats = pipelined.run(0x100, 10_000).expect("runs").stats;
-        let retired = run_in_order_untimed(&mut in_order, 0x100, 100).expect("runs");
+        let mut core = pipelined(&text);
+        core.machine.kernel_entry = 0xFFFF_0000;
+        core.enable_call_trace();
+        let stats = core.run(0x100, 10_000).expect("runs").stats;
+        let mut machine = machine_with(&text);
+        machine.kernel_entry = 0xFFFF_0000;
+        let mut trace = HashSet::new();
+        let retired =
+            run_in_order(&mut machine, &mut NullHooks, Some(&mut trace), 0x100, 100).expect("runs");
         assert_eq!(retired, stats.committed_insts);
-        assert_eq!(in_order.machine.regs(), pipelined.machine.regs());
-        assert_eq!(in_order.machine.reg(9), 6);
-        assert_eq!(in_order.machine.mem, pipelined.machine.mem);
-        assert_eq!(in_order.machine.mode, Mode::User);
-        assert_eq!(in_order.machine.pc, pipelined.machine.pc);
-        assert_eq!(in_order.take_call_trace(), pipelined.take_call_trace());
+        assert_eq!(machine.regs(), core.machine.regs());
+        assert_eq!(machine.reg(9), 6);
+        assert_eq!(machine.mem, core.machine.mem);
+        assert_eq!(machine.mode, Mode::User);
+        assert_eq!(machine.pc, core.machine.pc);
+        assert_eq!(trace, core.take_call_trace());
     }
 
     #[test]
@@ -269,10 +281,10 @@ mod tests {
         a.movi(1, 7);
         a.push(Inst::RdTsc { dst: 2 });
         a.push(Inst::Halt);
-        let mut core = core_with(&a.finish());
-        let err = run_in_order_untimed(&mut core, 0x0, 100).unwrap_err();
+        let mut machine = machine_with(&a.finish());
+        let err = in_order(&mut machine, 0x0, 100).unwrap_err();
         assert_eq!(err, SimError::TimingDependent { pc: 0x4 });
-        assert_eq!(core.machine.reg(1), 7, "older instructions retired");
+        assert_eq!(machine.reg(1), 7, "older instructions retired");
     }
 
     #[test]
@@ -282,10 +294,8 @@ mod tests {
         a.movi(2, 2);
         a.push(Inst::Halt);
         let text = a.finish();
-        let mut core = core_with(&text);
-        assert_eq!(run_in_order_untimed(&mut core, 0x0, 3), Ok(3));
-        let mut core = core_with(&text);
-        let err = run_in_order_untimed(&mut core, 0x0, 2).unwrap_err();
+        assert_eq!(in_order(&mut machine_with(&text), 0x0, 3), Ok(3));
+        let err = in_order(&mut machine_with(&text), 0x0, 2).unwrap_err();
         assert_eq!(err, SimError::InstBudgetExhausted { budget: 2 });
     }
 
@@ -293,8 +303,8 @@ mod tests {
     fn a_return_with_an_empty_call_stack_is_an_error() {
         let text = [(0x0, Inst::Nop), (0x4, Inst::Ret)];
         let expected = SimError::CallStackUnderflow { pc: 0x4 };
-        assert_eq!(core_with(&text).run(0x0, 10_000).unwrap_err(), expected);
-        let err = run_in_order_untimed(&mut core_with(&text), 0x0, 100).unwrap_err();
+        assert_eq!(pipelined(&text).run(0x0, 10_000).unwrap_err(), expected);
+        let err = in_order(&mut machine_with(&text), 0x0, 100).unwrap_err();
         assert_eq!(err, expected);
     }
 
@@ -307,8 +317,8 @@ mod tests {
             },
         )];
         let expected = SimError::UnmappedFetch { pc: 0xdead_0000 };
-        assert_eq!(core_with(&text).run(0x0, 10_000).unwrap_err(), expected);
-        let err = run_in_order_untimed(&mut core_with(&text), 0x0, 100).unwrap_err();
+        assert_eq!(pipelined(&text).run(0x0, 10_000).unwrap_err(), expected);
+        let err = in_order(&mut machine_with(&text), 0x0, 100).unwrap_err();
         assert_eq!(err, expected);
     }
 }

@@ -183,31 +183,12 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Instructions per cycle over the whole run.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed_insts as f64 / self.cycles as f64
-        }
-    }
-
     /// Fraction of cycles spent in the kernel.
     pub fn kernel_time_fraction(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
             self.kernel_cycles as f64 / self.cycles as f64
-        }
-    }
-
-    /// Policy-blocked loads per thousand committed instructions
-    /// (the "fences per kilo instruction" metric of §9.2).
-    pub fn fences_per_kilo_inst(&self) -> f64 {
-        if self.committed_insts == 0 {
-            0.0
-        } else {
-            self.loads_fenced as f64 * 1000.0 / self.committed_insts as f64
         }
     }
 
@@ -278,17 +259,13 @@ mod tests {
             loads_fenced: 5,
             ..SimStats::default()
         };
-        assert!((s.ipc() - 2.5).abs() < 1e-12);
         assert!((s.kernel_time_fraction() - 0.6).abs() < 1e-12);
-        assert!((s.fences_per_kilo_inst() - 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_cycles_is_safe() {
         let s = SimStats::default();
-        assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.kernel_time_fraction(), 0.0);
-        assert_eq!(s.fences_per_kilo_inst(), 0.0);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use persp_uarch::isa::{AluOp, Cond, Inst, Width};
 use persp_uarch::machine::Machine;
 use persp_uarch::pipeline::Core;
 use persp_uarch::policy::{DomPolicy, FencePolicy, SpecPolicy, SttPolicy, UnsafePolicy};
+use persp_uarch::run_in_order;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -92,8 +93,8 @@ fn run_differential(templates: Vec<Template>, seeds: [u64; 4], policy: Box<dyn S
     let mut oracle_mem: HashMap<u64, u8> = HashMap::new();
     interpret(&text_map, base, &mut oracle_regs, &mut oracle_mem);
 
-    // Pipeline, and the in-order engine on a second core.
-    let core_with = |policy: Box<dyn SpecPolicy>| {
+    // Pipeline, and the in-order engine on a second machine.
+    let machine = || {
         let mut machine = Machine::new();
         machine.load_text(text_vec.iter().copied());
         machine.set_reg(1, seeds[0]);
@@ -101,19 +102,18 @@ fn run_differential(templates: Vec<Template>, seeds: [u64; 4], policy: Box<dyn S
         machine.set_reg(3, seeds[2]);
         machine.set_reg(4, seeds[3]);
         machine.set_reg(31, POOL_BASE);
-        Core::new(
-            CoreConfig::paper_default(),
-            machine,
-            MemoryHierarchy::new(HierarchyConfig::paper_default()),
-            policy,
-            Box::new(NullHooks),
-        )
+        machine
     };
-    let mut core = core_with(policy);
+    let mut core = Core::new(
+        CoreConfig::paper_default(),
+        machine(),
+        MemoryHierarchy::new(HierarchyConfig::paper_default()),
+        policy,
+        Box::new(NullHooks),
+    );
     core.run(base, 2_000_000).expect("pipeline completes");
-    let mut in_order = core_with(Box::new(UnsafePolicy::new()));
-    in_order
-        .run_in_order(base, 10_000)
+    let mut in_order = machine();
+    run_in_order(&mut in_order, &mut NullHooks, None, base, 10_000)
         .expect("in-order run completes");
 
     // Compare registers and the data pool.
@@ -138,23 +138,17 @@ fn run_differential(templates: Vec<Template>, seeds: [u64; 4], policy: Box<dyn S
     }
 
     // The in-order engine against both.
-    assert_eq!(in_order.machine.regs(), oracle_regs, "in-order registers");
-    assert_eq!(
-        in_order.machine.regs(),
-        got,
-        "in-order vs pipeline registers"
-    );
+    assert_eq!(in_order.regs(), oracle_regs, "in-order registers");
+    assert_eq!(in_order.regs(), got, "in-order vs pipeline registers");
     for slot in 0..POOL_SLOTS {
         let addr = POOL_BASE + slot * 8;
         let oracle: Vec<u8> = (0..8)
             .map(|i| *oracle_mem.get(&(addr + i)).unwrap_or(&0))
             .collect();
-        let bytes: Vec<u8> = (0..8)
-            .map(|i| in_order.machine.mem.read_u8(addr + i))
-            .collect();
+        let bytes: Vec<u8> = (0..8).map(|i| in_order.mem.read_u8(addr + i)).collect();
         assert_eq!(bytes, oracle, "in-order memory at {addr:#x}");
         assert_eq!(
-            in_order.machine.mem.read_u64(addr),
+            in_order.mem.read_u64(addr),
             core.machine.mem.read_u64(addr),
             "in-order vs pipeline memory at {addr:#x}"
         );

@@ -2,7 +2,7 @@
 //! Figure 9.2: per-syscall latency microbenchmarks covering the kernel
 //! operations that dominate Linux workloads.
 
-use crate::spec::{ArgVal, SyscallStep, Workload};
+use crate::spec::{SyscallStep, Workload};
 use persp_kernel::syscalls::Sysno;
 
 fn step(sys: Sysno, arg0: u64, arg2: u64) -> SyscallStep {
@@ -50,27 +50,11 @@ pub fn by_name(name: &str) -> Option<Workload> {
     suite().into_iter().find(|w| w.name == name)
 }
 
-/// The union syscall profile of the whole suite (used for the Table 8.1
-/// "LEBench" column).
-pub fn union_profile() -> Vec<Sysno> {
-    let mut set = std::collections::BTreeSet::new();
-    for w in suite() {
-        set.extend(w.syscall_profile());
-    }
-    set.into_iter().collect()
-}
-
-/// Sanity: LEBench buffers point at real user memory.
-pub fn buffer_args_are_buffers() -> bool {
-    suite()
-        .iter()
-        .flat_map(|w| &w.steps)
-        .all(|s| matches!(s.arg1, ArgVal::Buf(_)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ArgVal;
+    use std::collections::BTreeSet;
 
     #[test]
     fn suite_shape() {
@@ -92,7 +76,7 @@ mod tests {
 
     #[test]
     fn union_profile_covers_many_syscalls() {
-        let p = union_profile();
+        let p: BTreeSet<Sysno> = suite().iter().flat_map(|w| w.syscall_profile()).collect();
         assert!(p.len() >= 12, "{p:?}");
         assert!(p.contains(&Sysno::Select));
         assert!(p.contains(&Sysno::Fork));
@@ -100,6 +84,8 @@ mod tests {
 
     #[test]
     fn buffers_are_buffers() {
-        assert!(buffer_args_are_buffers());
+        // LEBench buffers point at real user memory.
+        let steps = suite().into_iter().flat_map(|w| w.steps);
+        assert!(steps.into_iter().all(|s| matches!(s.arg1, ArgVal::Buf(_))));
     }
 }

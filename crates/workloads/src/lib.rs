@@ -25,6 +25,6 @@ pub use apps::App;
 pub use config::{KernelScale, RunConfig};
 pub use runner::{
     measure, measure_image_uncached, overhead, run_cells, run_matrix, run_parallel, trace_to_funcs,
-    CellFailure, Measurement, SimInstance,
+    ArchInstance, CellFailure, Measurement, SimInstance,
 };
 pub use spec::{ArgVal, SyscallStep, Workload};

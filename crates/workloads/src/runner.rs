@@ -35,7 +35,7 @@ use persp_mem::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use persp_scanner::scanner::scan_bounded;
 use persp_uarch::config::CoreConfig;
 use persp_uarch::machine::Machine;
-use persp_uarch::pipeline::Core;
+use persp_uarch::pipeline::{Core, SimError};
 use persp_uarch::policy::SpecPolicy;
 use persp_uarch::stats::SimStats;
 use persp_uarch::{Asid, MetricsRegistry, MetricsSource};
@@ -89,7 +89,128 @@ impl Measurement {
     }
 }
 
-/// A simulated machine instance for one scheme.
+/// The architectural half of a machine for one scheme: the booted
+/// kernel and its workload process, with no timing model. It runs
+/// programs in order ([`ArchInstance::run_in_order`]), for runs whose
+/// output is architectural (dynamic-ISV traces, kernel allocator
+/// counts); [`ArchInstance::timed`] moves its machine into a core for
+/// the cycle-level pipeline.
+pub struct ArchInstance {
+    /// Committed architectural state.
+    pub machine: Machine,
+    /// The kernel handle.
+    pub kernel: SharedKernel,
+    /// The framework (Perspective schemes and instrumented instances).
+    pub perspective: Option<Perspective>,
+    /// The workload process.
+    pub asid: Asid,
+    /// The scheme.
+    pub scheme: Scheme,
+}
+
+impl ArchInstance {
+    /// Boot `image`'s kernel with a single workload process (cgroup 1).
+    /// The image's call graph, text and boot memory are shared, not
+    /// regenerated. Perspective schemes get a framework whose sink the
+    /// kernel's allocators feed.
+    pub fn new(scheme: Scheme, image: &KernelImage) -> Self {
+        Self::boot(scheme, image, scheme.is_perspective())
+    }
+
+    /// [`ArchInstance::new`], with a framework for any scheme when
+    /// `framework` is set.
+    fn boot(scheme: Scheme, image: &KernelImage, framework: bool) -> Self {
+        let perspective = framework.then(Perspective::new);
+        let sink: SharedSink = match &perspective {
+            Some(p) => p.sink(),
+            None => Rc::new(RefCell::new(NullSink)),
+        };
+        let kernel = SharedKernel::new(Kernel::from_image(image, sink));
+        let mut machine = Machine::new();
+        kernel.borrow().install(&mut machine);
+        let pid = kernel.borrow_mut().create_process(1, &mut machine);
+        let asid = pid as Asid;
+        kernel.borrow().set_current(asid, &mut machine);
+        ArchInstance {
+            machine,
+            kernel,
+            perspective,
+            asid,
+            scheme,
+        }
+    }
+
+    /// User text base of the workload process.
+    pub fn text_base(&self) -> u64 {
+        layout::user_text_base(u32::from(self.asid))
+    }
+
+    /// User data base of the workload process.
+    pub fn data_base(&self) -> u64 {
+        layout::user_data_base(u32::from(self.asid))
+    }
+
+    /// Retire the program at `entry` in program order, with the kernel
+    /// as its hooks, until a `Halt` retires or `max_insts` instructions
+    /// have (see [`persp_uarch::run_in_order`]); committed call targets
+    /// go into `call_trace` when it is given. Returns the number of
+    /// instructions retired.
+    ///
+    /// # Errors
+    ///
+    /// The [`SimError`] of the in-order engine.
+    pub fn run_in_order(
+        &mut self,
+        entry: u64,
+        max_insts: u64,
+        call_trace: Option<&mut HashSet<u64>>,
+    ) -> Result<u64, SimError> {
+        let mut hooks = self.kernel.clone();
+        persp_uarch::run_in_order(&mut self.machine, &mut hooks, call_trace, entry, max_insts)
+    }
+
+    /// Add the timing model: move the machine into a paper-hierarchy
+    /// core configured by `core_cfg`, around the scheme's policy (the
+    /// framework's, configured by `pcfg`, for Perspective schemes). When
+    /// a framework is present the policy is passed through `wrap` first —
+    /// the hook the fault injector uses.
+    pub fn timed(
+        self,
+        pcfg: PerspectiveConfig,
+        core_cfg: CoreConfig,
+        wrap: impl FnOnce(Box<dyn SpecPolicy>, &Perspective) -> Box<dyn SpecPolicy>,
+    ) -> SimInstance {
+        let ArchInstance {
+            machine,
+            kernel,
+            perspective,
+            asid,
+            scheme,
+        } = self;
+        let policy: Box<dyn SpecPolicy> = match &perspective {
+            Some(p) if scheme.is_perspective() => wrap(Box::new(p.policy(pcfg)), p),
+            Some(p) => wrap(scheme.build_policy(None), p),
+            None => scheme.build_policy(None),
+        };
+        let core = Core::new(
+            core_cfg,
+            machine,
+            MemoryHierarchy::new(HierarchyConfig::paper_default()),
+            policy,
+            Box::new(kernel.clone()),
+        );
+        SimInstance {
+            core,
+            kernel,
+            perspective,
+            asid,
+            scheme,
+        }
+    }
+}
+
+/// A simulated machine instance for one scheme: an [`ArchInstance`]
+/// whose machine runs in a cycle-level core.
 pub struct SimInstance {
     /// The core.
     pub core: Core,
@@ -118,15 +239,14 @@ impl SimInstance {
 
     /// [`SimInstance::from_image`] with explicit Perspective and core
     /// configurations — the constructor the measurement protocol uses for
-    /// every cell. The image's call graph, text and boot memory are
-    /// shared, not regenerated.
+    /// every cell: [`ArchInstance::new`], then [`ArchInstance::timed`].
     pub fn from_image_core(
         scheme: Scheme,
         image: &KernelImage,
         pcfg: PerspectiveConfig,
         core_cfg: CoreConfig,
     ) -> Self {
-        Self::build(scheme, image, pcfg, core_cfg, false, |policy, _| policy)
+        ArchInstance::new(scheme, image).timed(pcfg, core_cfg, |policy, _| policy)
     }
 
     /// Build an *instrumented* instance for the SNI checker: the
@@ -143,52 +263,7 @@ impl SimInstance {
         core_cfg: CoreConfig,
         wrap: impl FnOnce(Box<dyn SpecPolicy>, &Perspective) -> Box<dyn SpecPolicy>,
     ) -> Self {
-        Self::build(scheme, image, pcfg, core_cfg, true, wrap)
-    }
-
-    /// The one construction body: boot the kernel (feeding a Perspective
-    /// framework's sink for Perspective schemes, or for any scheme when
-    /// `instrument` is set), create the workload process, and assemble the
-    /// core around the scheme's policy, passed through `wrap` when a
-    /// framework is present.
-    fn build(
-        scheme: Scheme,
-        image: &KernelImage,
-        pcfg: PerspectiveConfig,
-        core_cfg: CoreConfig,
-        instrument: bool,
-        wrap: impl FnOnce(Box<dyn SpecPolicy>, &Perspective) -> Box<dyn SpecPolicy>,
-    ) -> Self {
-        let perspective = (instrument || scheme.is_perspective()).then(Perspective::new);
-        let sink: SharedSink = match &perspective {
-            Some(p) => p.sink(),
-            None => Rc::new(RefCell::new(NullSink)),
-        };
-        let shared = SharedKernel::new(Kernel::from_image(image, sink));
-        let mut machine = Machine::new();
-        shared.borrow().install(&mut machine);
-        let pid = shared.borrow_mut().create_process(1, &mut machine);
-        let asid = pid as Asid;
-        shared.borrow().set_current(asid, &mut machine);
-        let policy: Box<dyn SpecPolicy> = match &perspective {
-            Some(p) if scheme.is_perspective() => wrap(Box::new(p.policy(pcfg)), p),
-            Some(p) => wrap(scheme.build_policy(None), p),
-            None => scheme.build_policy(None),
-        };
-        let core = Core::new(
-            core_cfg,
-            machine,
-            MemoryHierarchy::new(HierarchyConfig::paper_default()),
-            policy,
-            Box::new(shared.clone()),
-        );
-        SimInstance {
-            core,
-            kernel: shared,
-            perspective,
-            asid,
-            scheme,
-        }
+        ArchInstance::boot(scheme, image, true).timed(pcfg, core_cfg, wrap)
     }
 
     /// User text base of the workload process.

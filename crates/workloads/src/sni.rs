@@ -61,15 +61,6 @@ impl SniReport {
     pub fn violations(&self) -> u64 {
         self.sni.violations()
     }
-
-    /// For fault-injected runs: did the monitor flag every injected
-    /// violation? Vacuously true for clean runs.
-    pub fn all_injected_detected(&self) -> bool {
-        match &self.faults {
-            Some(f) => self.sni.unsafe_issues >= f.injected_violations,
-            None => true,
-        }
-    }
 }
 
 /// Run `workload` under `scheme` on core `core_cfg` with the SNI checker
@@ -205,7 +196,6 @@ mod tests {
             r.sni.unsafe_issues, f.injected_violations,
             "the monitor must flag exactly the injected unsafe allows"
         );
-        assert!(r.all_injected_detected());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use persp_bench::trace_workload;
 use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
 use persp_scanner::{scan_bounded, scan_kernel};
-use persp_workloads::lebench;
+use persp_workloads::{lebench, ArchInstance};
 use perspective::isv::Isv;
 use perspective::scheme::Scheme;
 
@@ -67,9 +67,9 @@ fn main() {
     );
 
     // 4. Runtime CVE response through the pliable interface of a live
-    // PERSPECTIVE instance running on the image.
+    // PERSPECTIVE framework on a kernel booted from the image.
     let victim_func = hardened.funcs().iter().min().expect("nonempty view");
-    let inst = persp_workloads::SimInstance::from_image(Scheme::Perspective, &image);
+    let inst = ArchInstance::new(Scheme::Perspective, &image);
     let perspective = inst.perspective.as_ref().expect("perspective scheme");
     perspective.install_isv(inst.asid, hardened);
     println!();
