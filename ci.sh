@@ -71,6 +71,34 @@ for exp in $PAPER_BASELINED; do
     fi
 done
 
+# The measurement cells themselves (every registry counter of every
+# fig_9_2, fig_9_3 and table_10_1 row) at paper scale, whose kernel
+# counters are larger than the small kernel's: one run_all document,
+# with the fast-forward on and off, and through the cell cache cold, warm
+# and verifying (the warm run decodes every cell from its entry).
+PAPER_CELLS="fig_9_2,fig_9_3,table_10_1"
+echo "==> paper-scale cell documents vs BENCH_cells.paper.json (fast-forward on and off, cache)"
+rm -rf target/persp-cache-ci-paper
+for run in fast slow cache-on cache-on cache-verify; do
+    env_args=(PERSPECTIVE_KERNEL=paper PERSPECTIVE_THREADS=4)
+    case $run in
+    slow) env_args+=(PERSPECTIVE_NO_FASTFWD=1) ;;
+    cache-*) env_args+=(PERSPECTIVE_CACHE="${run#cache-}" PERSPECTIVE_CACHE_DIR=target/persp-cache-ci-paper) ;;
+    esac
+    env "${env_args[@]}" ./target/release/run_all --json --only "$PAPER_CELLS" \
+        >"target/bench-json/cells.paper.$run.json"
+    ./target/release/json_check <"target/bench-json/cells.paper.$run.json"
+    if ! diff -u BENCH_cells.paper.json "target/bench-json/cells.paper.$run.json"; then
+        echo "ci: paper-scale cells ($run) drifted from BENCH_cells.paper.json" >&2
+        echo "ci: with the fast-forward off or the cache on, this is a bug, not a baseline drift" >&2
+        exit 1
+    fi
+done
+if ! ls target/persp-cache-ci-paper/cell-*.json >/dev/null 2>&1; then
+    echo "ci: paper-scale cache runs completed but no cell entries were written" >&2
+    exit 1
+fi
+
 echo "==> paper-scale transcripts vs experiments_output.txt and experiments_extra.txt"
 # The human-readable output is pinned too: run_all's transcript covers
 # every experiment bin, and the extra transcript covers sensitivity and
