@@ -39,9 +39,10 @@ fn ablation_names_the_one_doctored_cell() {
         &cfg.core,
         &getpid,
         || {
-            let mut m = runner::measure_image_uncached(scheme, &image, &getpid, pcfg, cfg.core)?;
-            m.stats.cycles += 1;
-            Ok(m)
+            let m = runner::measure_image_uncached(scheme, &image, &getpid, pcfg, cfg.core)?;
+            let mut metrics = m.metrics;
+            metrics.set("sim.cycles", m.stats.cycles + 1);
+            runner::Measurement::from_registry(m.scheme, m.workload, m.isv_funcs, metrics)
         },
     )
     .expect("the doctored entry is stored");

@@ -64,12 +64,7 @@ impl HwCacheStats {
     }
 }
 
-impl persp_uarch::MetricsSource for HwCacheStats {
-    fn export_metrics(&self, prefix: &str, reg: &mut persp_uarch::MetricsRegistry) {
-        reg.set(format!("{prefix}.hits"), self.hits);
-        reg.set(format!("{prefix}.misses"), self.misses);
-    }
-}
+persp_uarch::counters!(HwCacheStats { hits, misses });
 
 impl persp_uarch::MetricsSource for TaggedMetadataCache {
     fn export_metrics(&self, prefix: &str, reg: &mut persp_uarch::MetricsRegistry) {

@@ -19,7 +19,7 @@ use crate::dsv::{DsvClass, DsvTable};
 use crate::hwcache::{HwCacheConfig, HwLookup, TaggedMetadataCache};
 use crate::isv::Isv;
 use persp_uarch::policy::{BlockSource, LoadCtx, LoadDecision, PolicyCounters, SpecPolicy};
-use persp_uarch::{Asid, Mode};
+use persp_uarch::{Asid, Counters, Mode};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -75,7 +75,7 @@ pub struct FenceBreakdown {
 impl FenceBreakdown {
     /// Total fences.
     pub fn total(&self) -> u64 {
-        self.isv + self.dsv + self.unknown
+        self.counter_sum()
     }
 
     /// ISV share of all fences (Table 10.1 reports ISV/DSV percentages).
@@ -88,6 +88,8 @@ impl FenceBreakdown {
         }
     }
 }
+
+persp_uarch::counters!(FenceBreakdown { isv, dsv, unknown });
 
 /// Shared per-context ISV registry — the *pliable interface*: the OS (or
 /// an administrator) installs, shrinks, or hardens views at runtime while
@@ -342,9 +344,7 @@ impl PerspectivePolicy {
 
 impl persp_uarch::MetricsSource for PerspectivePolicy {
     fn export_metrics(&self, prefix: &str, reg: &mut persp_uarch::MetricsRegistry) {
-        reg.set(format!("{prefix}.fences.isv"), self.fences.isv);
-        reg.set(format!("{prefix}.fences.dsv"), self.fences.dsv);
-        reg.set(format!("{prefix}.fences.unknown"), self.fences.unknown);
+        self.fences.export_metrics(&format!("{prefix}.fences"), reg);
         self.counters
             .export_metrics(&format!("{prefix}.decisions"), reg);
         self.isv_cache
@@ -405,7 +405,7 @@ impl SpecPolicy for PerspectivePolicy {
     }
 
     fn counters(&self) -> PolicyCounters {
-        self.counters.clone()
+        self.counters
     }
 
     fn reset_counters(&mut self) {

@@ -72,7 +72,7 @@ pub mod testkit;
 
 pub use config::CoreConfig;
 pub use machine::{Asid, Machine, Mode};
-pub use metrics::{MetricsRegistry, MetricsSource};
+pub use metrics::{Counters, MetricsRegistry, MetricsSource};
 pub use pipeline::{Core, RunSummary, SimError};
 pub use policy::{BlockSource, LoadCtx, LoadDecision, PolicyCounters, SpecPolicy};
 pub use retire::run_in_order;

@@ -67,6 +67,117 @@ pub trait MetricsSource {
     fn export_metrics(&self, prefix: &str, reg: &mut MetricsRegistry);
 }
 
+/// A struct of `u64` counters described by one list of its counters (see
+/// [`counters!`](crate::counters)). Export, region-of-interest deltas
+/// and the rebuild from a registry all walk that list, so a counter on
+/// it reaches all three, and one left off reaches none.
+pub trait Counters: Copy + Default {
+    /// Call `f` with each counter's registry name (`name` followed by
+    /// `.<counter>`; nested structs add their own segment), the counter
+    /// in `self` and the same counter in `other`. `name` is unchanged on
+    /// return.
+    fn visit(&mut self, other: &Self, name: &mut String, f: &mut dyn FnMut(&str, &mut u64, u64));
+
+    /// Set `{prefix}.<counter>` for every counter.
+    fn export_counters(&self, prefix: &str, reg: &mut MetricsRegistry) {
+        let mut name = prefix.to_string();
+        let mut copy = *self;
+        copy.visit(self, &mut name, &mut |name, _, v| reg.set(name, v));
+    }
+
+    /// Counterwise difference (for region-of-interest measurement).
+    fn counters_since(&self, earlier: &Self) -> Self {
+        let mut delta = *self;
+        delta.visit(earlier, &mut String::new(), &mut |_, v, e| *v -= e);
+        delta
+    }
+
+    /// The sum of every counter.
+    fn counter_sum(&self) -> u64 {
+        let mut sum = 0;
+        let mut copy = *self;
+        copy.visit(self, &mut String::new(), &mut |_, _, v| sum += v);
+        sum
+    }
+
+    /// Rebuild from the counters `reg` holds under `prefix`: `Ok(None)`
+    /// when it holds none of them, and `Err` naming the first one missing
+    /// when it holds only some.
+    fn from_registry(reg: &MetricsRegistry, prefix: &str) -> Result<Option<Self>, String> {
+        let mut out = Self::default();
+        let (mut found, mut missing) = (false, None);
+        out.visit(
+            &Self::default(),
+            &mut prefix.to_string(),
+            &mut |name, v, _| match reg.get(name) {
+                Some(n) => {
+                    *v = n;
+                    found = true;
+                }
+                None => {
+                    missing.get_or_insert_with(|| name.to_string());
+                }
+            },
+        );
+        match (found, missing) {
+            (false, _) => Ok(None),
+            (true, None) => Ok(Some(out)),
+            (true, Some(name)) => Err(format!("the registry lacks counter {name:?}")),
+        }
+    }
+}
+
+/// Implement [`Counters`] and [`MetricsSource`] for a struct from the one
+/// list of its counters: each `u64` field, exported under its own name,
+/// then, after a `;`, each nested [`Counters`] struct as
+/// `segment: field`, exported below `<prefix>.<segment>`.
+///
+/// ```
+/// #[derive(Clone, Copy, Default)]
+/// struct Inner { hits: u64 }
+/// #[derive(Clone, Copy, Default)]
+/// struct Outer { cycles: u64, inner: Inner }
+/// persp_uarch::counters!(Inner { hits });
+/// persp_uarch::counters!(Outer { cycles; sub: inner });
+///
+/// use persp_uarch::{MetricsRegistry, MetricsSource};
+/// let mut reg = MetricsRegistry::new();
+/// Outer { cycles: 3, inner: Inner { hits: 2 } }.export_metrics("sim", &mut reg);
+/// assert_eq!(reg.get("sim.cycles"), Some(3));
+/// assert_eq!(reg.get("sim.sub.hits"), Some(2));
+/// ```
+#[macro_export]
+macro_rules! counters {
+    ($ty:ty { $($field:ident),* $(,)? $(; $($segment:ident: $group:ident),+ $(,)?)? }) => {
+        impl $crate::metrics::Counters for $ty {
+            fn visit(
+                &mut self,
+                other: &Self,
+                name: &mut String,
+                f: &mut dyn FnMut(&str, &mut u64, u64),
+            ) {
+                let len = name.len();
+                $(
+                    name.push_str(concat!(".", stringify!($field)));
+                    f(name, &mut self.$field, other.$field);
+                    name.truncate(len);
+                )*
+                $($(
+                    name.push_str(concat!(".", stringify!($segment)));
+                    self.$group.visit(&other.$group, name, f);
+                    name.truncate(len);
+                )+)?
+            }
+        }
+
+        impl $crate::metrics::MetricsSource for $ty {
+            fn export_metrics(&self, prefix: &str, reg: &mut $crate::metrics::MetricsRegistry) {
+                $crate::metrics::Counters::export_counters(self, prefix, reg);
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -81,7 +81,7 @@ pub enum LoadDecision {
 }
 
 /// Counters every policy maintains, reported in the evaluation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyCounters {
     /// Loads checked.
     pub loads_checked: u64,
@@ -129,18 +129,16 @@ impl PolicyCounters {
     }
 }
 
-impl crate::metrics::MetricsSource for PolicyCounters {
-    fn export_metrics(&self, prefix: &str, reg: &mut crate::metrics::MetricsRegistry) {
-        reg.set(format!("{prefix}.loads_checked"), self.loads_checked);
-        reg.set(format!("{prefix}.allowed"), self.allowed);
-        reg.set(format!("{prefix}.blocked_fence"), self.blocked_fence);
-        reg.set(format!("{prefix}.blocked_dom"), self.blocked_dom);
-        reg.set(format!("{prefix}.blocked_stt"), self.blocked_stt);
-        reg.set(format!("{prefix}.blocked_isv"), self.blocked_isv);
-        reg.set(format!("{prefix}.blocked_dsv"), self.blocked_dsv);
-        reg.set(format!("{prefix}.blocked_unknown"), self.blocked_unknown);
-    }
-}
+crate::counters!(PolicyCounters {
+    loads_checked,
+    allowed,
+    blocked_fence,
+    blocked_dom,
+    blocked_stt,
+    blocked_isv,
+    blocked_dsv,
+    blocked_unknown,
+});
 
 /// A speculation-control policy plugged into the core.
 pub trait SpecPolicy {
@@ -191,7 +189,7 @@ pub trait SpecPolicy {
 macro_rules! counters_boilerplate {
     () => {
         fn counters(&self) -> PolicyCounters {
-            self.counters.clone()
+            self.counters
         }
         fn reset_counters(&mut self) {
             self.counters = PolicyCounters::default();

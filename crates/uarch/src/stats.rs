@@ -1,6 +1,7 @@
 //! Simulation statistics collected by the core.
 
-use crate::metrics::{MetricsRegistry, MetricsSource};
+use crate::counters;
+use crate::metrics::Counters;
 
 /// Attribution of stall cycles (cycles in which nothing committed) to
 /// the mechanism holding the ROB head back — the cycle-level counterpart
@@ -32,43 +33,20 @@ pub struct StallBreakdown {
 impl StallBreakdown {
     /// Total attributed stall cycles (sums the partition).
     pub fn total(&self) -> u64 {
-        self.isv_fence
-            + self.dsv_fence
-            + self.isv_miss
-            + self.dsvmt_miss
-            + self.squash
-            + self.vp_wait
-            + self.frontend
-            + self.backend
-    }
-
-    /// Fieldwise difference (for region-of-interest measurement).
-    pub fn delta_since(&self, earlier: &StallBreakdown) -> StallBreakdown {
-        StallBreakdown {
-            isv_fence: self.isv_fence - earlier.isv_fence,
-            dsv_fence: self.dsv_fence - earlier.dsv_fence,
-            isv_miss: self.isv_miss - earlier.isv_miss,
-            dsvmt_miss: self.dsvmt_miss - earlier.dsvmt_miss,
-            squash: self.squash - earlier.squash,
-            vp_wait: self.vp_wait - earlier.vp_wait,
-            frontend: self.frontend - earlier.frontend,
-            backend: self.backend - earlier.backend,
-        }
+        self.counter_sum()
     }
 }
 
-impl MetricsSource for StallBreakdown {
-    fn export_metrics(&self, prefix: &str, reg: &mut MetricsRegistry) {
-        reg.set(format!("{prefix}.isv_fence"), self.isv_fence);
-        reg.set(format!("{prefix}.dsv_fence"), self.dsv_fence);
-        reg.set(format!("{prefix}.isv_miss"), self.isv_miss);
-        reg.set(format!("{prefix}.dsvmt_miss"), self.dsvmt_miss);
-        reg.set(format!("{prefix}.squash"), self.squash);
-        reg.set(format!("{prefix}.vp_wait"), self.vp_wait);
-        reg.set(format!("{prefix}.frontend"), self.frontend);
-        reg.set(format!("{prefix}.backend"), self.backend);
-    }
-}
+counters!(StallBreakdown {
+    isv_fence,
+    dsv_fence,
+    isv_miss,
+    dsvmt_miss,
+    squash,
+    vp_wait,
+    frontend,
+    backend,
+});
 
 /// Counters maintained by the speculative non-interference checker
 /// (shadow oracle + leakage monitor, [`crate::sni`]). All zero when the
@@ -98,18 +76,6 @@ pub struct SniCounters {
 }
 
 impl SniCounters {
-    /// Fieldwise difference (for region-of-interest measurement).
-    pub fn delta_since(&self, earlier: &SniCounters) -> SniCounters {
-        SniCounters {
-            shadow_checked: self.shadow_checked - earlier.shadow_checked,
-            shadow_mismatches: self.shadow_mismatches - earlier.shadow_mismatches,
-            unsafe_issues: self.unsafe_issues - earlier.unsafe_issues,
-            secret_spec_loads: self.secret_spec_loads - earlier.secret_spec_loads,
-            tainted_transmits: self.tainted_transmits - earlier.tainted_transmits,
-            committed_secret_roots: self.committed_secret_roots - earlier.committed_secret_roots,
-        }
-    }
-
     /// Total SNI violations: ground-truth-unsafe issues plus tainted
     /// transient transmissions (the two event classes the checker treats
     /// as non-interference failures).
@@ -118,28 +84,14 @@ impl SniCounters {
     }
 }
 
-impl MetricsSource for SniCounters {
-    fn export_metrics(&self, prefix: &str, reg: &mut MetricsRegistry) {
-        reg.set(format!("{prefix}.shadow_checked"), self.shadow_checked);
-        reg.set(
-            format!("{prefix}.shadow_mismatches"),
-            self.shadow_mismatches,
-        );
-        reg.set(format!("{prefix}.unsafe_issues"), self.unsafe_issues);
-        reg.set(
-            format!("{prefix}.secret_spec_loads"),
-            self.secret_spec_loads,
-        );
-        reg.set(
-            format!("{prefix}.tainted_transmits"),
-            self.tainted_transmits,
-        );
-        reg.set(
-            format!("{prefix}.committed_secret_roots"),
-            self.committed_secret_roots,
-        );
-    }
-}
+counters!(SniCounters {
+    shadow_checked,
+    shadow_mismatches,
+    unsafe_issues,
+    secret_spec_loads,
+    tainted_transmits,
+    committed_secret_roots,
+});
 
 /// Counters accumulated while the pipeline runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -194,60 +146,33 @@ impl SimStats {
 
     /// Difference of two snapshots (for region-of-interest measurement).
     pub fn delta_since(&self, earlier: &SimStats) -> SimStats {
-        SimStats {
-            cycles: self.cycles - earlier.cycles,
-            kernel_cycles: self.kernel_cycles - earlier.kernel_cycles,
-            user_cycles: self.user_cycles - earlier.user_cycles,
-            committed_insts: self.committed_insts - earlier.committed_insts,
-            committed_loads: self.committed_loads - earlier.committed_loads,
-            committed_stores: self.committed_stores - earlier.committed_stores,
-            committed_branches: self.committed_branches - earlier.committed_branches,
-            squashes: self.squashes - earlier.squashes,
-            squashed_insts: self.squashed_insts - earlier.squashed_insts,
-            transient_loads_issued: self.transient_loads_issued - earlier.transient_loads_issued,
-            syscalls: self.syscalls - earlier.syscalls,
-            loads_fenced: self.loads_fenced - earlier.loads_fenced,
-            stall_cycles: self.stall_cycles - earlier.stall_cycles,
-            taint_roots_overflow: self.taint_roots_overflow - earlier.taint_roots_overflow,
-            sni: self.sni.delta_since(&earlier.sni),
-            stalls: self.stalls.delta_since(&earlier.stalls),
-        }
+        self.counters_since(earlier)
     }
 }
 
-impl MetricsSource for SimStats {
-    fn export_metrics(&self, prefix: &str, reg: &mut MetricsRegistry) {
-        reg.set(format!("{prefix}.cycles"), self.cycles);
-        reg.set(format!("{prefix}.kernel_cycles"), self.kernel_cycles);
-        reg.set(format!("{prefix}.user_cycles"), self.user_cycles);
-        reg.set(format!("{prefix}.committed_insts"), self.committed_insts);
-        reg.set(format!("{prefix}.committed_loads"), self.committed_loads);
-        reg.set(format!("{prefix}.committed_stores"), self.committed_stores);
-        reg.set(
-            format!("{prefix}.committed_branches"),
-            self.committed_branches,
-        );
-        reg.set(format!("{prefix}.squashes"), self.squashes);
-        reg.set(format!("{prefix}.squashed_insts"), self.squashed_insts);
-        reg.set(
-            format!("{prefix}.transient_loads_issued"),
-            self.transient_loads_issued,
-        );
-        reg.set(format!("{prefix}.syscalls"), self.syscalls);
-        reg.set(format!("{prefix}.loads_fenced"), self.loads_fenced);
-        reg.set(format!("{prefix}.stall_cycles"), self.stall_cycles);
-        reg.set(
-            format!("{prefix}.taint_roots_overflow"),
-            self.taint_roots_overflow,
-        );
-        self.sni.export_metrics(&format!("{prefix}.sni"), reg);
-        self.stalls.export_metrics(&format!("{prefix}.stall"), reg);
-    }
-}
+counters!(SimStats {
+    cycles,
+    kernel_cycles,
+    user_cycles,
+    committed_insts,
+    committed_loads,
+    committed_stores,
+    committed_branches,
+    squashes,
+    squashed_insts,
+    transient_loads_issued,
+    syscalls,
+    loads_fenced,
+    stall_cycles,
+    taint_roots_overflow;
+    sni: sni,
+    stall: stalls,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{MetricsRegistry, MetricsSource};
 
     #[test]
     fn ipc_and_fractions() {
@@ -291,7 +216,7 @@ mod tests {
             frontend: 17,
             backend: 18,
         };
-        let d = b.delta_since(&a);
+        let d = b.counters_since(&a);
         assert_eq!(d.total(), b.total() - a.total());
         assert_eq!(d.isv_fence, 9);
         assert_eq!(d.backend, 10);
@@ -359,5 +284,48 @@ mod tests {
         let d = b.delta_since(&a);
         assert_eq!(d.cycles, 15);
         assert_eq!(d.committed_insts, 50);
+        // Nested groups subtract too.
+        let mut c = b;
+        c.sni.shadow_checked = 7;
+        c.stalls.squash = 5;
+        let d = c.delta_since(&b);
+        assert_eq!((d.cycles, d.sni.shadow_checked, d.stalls.squash), (0, 7, 5));
+    }
+
+    /// Distinct nonzero values in every counter, nested ones included.
+    fn numbered() -> SimStats {
+        let mut s = SimStats::default();
+        let mut n = 0;
+        s.visit(&SimStats::default(), &mut String::new(), &mut |_, v, _| {
+            n += 1;
+            *v = n;
+        });
+        s
+    }
+
+    #[test]
+    fn the_registry_rebuilds_what_was_exported() {
+        let s = numbered();
+        assert_eq!(s.cycles, 1);
+        assert_ne!(s.stalls.backend, 0);
+        let mut reg = MetricsRegistry::new();
+        s.export_metrics("sim", &mut reg);
+        assert_eq!(reg.len(), 14 + 6 + 8);
+        assert_eq!(SimStats::from_registry(&reg, "sim"), Ok(Some(s)));
+        assert_eq!(SimStats::from_registry(&reg, "other"), Ok(None));
+    }
+
+    #[test]
+    fn a_rebuild_with_a_missing_counter_names_it() {
+        let mut reg = MetricsRegistry::new();
+        numbered().export_metrics("sim", &mut reg);
+        for (missing, _) in reg.iter() {
+            let mut damaged = MetricsRegistry::new();
+            for (name, v) in reg.iter().filter(|&(name, _)| name != missing) {
+                damaged.set(name, v);
+            }
+            let err = SimStats::from_registry(&damaged, "sim").unwrap_err();
+            assert!(err.contains(&format!("{missing:?}")), "{err}");
+        }
     }
 }

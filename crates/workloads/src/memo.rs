@@ -50,6 +50,13 @@
 //! in a counter, say) is rejected instead of silently returning a wrong
 //! measurement.
 //!
+//! The payload is the cell's experiment-document row
+//! ([`report::measurement_json`]), the one encoding of a measurement. A
+//! hit rebuilds the typed view from the row's registry through
+//! [`Measurement::from_registry`], the constructor the simulation path
+//! uses too, so a registry missing a counter that view needs is an
+//! invalid entry, never a zeroed field.
+//!
 //! # Modes
 //!
 //! [`CacheConfig::mode`], which the binaries take from
@@ -86,12 +93,19 @@ use std::sync::Once;
 /// Version salt folded into every [`CellKey`]. **Bump this whenever
 /// simulation semantics change** — new counters, pipeline timing fixes,
 /// protocol changes, hierarchy parameter changes — so stale entries can
-/// never satisfy a lookup. Checked-in `BENCH_*.json` baselines change
-/// under exactly the same circumstances; regenerate both together.
+/// never satisfy a lookup. An entry stores a measurement's registry and
+/// nothing else, so a new counter reaches entries only through the
+/// registry, and an entry stored before it is missing it. Checked-in
+/// `BENCH_*.json` baselines change under exactly the same circumstances;
+/// regenerate both together.
 pub const SIM_VERSION: u32 = 1;
 
-/// On-disk entry layout version (bump on envelope/codec changes).
-const FORMAT_VERSION: u64 = 1;
+/// On-disk entry layout version: bump it when the envelope or the payload
+/// encoding ([`report::measurement_json`]) changes shape. Version 1
+/// stored a second, typed copy of the counters next to the registry;
+/// version 2 stores the document row alone, and the typed view is rebuilt
+/// from its registry ([`Measurement::from_registry`]).
+const FORMAT_VERSION: u64 = 2;
 
 /// Which measurement protocol produced a cell. The per-syscall protocol
 /// (selected by [`PerspectiveConfig::per_syscall_isv`], see
@@ -247,7 +261,10 @@ pub fn canonical_cell(
     workload: &Workload,
 ) -> String {
     let mut s = String::with_capacity(1024);
-    let _ = writeln!(s, "persp-cell-v{FORMAT_VERSION}");
+    // The layout version of this serialization. The entry layout has its
+    // own FORMAT_VERSION, checked on decode, so an entry written in an
+    // older layout is found under its key, rejected and rewritten.
+    let _ = writeln!(s, "persp-cell-v1");
     let _ = writeln!(s, "sim_version={SIM_VERSION}");
     let _ = writeln!(s, "protocol={}", protocol.tag());
 
@@ -374,7 +391,7 @@ fn bump(counter: &AtomicU64) {
 // ---------------------------------------------------------------------------
 
 fn entry_json(canonical: &str, key: CellKey, m: &Measurement) -> Json {
-    let payload = report::measurement_to_json_full(m);
+    let payload = report::measurement_json(m);
     let checksum = format!("{:016x}", fnv1a64(payload.render().as_bytes()));
     Json::obj(vec![
         ("format", Json::UInt(FORMAT_VERSION)),
@@ -551,8 +568,8 @@ pub fn cached_measure(
             let fresh = compute()?;
             match loaded {
                 Loaded::Hit(cached) => {
-                    let fresh_bytes = report::measurement_to_json_full(&fresh).render();
-                    let cached_bytes = report::measurement_to_json_full(&cached).render();
+                    let fresh_bytes = report::measurement_json(&fresh).render();
+                    let cached_bytes = report::measurement_json(&cached).render();
                     if fresh_bytes != cached_bytes {
                         return Err(format!(
                             "cell cache VERIFY mismatch for {} / {} (key {}): the \
@@ -588,7 +605,7 @@ pub fn cached_measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use persp_uarch::{MetricsRegistry, SimStats};
+    use persp_uarch::{MetricsRegistry, MetricsSource, SimStats};
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -620,23 +637,25 @@ mod tests {
         assert_eq!(CacheConfig::on("x").dir, PathBuf::from("x"));
     }
 
+    /// A FENCE cell built the one way a measurement is: from a registry
+    /// holding every `sim.*` counter.
+    fn fence_cell() -> Measurement {
+        let mut metrics = MetricsRegistry::new();
+        SimStats {
+            cycles: 1234,
+            ..SimStats::default()
+        }
+        .export_metrics("sim", &mut metrics);
+        Measurement::from_registry(Scheme::Fence, "getpid", Some(7), metrics).unwrap()
+    }
+
+    fn decode(text: &str) -> Result<Measurement, String> {
+        decode_entry(text.as_bytes(), "cell", Scheme::Fence, "getpid")
+    }
+
     #[test]
     fn the_checksum_covers_the_stored_spelling_of_the_payload() {
-        let m = Measurement {
-            scheme: Scheme::Fence,
-            workload: "getpid",
-            stats: SimStats {
-                cycles: 1234,
-                ..SimStats::default()
-            },
-            fences: None,
-            isv_cache: None,
-            dsvmt_cache: None,
-            isv_funcs: Some(7),
-            metrics: MetricsRegistry::new(),
-        };
-        let entry = entry_json("cell", CellKey(1), &m).render();
-        let decode = |text: &str| decode_entry(text.as_bytes(), "cell", Scheme::Fence, "getpid");
+        let entry = entry_json("cell", CellKey(1), &fence_cell()).render();
         let hit = decode(&entry).expect("a stored entry decodes");
         assert_eq!(hit.stats.cycles, 1234);
         assert!(decode(&format!("{entry}\n")).is_ok(), "trailing whitespace");
@@ -646,5 +665,30 @@ mod tests {
         // The payload is no longer the entry's last member.
         let trailing = format!("{},\"extra\":1}}", &entry[..entry.len() - 1]);
         assert!(decode(&trailing).is_err());
+    }
+
+    #[test]
+    fn an_entry_whose_registry_cannot_rebuild_the_typed_view_is_rejected() {
+        let full = fence_cell();
+        let mut policy = full.metrics.clone();
+        policy.set("policy.fences.isv", 1);
+        policy.set("policy.fences.dsv", 2);
+        for (metrics, missing) in [
+            (full.metrics.clone(), "sim.stall.squash"),
+            (policy, "policy.fences.unknown"),
+        ] {
+            let mut damaged = MetricsRegistry::new();
+            for (name, v) in metrics.iter().filter(|&(name, _)| name != missing) {
+                damaged.set(name, v);
+            }
+            // A literal, because the constructor would refuse the registry;
+            // the checksum is right, so only the rebuild can reject it.
+            let m = Measurement {
+                metrics: damaged,
+                ..full.clone()
+            };
+            let err = decode(&entry_json("cell", CellKey(1), &m).render()).unwrap_err();
+            assert!(err.contains(&format!("{missing:?}")), "{err}");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! parser built on `std` alone (the workspace is offline — no serde).
 //!
 //! It lives in this crate, not in `persp-bench`, so the
-//! simulation-memoization layer ([`crate::memo`]) can serialize full
-//! [`Measurement`]s; the experiment binaries import it from here.
+//! simulation-memoization layer ([`crate::memo`]) can store and decode
+//! [`Measurement`] rows; the experiment binaries import it from here.
 //!
 //! Every experiment binary accepts `--json` and serializes its
 //! measurement rows plus the per-measurement [`MetricsRegistry`] through
@@ -20,10 +20,7 @@
 
 use crate::config::KernelScale;
 use crate::runner::Measurement;
-use persp_uarch::stats::{SimStats, SniCounters, StallBreakdown};
 use persp_uarch::MetricsRegistry;
-use perspective::hwcache::HwCacheStats;
-use perspective::policy::FenceBreakdown;
 use perspective::scheme::Scheme;
 use std::fmt::Write as _;
 
@@ -339,7 +336,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 /// A [`MetricsRegistry`] as a JSON object (name-ordered, all `u64`).
-pub fn registry_json(reg: &MetricsRegistry) -> Json {
+fn registry_json(reg: &MetricsRegistry) -> Json {
     Json::Object(
         reg.iter()
             .map(|(k, v)| (k.to_string(), Json::UInt(v)))
@@ -349,7 +346,7 @@ pub fn registry_json(reg: &MetricsRegistry) -> Json {
 
 /// Parse a JSON object written by [`registry_json`] back into a
 /// [`MetricsRegistry`]. Every value must be a non-negative integer.
-pub fn registry_from_json(j: &Json) -> Result<MetricsRegistry, String> {
+fn registry_from_json(j: &Json) -> Result<MetricsRegistry, String> {
     let Json::Object(pairs) = j else {
         return Err("metrics: expected an object".into());
     };
@@ -364,8 +361,10 @@ pub fn registry_from_json(j: &Json) -> Result<MetricsRegistry, String> {
 }
 
 /// One measurement row: scheme, workload, ISV size when applicable, and
-/// the full named-counter registry. This is the *experiment-document*
-/// projection; the cache uses the lossless [`measurement_to_json_full`].
+/// the full named-counter registry. This is the only encoding of a
+/// [`Measurement`]: experiment documents list these rows, and the cell
+/// cache ([`crate::memo`]) stores one as its entry's payload, which
+/// [`measurement_from_json`] decodes.
 pub fn measurement_json(m: &Measurement) -> Json {
     let mut pairs = vec![
         ("scheme".to_string(), Json::str(m.scheme.name())),
@@ -376,6 +375,47 @@ pub fn measurement_json(m: &Measurement) -> Json {
     }
     pairs.push(("metrics".to_string(), registry_json(&m.metrics)));
     Json::Object(pairs)
+}
+
+/// [`measurement_json`] under the name of the cache's former lossless
+/// encoder, which the benchmark harness (`perfbench`) still imports.
+pub use measurement_json as measurement_to_json_full;
+
+/// Rebuild a [`Measurement`] from its [`measurement_json`] row through
+/// [`Measurement::from_registry`]. The stored scheme and workload names
+/// must match `expected_scheme` / `expected_workload` (the workload name
+/// in a `Measurement` is `&'static str`, so the caller supplies it); any
+/// structural problem, or a registry the typed view cannot be rebuilt
+/// from, comes back as `Err`, never a panic.
+pub fn measurement_from_json(
+    j: &Json,
+    expected_scheme: Scheme,
+    expected_workload: &'static str,
+) -> Result<Measurement, String> {
+    let field = |key: &str| j.get(key).ok_or_else(|| format!("missing field {key:?}"));
+    let scheme_name = field("scheme")?
+        .as_str()
+        .ok_or("field \"scheme\": expected a string")?;
+    if scheme_name != expected_scheme.name() {
+        return Err(format!(
+            "scheme mismatch: entry has {scheme_name:?}, expected {:?}",
+            expected_scheme.name()
+        ));
+    }
+    let workload_name = field("workload")?
+        .as_str()
+        .ok_or("field \"workload\": expected a string")?;
+    if workload_name != expected_workload {
+        return Err(format!(
+            "workload mismatch: entry has {workload_name:?}, expected {expected_workload:?}"
+        ));
+    }
+    let isv_funcs = match j.get("isv_funcs") {
+        None => None,
+        Some(n) => Some(n.as_u64().ok_or("field \"isv_funcs\": expected a u64")? as usize),
+    };
+    let metrics = registry_from_json(field("metrics")?)?;
+    Measurement::from_registry(expected_scheme, expected_workload, isv_funcs, metrics)
 }
 
 /// Measurement rows, in sequence order.
@@ -394,220 +434,12 @@ pub fn experiment_json(name: &str, kernel: KernelScale, fields: Vec<(&str, Json)
     Json::obj(pairs)
 }
 
-// ---------------------------------------------------------------------------
-// Lossless Measurement codec (the cell-cache entry format).
-// ---------------------------------------------------------------------------
-
-fn stalls_json(s: &StallBreakdown) -> Json {
-    Json::obj(vec![
-        ("isv_fence", Json::UInt(s.isv_fence)),
-        ("dsv_fence", Json::UInt(s.dsv_fence)),
-        ("isv_miss", Json::UInt(s.isv_miss)),
-        ("dsvmt_miss", Json::UInt(s.dsvmt_miss)),
-        ("squash", Json::UInt(s.squash)),
-        ("vp_wait", Json::UInt(s.vp_wait)),
-        ("frontend", Json::UInt(s.frontend)),
-        ("backend", Json::UInt(s.backend)),
-    ])
-}
-
-fn sni_json(s: &SniCounters) -> Json {
-    Json::obj(vec![
-        ("shadow_checked", Json::UInt(s.shadow_checked)),
-        ("shadow_mismatches", Json::UInt(s.shadow_mismatches)),
-        ("unsafe_issues", Json::UInt(s.unsafe_issues)),
-        ("secret_spec_loads", Json::UInt(s.secret_spec_loads)),
-        ("tainted_transmits", Json::UInt(s.tainted_transmits)),
-        (
-            "committed_secret_roots",
-            Json::UInt(s.committed_secret_roots),
-        ),
-    ])
-}
-
-fn stats_json(s: &SimStats) -> Json {
-    Json::obj(vec![
-        ("cycles", Json::UInt(s.cycles)),
-        ("kernel_cycles", Json::UInt(s.kernel_cycles)),
-        ("user_cycles", Json::UInt(s.user_cycles)),
-        ("committed_insts", Json::UInt(s.committed_insts)),
-        ("committed_loads", Json::UInt(s.committed_loads)),
-        ("committed_stores", Json::UInt(s.committed_stores)),
-        ("committed_branches", Json::UInt(s.committed_branches)),
-        ("squashes", Json::UInt(s.squashes)),
-        ("squashed_insts", Json::UInt(s.squashed_insts)),
-        (
-            "transient_loads_issued",
-            Json::UInt(s.transient_loads_issued),
-        ),
-        ("syscalls", Json::UInt(s.syscalls)),
-        ("loads_fenced", Json::UInt(s.loads_fenced)),
-        ("stall_cycles", Json::UInt(s.stall_cycles)),
-        ("taint_roots_overflow", Json::UInt(s.taint_roots_overflow)),
-        ("sni", sni_json(&s.sni)),
-        ("stalls", stalls_json(&s.stalls)),
-    ])
-}
-
-fn hwcache_json(c: &HwCacheStats) -> Json {
-    Json::obj(vec![
-        ("hits", Json::UInt(c.hits)),
-        ("misses", Json::UInt(c.misses)),
-    ])
-}
-
-/// A [`Measurement`] as a lossless JSON object — every field is
-/// serialized, so [`measurement_from_json`] reconstructs a value equal
-/// to the original. The cell cache ([`crate::memo`]) stores exactly this
-/// rendering.
-pub fn measurement_to_json_full(m: &Measurement) -> Json {
-    let opt = |v: Option<Json>| v.unwrap_or(Json::Null);
-    Json::obj(vec![
-        ("scheme", Json::str(m.scheme.name())),
-        ("workload", Json::str(m.workload)),
-        ("stats", stats_json(&m.stats)),
-        (
-            "fences",
-            opt(m.fences.as_ref().map(|f| {
-                Json::obj(vec![
-                    ("isv", Json::UInt(f.isv)),
-                    ("dsv", Json::UInt(f.dsv)),
-                    ("unknown", Json::UInt(f.unknown)),
-                ])
-            })),
-        ),
-        ("isv_cache", opt(m.isv_cache.as_ref().map(hwcache_json))),
-        ("dsvmt_cache", opt(m.dsvmt_cache.as_ref().map(hwcache_json))),
-        ("isv_funcs", opt(m.isv_funcs.map(|n| Json::UInt(n as u64)))),
-        ("metrics", registry_json(&m.metrics)),
-    ])
-}
-
-fn req<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
-    req(j, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?}: expected a u64"))
-}
-
-fn stalls_from_json(j: &Json) -> Result<StallBreakdown, String> {
-    Ok(StallBreakdown {
-        isv_fence: req_u64(j, "isv_fence")?,
-        dsv_fence: req_u64(j, "dsv_fence")?,
-        isv_miss: req_u64(j, "isv_miss")?,
-        dsvmt_miss: req_u64(j, "dsvmt_miss")?,
-        squash: req_u64(j, "squash")?,
-        vp_wait: req_u64(j, "vp_wait")?,
-        frontend: req_u64(j, "frontend")?,
-        backend: req_u64(j, "backend")?,
-    })
-}
-
-fn sni_from_json(j: &Json) -> Result<SniCounters, String> {
-    Ok(SniCounters {
-        shadow_checked: req_u64(j, "shadow_checked")?,
-        shadow_mismatches: req_u64(j, "shadow_mismatches")?,
-        unsafe_issues: req_u64(j, "unsafe_issues")?,
-        secret_spec_loads: req_u64(j, "secret_spec_loads")?,
-        tainted_transmits: req_u64(j, "tainted_transmits")?,
-        committed_secret_roots: req_u64(j, "committed_secret_roots")?,
-    })
-}
-
-fn stats_from_json(j: &Json) -> Result<SimStats, String> {
-    Ok(SimStats {
-        cycles: req_u64(j, "cycles")?,
-        kernel_cycles: req_u64(j, "kernel_cycles")?,
-        user_cycles: req_u64(j, "user_cycles")?,
-        committed_insts: req_u64(j, "committed_insts")?,
-        committed_loads: req_u64(j, "committed_loads")?,
-        committed_stores: req_u64(j, "committed_stores")?,
-        committed_branches: req_u64(j, "committed_branches")?,
-        squashes: req_u64(j, "squashes")?,
-        squashed_insts: req_u64(j, "squashed_insts")?,
-        transient_loads_issued: req_u64(j, "transient_loads_issued")?,
-        syscalls: req_u64(j, "syscalls")?,
-        loads_fenced: req_u64(j, "loads_fenced")?,
-        stall_cycles: req_u64(j, "stall_cycles")?,
-        taint_roots_overflow: req_u64(j, "taint_roots_overflow")?,
-        sni: sni_from_json(req(j, "sni")?)?,
-        stalls: stalls_from_json(req(j, "stalls")?)?,
-    })
-}
-
-fn hwcache_from_json(j: &Json) -> Result<HwCacheStats, String> {
-    Ok(HwCacheStats {
-        hits: req_u64(j, "hits")?,
-        misses: req_u64(j, "misses")?,
-    })
-}
-
-fn opt_field<T>(
-    j: &Json,
-    key: &str,
-    f: impl FnOnce(&Json) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    match req(j, key)? {
-        Json::Null => Ok(None),
-        v => f(v).map(Some),
-    }
-}
-
-/// Reconstruct a [`Measurement`] from [`measurement_to_json_full`]
-/// output. The stored scheme and workload names must match
-/// `expected_scheme` / `expected_workload` (the workload name in a
-/// `Measurement` is `&'static str`, so the caller supplies it); any
-/// structural problem comes back as `Err`, never a panic.
-pub fn measurement_from_json(
-    j: &Json,
-    expected_scheme: Scheme,
-    expected_workload: &'static str,
-) -> Result<Measurement, String> {
-    let scheme_name = req(j, "scheme")?
-        .as_str()
-        .ok_or("field \"scheme\": expected a string")?;
-    if scheme_name != expected_scheme.name() {
-        return Err(format!(
-            "scheme mismatch: entry has {scheme_name:?}, expected {:?}",
-            expected_scheme.name()
-        ));
-    }
-    let workload_name = req(j, "workload")?
-        .as_str()
-        .ok_or("field \"workload\": expected a string")?;
-    if workload_name != expected_workload {
-        return Err(format!(
-            "workload mismatch: entry has {workload_name:?}, expected {expected_workload:?}"
-        ));
-    }
-    Ok(Measurement {
-        scheme: expected_scheme,
-        workload: expected_workload,
-        stats: stats_from_json(req(j, "stats")?)?,
-        fences: opt_field(j, "fences", |f| {
-            Ok(FenceBreakdown {
-                isv: req_u64(f, "isv")?,
-                dsv: req_u64(f, "dsv")?,
-                unknown: req_u64(f, "unknown")?,
-            })
-        })?,
-        isv_cache: opt_field(j, "isv_cache", hwcache_from_json)?,
-        dsvmt_cache: opt_field(j, "dsvmt_cache", hwcache_from_json)?,
-        isv_funcs: opt_field(j, "isv_funcs", |v| {
-            v.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| "field \"isv_funcs\": expected a u64".into())
-        })?,
-        metrics: registry_from_json(req(j, "metrics")?)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use persp_uarch::{MetricsSource, SimStats};
+    use perspective::hwcache::HwCacheStats;
+    use perspective::policy::FenceBreakdown;
 
     #[test]
     fn render_is_compact_and_ordered() {
@@ -714,18 +546,14 @@ mod tests {
         assert_eq!(Json::Int(-1).as_u64(), None);
     }
 
+    /// A PERSPECTIVE cell whose registry holds every `sim.*` and
+    /// `policy.*` counter the typed view is rebuilt from, plus a kernel one.
     fn rich_measurement() -> Measurement {
         let mut stats = SimStats {
             cycles: 101,
             kernel_cycles: 60,
             user_cycles: 41,
             committed_insts: 500,
-            committed_loads: 90,
-            committed_stores: 40,
-            committed_branches: 70,
-            squashes: 3,
-            squashed_insts: 17,
-            transient_loads_issued: 5,
             syscalls: 12,
             loads_fenced: 8,
             stall_cycles: 33,
@@ -733,36 +561,34 @@ mod tests {
             ..SimStats::default()
         };
         stats.sni.shadow_checked = 500;
-        stats.sni.tainted_transmits = 2;
         stats.stalls.isv_fence = 10;
         stats.stalls.backend = 23;
+        let fences = FenceBreakdown {
+            isv: 4,
+            dsv: 3,
+            unknown: 1,
+        };
         let mut metrics = MetricsRegistry::new();
-        metrics.set("sim.cycles", 101);
-        metrics.set("policy.fences.isv", 4);
-        Measurement {
-            scheme: Scheme::Perspective,
-            workload: "getpid",
-            stats,
-            fences: Some(FenceBreakdown {
-                isv: 4,
-                dsv: 3,
-                unknown: 1,
-            }),
-            isv_cache: Some(HwCacheStats { hits: 9, misses: 2 }),
-            dsvmt_cache: Some(HwCacheStats { hits: 7, misses: 1 }),
-            isv_funcs: Some(42),
-            metrics,
-        }
+        stats.export_metrics("sim", &mut metrics);
+        fences.export_metrics("policy.fences", &mut metrics);
+        HwCacheStats { hits: 9, misses: 2 }.export_metrics("policy.isv_cache", &mut metrics);
+        HwCacheStats { hits: 7, misses: 1 }.export_metrics("policy.dsvmt_cache", &mut metrics);
+        metrics.set("kernel.syscalls", 24);
+        let m = Measurement::from_registry(Scheme::Perspective, "getpid", Some(42), metrics)
+            .expect("a full registry");
+        assert_eq!((m.stats, m.fences), (stats, Some(fences)));
+        m
+    }
+
+    fn decode(j: &Json) -> Result<Measurement, String> {
+        measurement_from_json(j, Scheme::Perspective, "getpid")
     }
 
     #[test]
     fn full_measurement_codec_round_trips() {
         let m = rich_measurement();
-        let j = measurement_to_json_full(&m);
-        let text = j.render();
-        let back =
-            measurement_from_json(&Json::parse(&text).unwrap(), Scheme::Perspective, "getpid")
-                .unwrap();
+        let text = measurement_json(&m).render();
+        let back = decode(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.scheme, m.scheme);
         assert_eq!(back.workload, m.workload);
         assert_eq!(back.stats, m.stats);
@@ -772,50 +598,92 @@ mod tests {
         assert_eq!(back.isv_funcs, m.isv_funcs);
         assert_eq!(back.metrics, m.metrics);
         // The re-serialization is byte-identical (verify mode depends on it).
-        assert_eq!(measurement_to_json_full(&back).render(), text);
+        assert_eq!(measurement_json(&back).render(), text);
     }
 
     #[test]
     fn baseline_measurement_codec_round_trips_nones() {
-        let m = Measurement {
-            scheme: Scheme::Unsafe,
-            workload: "getpid",
-            stats: SimStats::default(),
-            fences: None,
-            isv_cache: None,
-            dsvmt_cache: None,
-            isv_funcs: None,
-            metrics: MetricsRegistry::new(),
-        };
-        let j = measurement_to_json_full(&m);
+        let mut metrics = MetricsRegistry::new();
+        SimStats::default().export_metrics("sim", &mut metrics);
+        let m = Measurement::from_registry(Scheme::Unsafe, "getpid", None, metrics).unwrap();
+        let j = measurement_json(&m);
         let back = measurement_from_json(&j, Scheme::Unsafe, "getpid").unwrap();
         assert!(back.fences.is_none());
         assert!(back.isv_cache.is_none());
+        assert!(back.dsvmt_cache.is_none());
         assert!(back.isv_funcs.is_none());
-        assert_eq!(measurement_to_json_full(&back), j);
+        assert_eq!(measurement_json(&back), j);
     }
 
     #[test]
     fn measurement_codec_rejects_mismatches_and_damage() {
         let m = rich_measurement();
-        let j = measurement_to_json_full(&m);
+        let j = measurement_json(&m);
         // Wrong expected scheme or workload.
         assert!(measurement_from_json(&j, Scheme::Unsafe, "getpid").is_err());
         assert!(measurement_from_json(&j, Scheme::Perspective, "select").is_err());
-        // A missing field is an error, not a default.
-        if let Json::Object(pairs) = &j {
-            for i in 0..pairs.len() {
-                let mut damaged = pairs.clone();
-                damaged.remove(i);
-                assert!(
-                    measurement_from_json(&Json::Object(damaged), Scheme::Perspective, "getpid")
-                        .is_err(),
-                    "dropping field {:?} must fail decoding",
-                    pairs[i].0
-                );
-            }
-        } else {
+        // A missing field is an error, not a default; only `isv_funcs` is
+        // optional (the row omits it when there is no view).
+        let Json::Object(pairs) = &j else {
             panic!("measurement json must be an object");
+        };
+        for i in 0..pairs.len() {
+            let mut damaged = pairs.clone();
+            let (key, _) = damaged.remove(i);
+            let back = decode(&Json::Object(damaged));
+            if key == "isv_funcs" {
+                assert_eq!(back.unwrap().isv_funcs, None);
+            } else {
+                assert!(back.is_err(), "dropping field {key:?} must fail decoding");
+            }
         }
+        // Wrongly typed fields.
+        for (key, bad) in [
+            ("scheme", Json::UInt(1)),
+            ("isv_funcs", Json::str("42")),
+            ("metrics", Json::Array(vec![])),
+        ] {
+            let mut damaged = pairs.clone();
+            damaged.iter_mut().find(|(k, _)| k == key).unwrap().1 = bad;
+            assert!(decode(&Json::Object(damaged)).is_err(), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_registry_that_cannot_rebuild_the_typed_view_is_rejected_by_name() {
+        let m = rich_measurement();
+        let with_metrics = |metrics: MetricsRegistry| {
+            measurement_json(&Measurement {
+                metrics,
+                ..m.clone()
+            })
+        };
+        for missing in [
+            "sim.cycles",
+            "sim.sni.committed_secret_roots",
+            "sim.stall.backend",
+            "policy.fences.unknown",
+            "policy.isv_cache.hits",
+            "policy.dsvmt_cache.misses",
+        ] {
+            let mut damaged = MetricsRegistry::new();
+            for (name, v) in m.metrics.iter().filter(|&(name, _)| name != missing) {
+                damaged.set(name, v);
+            }
+            assert_eq!(damaged.len() + 1, m.metrics.len(), "{missing}");
+            let err = decode(&with_metrics(damaged)).expect_err(missing);
+            assert!(err.contains(&format!("{missing:?}")), "{err}");
+        }
+        // No sim.* counter at all.
+        let mut no_sim = MetricsRegistry::new();
+        for (name, v) in m
+            .metrics
+            .iter()
+            .filter(|(name, _)| !name.starts_with("sim."))
+        {
+            no_sim.set(name, v);
+        }
+        let err = decode(&with_metrics(no_sim)).unwrap_err();
+        assert!(err.contains("sim.*"), "{err}");
     }
 }

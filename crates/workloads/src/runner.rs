@@ -38,7 +38,7 @@ use persp_uarch::machine::Machine;
 use persp_uarch::pipeline::{Core, SimError};
 use persp_uarch::policy::SpecPolicy;
 use persp_uarch::stats::SimStats;
-use persp_uarch::{Asid, MetricsRegistry, MetricsSource};
+use persp_uarch::{Asid, Counters, MetricsRegistry, MetricsSource};
 use perspective::framework::Perspective;
 use perspective::hwcache::HwCacheStats;
 use perspective::isv::Isv;
@@ -78,6 +78,32 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    /// The measurement of `scheme` running `workload` whose named
+    /// counters are `metrics`. The typed fields are rebuilt from the
+    /// registry, so they cannot disagree with it: `stats` from `sim.*`,
+    /// and `fences`, `isv_cache` and `dsvmt_cache` from `policy.fences.*`,
+    /// `policy.isv_cache.*` and `policy.dsvmt_cache.*`, each `Some`
+    /// exactly when the registry holds its group. A missing `sim.*`
+    /// counter, or a group with a member missing, is an `Err` naming it.
+    pub fn from_registry(
+        scheme: Scheme,
+        workload: &'static str,
+        isv_funcs: Option<usize>,
+        metrics: MetricsRegistry,
+    ) -> Result<Measurement, String> {
+        Ok(Measurement {
+            scheme,
+            workload,
+            stats: SimStats::from_registry(&metrics, "sim")?
+                .ok_or("the registry has no sim.* counters")?,
+            fences: FenceBreakdown::from_registry(&metrics, "policy.fences")?,
+            isv_cache: HwCacheStats::from_registry(&metrics, "policy.isv_cache")?,
+            dsvmt_cache: HwCacheStats::from_registry(&metrics, "policy.dsvmt_cache")?,
+            isv_funcs,
+            metrics,
+        })
+    }
+
     /// ROI cycles.
     pub fn cycles(&self) -> u64 {
         self.stats.cycles
@@ -454,17 +480,8 @@ pub fn measure_image_uncached(
     let before = instance.core.stats();
     run_phase(&mut instance, workload, "ROI")?;
     let stats = instance.core.stats().delta_since(&before);
-
-    Ok(Measurement {
-        scheme,
-        workload: workload.name,
-        stats,
-        fences: instance.policy_view(|p| p.fence_breakdown()),
-        isv_cache: instance.policy_view(|p| p.isv_cache_stats()),
-        dsvmt_cache: instance.policy_view(|p| p.dsvmt_cache_stats()),
-        isv_funcs,
-        metrics: collect_metrics(&instance, &stats),
-    })
+    let metrics = collect_metrics(&instance, &stats);
+    Measurement::from_registry(scheme, workload.name, isv_funcs, metrics)
 }
 
 /// Run `f` over `jobs` on a scoped worker pool of `threads` threads.

@@ -1,10 +1,10 @@
 //! Cycle-exact golden pin for whole measurement cells.
 //!
 //! The four datacenter apps, cut to one request, are measured under all
-//! nine schemes on the small kernel, and the lossless
-//! `measurement_to_json_full` rendering of every cell is compared
-//! against a checked-in golden file — with the idle fast-forward on and
-//! off. The fast-vs-slow differential alone cannot catch a busy-path
+//! nine schemes on the small kernel, and the `measurement_json` row of
+//! every cell (scheme, workload, ISV size and every registry counter) is
+//! compared against a checked-in golden file — with the idle fast-forward
+//! on and off. The fast-vs-slow differential alone cannot catch a busy-path
 //! change that shifts timing (both modes share the busy path); this pin
 //! can, down to the last counter of the last policy layer.
 //!
@@ -40,7 +40,7 @@ fn render(image: &KernelImage, core_cfg: persp_uarch::config::CoreConfig) -> Str
             core_cfg,
         )
         .unwrap_or_else(|e| panic!("{e}"));
-        report::measurement_to_json_full(&m).render() + "\n"
+        report::measurement_json(&m).render() + "\n"
     })
     .concat()
 }

@@ -41,7 +41,7 @@ fn cache_round_trip_verify_and_corruption_recovery() {
         )
         .expect("measurement succeeds")
     };
-    let render = |m: &runner::Measurement| report::measurement_to_json_full(m).render();
+    let render = |m: &runner::Measurement| report::measurement_json(m).render();
 
     memo::reset_stats();
 
@@ -91,9 +91,10 @@ fn cache_round_trip_verify_and_corruption_recovery() {
     // workload's result stored under the first workload's key would
     // fail the canonical check, so instead store a doctored compute).
     let doctored = {
-        let mut m = cold.clone();
-        m.stats.cycles += 1;
-        m
+        let mut metrics = cold.metrics.clone();
+        metrics.set("sim.cycles", cold.stats.cycles + 1);
+        runner::Measurement::from_registry(cold.scheme, cold.workload, cold.isv_funcs, metrics)
+            .expect("a full registry")
     };
     let _ = std::fs::remove_file(&path);
     let stored = memo::cached_measure(

@@ -13,7 +13,7 @@
 use persp_kernel::callgraph::KernelConfig;
 use persp_uarch::config::CoreConfig;
 use persp_uarch::stats::SimStats;
-use persp_uarch::MetricsRegistry;
+use persp_uarch::{MetricsRegistry, MetricsSource};
 use persp_workloads::memo::{self, CacheConfig, Protocol};
 use persp_workloads::report;
 use persp_workloads::{Measurement, SyscallStep, Workload};
@@ -37,7 +37,9 @@ fn fixture_workload() -> Workload {
 }
 
 /// A fully-populated synthetic measurement (no simulation needed —
-/// `cached_measure` treats `compute` as the ground truth for the cell).
+/// `cached_measure` treats `compute` as the ground truth for the cell),
+/// built the one way a measurement is: from a registry holding every
+/// counter the typed view is rebuilt from.
 fn fixture_measurement() -> Measurement {
     let mut stats = SimStats {
         cycles: 20_101,
@@ -61,28 +63,26 @@ fn fixture_measurement() -> Measurement {
     stats.stalls.isv_fence = 800;
     stats.stalls.backend = 2_100;
     let mut metrics = MetricsRegistry::new();
-    metrics.set("sim.cycles", 20_101);
-    metrics.set("policy.fences.isv", 37);
-    Measurement {
-        scheme: Scheme::Perspective,
-        workload: WORKLOAD_NAME,
-        stats,
-        fences: Some(FenceBreakdown {
-            isv: 37,
-            dsv: 21,
-            unknown: 4,
-        }),
-        isv_cache: Some(HwCacheStats {
-            hits: 5_000,
-            misses: 77,
-        }),
-        dsvmt_cache: Some(HwCacheStats {
-            hits: 3_200,
-            misses: 41,
-        }),
-        isv_funcs: Some(93),
-        metrics,
+    stats.export_metrics("sim", &mut metrics);
+    FenceBreakdown {
+        isv: 37,
+        dsv: 21,
+        unknown: 4,
     }
+    .export_metrics("policy.fences", &mut metrics);
+    HwCacheStats {
+        hits: 5_000,
+        misses: 77,
+    }
+    .export_metrics("policy.isv_cache", &mut metrics);
+    HwCacheStats {
+        hits: 3_200,
+        misses: 41,
+    }
+    .export_metrics("policy.dsvmt_cache", &mut metrics);
+    metrics.set("kernel.slab.page_frees", 6);
+    Measurement::from_registry(Scheme::Perspective, WORKLOAD_NAME, Some(93), metrics)
+        .expect("a full registry")
 }
 
 fn canonical() -> String {
@@ -128,7 +128,7 @@ fn entry_bytes() -> &'static [u8] {
 
 /// The stored payload rendering a correct decode must reproduce.
 fn expected_payload() -> String {
-    report::measurement_to_json_full(&fixture_measurement()).render()
+    report::measurement_json(&fixture_measurement()).render()
 }
 
 /// `Err` or the exact original measurement — nothing in between, and
@@ -138,7 +138,7 @@ fn decode_is_sound(bytes: &[u8]) {
     match memo::decode_entry(bytes, &can, Scheme::Perspective, WORKLOAD_NAME) {
         Err(_) => {}
         Ok(m) => assert_eq!(
-            report::measurement_to_json_full(&m).render(),
+            report::measurement_json(&m).render(),
             expected_payload(),
             "decode accepted mangled bytes but returned a different measurement"
         ),
@@ -154,10 +154,7 @@ fn pristine_entry_decodes_to_the_stored_measurement() {
         WORKLOAD_NAME,
     )
     .expect("pristine entry decodes");
-    assert_eq!(
-        report::measurement_to_json_full(&m).render(),
-        expected_payload()
-    );
+    assert_eq!(report::measurement_json(&m).render(), expected_payload());
 }
 
 #[test]

@@ -8,7 +8,7 @@ use persp_kernel::callgraph::KernelConfig;
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::layout::{LAST_ALLOC_PTR, SYSCALL_SEQ};
 use persp_uarch::config::CoreConfig;
-use persp_workloads::report::measurement_to_json_full;
+use persp_workloads::report::measurement_json;
 use persp_workloads::runner::measure_image_uncached;
 use persp_workloads::{apps, lebench, SimInstance};
 use perspective::scheme::Scheme;
@@ -24,7 +24,7 @@ fn cell(image: &KernelImage) -> String {
         CoreConfig::paper_default(),
     )
     .unwrap_or_else(|e| panic!("{e}"));
-    measurement_to_json_full(&m).render()
+    measurement_json(&m).render()
 }
 
 #[test]
