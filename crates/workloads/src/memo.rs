@@ -101,10 +101,8 @@ use std::sync::Once;
 pub const SIM_VERSION: u32 = 1;
 
 /// On-disk entry layout version: bump it when the envelope or the payload
-/// encoding ([`report::measurement_json`]) changes shape. Version 1
-/// stored a second, typed copy of the counters next to the registry;
-/// version 2 stores the document row alone, and the typed view is rebuilt
-/// from its registry ([`Measurement::from_registry`]).
+/// encoding ([`report::measurement_json`]) changes shape. An entry of
+/// another version is an invalid miss, recomputed and rewritten.
 const FORMAT_VERSION: u64 = 2;
 
 /// Which measurement protocol produced a cell. The per-syscall protocol

@@ -363,8 +363,7 @@ fn registry_from_json(j: &Json) -> Result<MetricsRegistry, String> {
 /// One measurement row: scheme, workload, ISV size when applicable, and
 /// the full named-counter registry. This is the only encoding of a
 /// [`Measurement`]: experiment documents list these rows, and the cell
-/// cache ([`crate::memo`]) stores one as its entry's payload, which
-/// [`measurement_from_json`] decodes.
+/// cache ([`crate::memo`]) stores one as its entry's payload.
 pub fn measurement_json(m: &Measurement) -> Json {
     let mut pairs = vec![
         ("scheme".to_string(), Json::str(m.scheme.name())),
@@ -387,7 +386,7 @@ pub use measurement_json as measurement_to_json_full;
 /// in a `Measurement` is `&'static str`, so the caller supplies it); any
 /// structural problem, or a registry the typed view cannot be rebuilt
 /// from, comes back as `Err`, never a panic.
-pub fn measurement_from_json(
+pub(crate) fn measurement_from_json(
     j: &Json,
     expected_scheme: Scheme,
     expected_workload: &'static str,
