@@ -22,6 +22,15 @@ cargo build --release
 echo "==> cargo test (PERSPECTIVE_KERNEL=small)"
 PERSPECTIVE_KERNEL=small cargo test -q --release
 
+# Release builds compile out the pipeline's per-cycle self-checks: the
+# ROB's and the load/store queue's invariants, the execute stage's
+# cross-check against a full walk, and the RSB-restore asserts. Run the
+# pipeline's own tests and two whole-workload suites in a debug build.
+echo "==> cargo test, debug build (the pipeline's debug-only checks)"
+cargo test -q -p persp-uarch
+PERSPECTIVE_KERNEL=small cargo test -q -p persp-workloads --test busy_path_golden \
+    --test fastfwd_differential
+
 # Clippy only type-checks the Criterion benches; run the matrix and
 # instance-construction groups, and the ISV and scanner groups (which
 # consume the FuncSet views), once, with few samples, so they must work.

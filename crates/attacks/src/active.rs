@@ -22,6 +22,7 @@ use crate::lab::{AttackLab, Scheme};
 use persp_kernel::callgraph::{GadgetKind, GadgetSite};
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::syscalls::Sysno;
+use persp_mem::covert::PROBE_STRIDE;
 use persp_uarch::config::CoreConfig;
 use persp_uarch::isa::{AluOp, Assembler, Cond, Inst, REG_ARG0, REG_ARG1, REG_SYSNO};
 use perspective::policy::PerspectiveConfig;
@@ -32,8 +33,6 @@ use perspective::taxonomy::AttackOutcome;
 const HIT_THRESHOLD: u64 = 60;
 /// Probe lines (one per possible byte value).
 const PROBE_LINES: u64 = 256;
-/// Probe stride defeating adjacent-line effects.
-const PROBE_STRIDE: u64 = 4096;
 
 /// A selected attack target: a syscall whose *executed* path contains a
 /// cache-transmitting gadget.
@@ -266,19 +265,9 @@ fn execute_attack(lab: &mut AttackLab, secret: u8) -> Result<ActiveAttackReport,
         }
     }
 
-    let outcome = if hot_lines.contains(&secret) {
-        AttackOutcome::Leaked {
-            recovered: secret,
-            expected: secret,
-        }
-    } else if hot_lines.is_empty() {
-        AttackOutcome::Blocked
-    } else {
-        AttackOutcome::Inconclusive
-    };
     Ok(ActiveAttackReport {
         scheme,
-        outcome,
+        outcome: AttackOutcome::from_hot_lines(&hot_lines, secret),
         hot_lines,
         target,
     })

@@ -25,6 +25,7 @@
 //! kernel function.
 
 use crate::lab::{AttackLab, Scheme};
+use crate::passive::{flush_kprobe, passive_target, scan_kprobe};
 use persp_kernel::body::DISPATCH_CALL_VA;
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::layout::SYSCALL_TABLE;
@@ -35,7 +36,6 @@ use persp_uarch::predictor::BtbMode;
 use perspective::policy::PerspectiveConfig;
 use perspective::taxonomy::AttackOutcome;
 
-const PROBE_STRIDE: u64 = 4096;
 /// History bits the attack encodes with user-mode branches (the BTB folds
 /// 44 bits; the colliding values the search returns fit in 22).
 const HISTORY_BITS: u64 = 44;
@@ -65,14 +65,7 @@ pub fn plain_v2_fails_under_ibrs(image: &KernelImage, base: CoreConfig) -> bool 
     let pcfg = PerspectiveConfig::default();
     let core_cfg = ibrs_core_config(base);
     let mut lab = AttackLab::new(Scheme::Unsafe, image, &[Sysno::Getpid], pcfg, core_cfg);
-    let (leak_func, _) = lab
-        .sim
-        .kernel
-        .borrow()
-        .graph
-        .passive_target
-        .expect("target");
-    let gadget_va = lab.sim.kernel.borrow().graph.func(leak_func).entry_va;
+    let (gadget_va, _) = passive_target(&lab);
     let hist = lab.sim.core.pred.hist;
     let alias = lab.sim.core.pred.btb.aliasing_pc(DISPATCH_CALL_VA);
     lab.sim.core.pred.btb.install(alias, hist, gadget_va, false); // user install
@@ -168,9 +161,7 @@ pub fn run_bhi(
     // instruction lines; the dispatch-table line is evicted each round to
     // widen the window, and the victim's secret line is hot because the
     // victim is actively using it).
-    for i in 0..256u64 {
-        lab.sim.core.mem.flush(kprobe_base + i * PROBE_STRIDE);
-    }
+    flush_kprobe(&mut lab, kprobe_base);
     let abase = lab.user_text(lab.attacker());
     lab.sim
         .core
@@ -186,23 +177,10 @@ pub fn run_bhi(
             .expect("attack syscall");
     }
 
-    let hot: Vec<u8> = (0..256u64)
-        .filter(|&i| lab.sim.core.mem.probe_any(kprobe_base + i * PROBE_STRIDE))
-        .map(|i| i as u8)
-        .collect();
-    let outcome = if hot.contains(&secret) {
-        AttackOutcome::Leaked {
-            recovered: secret,
-            expected: secret,
-        }
-    } else if hot.is_empty() {
-        AttackOutcome::Blocked
-    } else {
-        AttackOutcome::Inconclusive
-    };
+    let hot = scan_kprobe(&lab, kprobe_base);
     BhiReport {
         scheme,
-        outcome,
+        outcome: AttackOutcome::from_hot_lines(&hot, secret),
         hot_lines: hot,
     }
 }

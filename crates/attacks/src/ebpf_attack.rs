@@ -223,10 +223,6 @@ pub fn run_ebpf_attack(
         .enumerate()
         .try_fold(0u8, |acc, (i, b)| b.map(|v| acc | (v << i)));
     let outcome = match recovered {
-        Some(v) if v == secret => AttackOutcome::Leaked {
-            recovered: v,
-            expected: secret,
-        },
         Some(v) => AttackOutcome::Leaked {
             recovered: v,
             expected: secret,

@@ -31,12 +31,11 @@ use persp_kernel::body::DISPATCH_CALL_VA;
 use persp_kernel::kernel::KernelImage;
 use persp_kernel::layout::SYSCALL_TABLE;
 use persp_kernel::syscalls::Sysno;
+use persp_mem::covert::PROBE_STRIDE;
 use persp_uarch::config::CoreConfig;
 use persp_uarch::isa::{Assembler, Inst, INST_BYTES, REG_SYSNO};
 use perspective::policy::PerspectiveConfig;
 use perspective::taxonomy::{AttackOutcome, Variant};
-
-const PROBE_STRIDE: u64 = 4096;
 
 /// Report of one passive-attack run.
 #[derive(Debug)]
@@ -61,14 +60,27 @@ fn victim_warmup_program(base: u64, sys: Sysno, rounds: usize) -> Vec<(u64, Inst
     asm.finish()
 }
 
-fn scan_kprobe(lab: &AttackLab, kprobe_base: u64) -> Vec<u8> {
+/// The passive PoCs' gadget: its entry address, and the base of the
+/// kernel probe array it transmits through.
+pub(crate) fn passive_target(lab: &AttackLab) -> (u64, u64) {
+    let kernel = lab.sim.kernel.borrow();
+    let (leak_func, kprobe_base) = kernel
+        .graph
+        .passive_target
+        .expect("kernel has a passive target");
+    (kernel.graph.func(leak_func).entry_va, kprobe_base)
+}
+
+/// The kernel probe lines resident after the victim ran.
+pub(crate) fn scan_kprobe(lab: &AttackLab, kprobe_base: u64) -> Vec<u8> {
     (0..256u64)
         .filter(|&i| lab.sim.core.mem.probe_any(kprobe_base + i * PROBE_STRIDE))
         .map(|i| i as u8)
         .collect()
 }
 
-fn flush_kprobe(lab: &mut AttackLab, kprobe_base: u64) {
+/// Evict every kernel probe line.
+pub(crate) fn flush_kprobe(lab: &mut AttackLab, kprobe_base: u64) {
     for i in 0..256u64 {
         lab.sim.core.mem.flush(kprobe_base + i * PROBE_STRIDE);
     }
@@ -90,20 +102,10 @@ fn warm_secret_chain(lab: &mut AttackLab) {
 }
 
 fn classify(hot: Vec<u8>, secret: u8, scheme: Scheme, variant: Variant) -> PassiveAttackReport {
-    let outcome = if hot.contains(&secret) {
-        AttackOutcome::Leaked {
-            recovered: secret,
-            expected: secret,
-        }
-    } else if hot.is_empty() {
-        AttackOutcome::Blocked
-    } else {
-        AttackOutcome::Inconclusive
-    };
     PassiveAttackReport {
         scheme,
         variant,
-        outcome,
+        outcome: AttackOutcome::from_hot_lines(&hot, secret),
         hot_lines: hot,
     }
 }
@@ -122,14 +124,7 @@ pub fn run_btb_hijack(
 ) -> PassiveAttackReport {
     let victim_syscalls = [Sysno::Getpid, Sysno::Read];
     let mut lab = AttackLab::new(scheme, image, &victim_syscalls, pcfg, core_cfg);
-    let (leak_func, kprobe_base) = lab
-        .sim
-        .kernel
-        .borrow()
-        .graph
-        .passive_target
-        .expect("kernel has a passive target");
-    let gadget_va = lab.sim.kernel.borrow().graph.func(leak_func).entry_va;
+    let (gadget_va, kprobe_base) = passive_target(&lab);
 
     lab.plant_victim_secret(secret);
 
@@ -216,14 +211,7 @@ pub fn run_retbleed(
         ..base
     };
     let mut lab = AttackLab::new(scheme, image, &victim_syscalls, pcfg, core_cfg);
-    let (leak_func, kprobe_base) = lab
-        .sim
-        .kernel
-        .borrow()
-        .graph
-        .passive_target
-        .expect("kernel has a passive target");
-    let gadget_va = lab.sim.kernel.borrow().graph.func(leak_func).entry_va;
+    let (gadget_va, kprobe_base) = passive_target(&lab);
 
     lab.plant_victim_secret(secret);
 

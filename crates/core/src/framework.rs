@@ -39,11 +39,6 @@ impl Perspective {
         PerspectivePolicy::new(cfg, self.dsv.clone(), self.isvs.clone())
     }
 
-    /// Boxed policy, ready for [`Core::new`](persp_uarch::pipeline::Core::new).
-    pub fn boxed_policy(&self, cfg: PerspectiveConfig) -> Box<PerspectivePolicy> {
-        Box::new(self.policy(cfg))
-    }
-
     /// Install the view used while `asid` services `sysno` (per-syscall
     /// ISVs, §11 future work; enforced when
     /// [`PerspectiveConfig::per_syscall_isv`](crate::policy::PerspectiveConfig)

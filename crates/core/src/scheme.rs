@@ -1,7 +1,6 @@
 //! The defense schemes evaluated in the paper (Chapter 7), shared by the
 //! attack PoCs, the workload runner, and the benchmark harness.
 
-use crate::policy::PerspectiveConfig;
 use persp_uarch::policy::{
     DomPolicy, FencePolicy, SpecPolicy, SpotMitigations, SttPolicy, UnsafePolicy,
 };
@@ -78,7 +77,7 @@ impl Scheme {
 
     /// Construct the policy for a non-Perspective scheme; Perspective
     /// schemes need a [`Perspective`](crate::framework::Perspective)
-    /// framework (use [`Scheme::build_policy`]).
+    /// framework (use [`Perspective::policy`](crate::framework::Perspective::policy)).
     pub fn build_baseline_policy(self) -> Option<Box<dyn SpecPolicy>> {
         Some(match self {
             Scheme::Unsafe => Box::new(UnsafePolicy::new()),
@@ -89,25 +88,6 @@ impl Scheme {
             Scheme::SpotNoKpti => Box::new(SpotMitigations::retpoline_only()),
             _ => return None,
         })
-    }
-
-    /// Construct the policy for any scheme, given an optional framework
-    /// (required iff [`Scheme::is_perspective`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a Perspective scheme is requested without a framework.
-    pub fn build_policy(
-        self,
-        framework: Option<&crate::framework::Perspective>,
-    ) -> Box<dyn SpecPolicy> {
-        if self.is_perspective() {
-            let f = framework.expect("Perspective schemes need the framework");
-            f.boxed_policy(PerspectiveConfig::default())
-        } else {
-            self.build_baseline_policy()
-                .expect("non-Perspective scheme")
-        }
     }
 }
 
@@ -121,6 +101,7 @@ impl std::fmt::Display for Scheme {
 mod tests {
     use super::*;
     use crate::framework::Perspective;
+    use crate::policy::PerspectiveConfig;
 
     #[test]
     fn names_are_unique() {
@@ -145,14 +126,8 @@ mod tests {
 
     #[test]
     fn perspective_policies_need_a_framework() {
-        let f = Perspective::new();
-        let p = Scheme::Perspective.build_policy(Some(&f));
+        assert!(Scheme::Perspective.build_baseline_policy().is_none());
+        let p = Perspective::new().policy(PerspectiveConfig::default());
         assert_eq!(p.name(), "PERSPECTIVE");
-    }
-
-    #[test]
-    #[should_panic(expected = "need the framework")]
-    fn perspective_without_framework_panics() {
-        let _ = Scheme::Perspective.build_policy(None);
     }
 }

@@ -74,6 +74,22 @@ pub enum AttackOutcome {
 }
 
 impl AttackOutcome {
+    /// The flush+reload receiver's verdict from the probe lines it found
+    /// hot: the secret's line among them leaks it, no hot line at all
+    /// means the channel stayed silent, and anything else is noise.
+    pub fn from_hot_lines(hot: &[u8], secret: u8) -> Self {
+        if hot.contains(&secret) {
+            AttackOutcome::Leaked {
+                recovered: secret,
+                expected: secret,
+            }
+        } else if hot.is_empty() {
+            AttackOutcome::Blocked
+        } else {
+            AttackOutcome::Inconclusive
+        }
+    }
+
     /// Did the attack succeed (recover the correct secret)?
     pub fn succeeded(&self) -> bool {
         matches!(self, AttackOutcome::Leaked { recovered, expected } if recovered == expected)

@@ -1,63 +1,18 @@
-//! Flush+reload covert-channel helpers.
+//! Covert-channel helpers.
 //!
 //! A transient execution gadget transmits a secret by touching one line of a
-//! *probe array* indexed by the secret value. The receiver then times a
-//! reload of every candidate line: the one that comes back fast was touched
-//! transiently. This module supplies the timing classifier and a helper
-//! that scans a probe array over a [`MemoryHierarchy`], and the flushless
-//! prime+probe receivers.
-//!
-//! The actual attacks in `persp-attacks` run real µISA probe loops through
-//! the pipeline; these host-side receivers are exercised by this module's
-//! tests and, for prime+probe, by `crates/uarch/tests/prime_probe_e2e.rs`.
+//! *probe array* indexed by the secret value, [`PROBE_STRIDE`] bytes apart.
+//! The flush+reload receivers of the attacks in `persp-attacks` scan that
+//! array (by µISA probe loops through the pipeline, or by probing the
+//! hierarchy). This module supplies the stride and the flushless
+//! prime+probe receivers, which this module's tests and
+//! `crates/uarch/tests/prime_probe_e2e.rs` exercise.
 
 use crate::hierarchy::MemoryHierarchy;
-
-/// Classifier separating cached from uncached reload timings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingClassifier {
-    /// Latencies `<= threshold` are classified as cache hits.
-    pub threshold_cycles: u64,
-}
-
-impl TimingClassifier {
-    /// Derive a threshold from the hierarchy configuration: anything at or
-    /// below an L2 hit counts as "was resident"; only DRAM round trips are
-    /// misses.
-    pub fn for_hierarchy(mem: &MemoryHierarchy) -> Self {
-        let cfg = mem.config();
-        TimingClassifier {
-            threshold_cycles: cfg.l1d.rt_latency + cfg.l2.rt_latency,
-        }
-    }
-
-    /// Was the observed reload latency a hit?
-    pub fn is_hit(&self, latency: u64) -> bool {
-        latency <= self.threshold_cycles
-    }
-}
 
 /// Stride between probe-array entries. 4096 defeats the adjacent-line
 /// prefetcher, exactly as in Kocher et al.'s PoC (`array2[s * 4096]`).
 pub const PROBE_STRIDE: u64 = 4096;
-
-/// Reload every probe line and return the indices classified as hits.
-///
-/// Reload order is permuted (simple stride-7 walk) so the scan itself does
-/// not act as a prefetch oracle, mirroring real PoCs.
-pub fn reload_and_classify(mem: &mut MemoryHierarchy, base: u64, n: usize) -> Vec<usize> {
-    let classifier = TimingClassifier::for_hierarchy(mem);
-    let mut hits = Vec::new();
-    for k in 0..n {
-        let i = (k * 7 + 1) % n;
-        let lat = mem.peek_read_latency(base + i as u64 * PROBE_STRIDE);
-        if classifier.is_hit(lat) {
-            hits.push(i);
-        }
-    }
-    hits.sort_unstable();
-    hits
-}
 
 // ---------------------------------------------------------------------
 // Prime+probe (no clflush required)
@@ -175,50 +130,6 @@ mod tests {
         MemoryHierarchy::new(HierarchyConfig::paper_default())
     }
 
-    /// Flush all `n` probe lines of the array starting at `base`.
-    fn flush_probe_array(mem: &mut MemoryHierarchy, base: u64, n: usize) {
-        for i in 0..n {
-            mem.flush(base + i as u64 * PROBE_STRIDE);
-        }
-    }
-
-    #[test]
-    fn classifier_threshold_is_l2_hit() {
-        let m = mem();
-        let c = TimingClassifier::for_hierarchy(&m);
-        assert!(c.is_hit(2));
-        assert!(c.is_hit(10));
-        assert!(!c.is_hit(110));
-    }
-
-    #[test]
-    fn recovered_secret_round_trip() {
-        let mut m = mem();
-        let base = 0x10_0000;
-        flush_probe_array(&mut m, base, 256);
-        // "Transient" touch of the line for secret byte 0x2a.
-        m.read(base + 0x2a * PROBE_STRIDE);
-        assert_eq!(reload_and_classify(&mut m, base, 256), vec![0x2a]);
-    }
-
-    #[test]
-    fn blocked_transmission_yields_no_signal() {
-        let mut m = mem();
-        let base = 0x10_0000;
-        flush_probe_array(&mut m, base, 256);
-        assert!(reload_and_classify(&mut m, base, 256).is_empty());
-    }
-
-    #[test]
-    fn two_hot_lines_are_ambiguous() {
-        let mut m = mem();
-        let base = 0x10_0000;
-        flush_probe_array(&mut m, base, 16);
-        m.read(base + 3 * PROBE_STRIDE);
-        m.read(base + 9 * PROBE_STRIDE);
-        assert_eq!(reload_and_classify(&mut m, base, 16), vec![3, 9]);
-    }
-
     #[test]
     fn eviction_set_detects_same_set_victim_access() {
         let mut m = mem();
@@ -260,16 +171,5 @@ mod tests {
         let chan = PrimeProbeChannel::new(&m, 0x80_0000);
         chan.prime(&mut m);
         assert!(chan.probe(&m).is_empty(), "no victim access: no signal");
-    }
-
-    #[test]
-    fn reload_does_not_perturb_verdict() {
-        let mut m = mem();
-        let base = 0x20_0000;
-        flush_probe_array(&mut m, base, 64);
-        m.read(base + 5 * PROBE_STRIDE);
-        // Two scans in a row agree because reload uses peek (no fills).
-        assert_eq!(reload_and_classify(&mut m, base, 64), vec![5]);
-        assert_eq!(reload_and_classify(&mut m, base, 64), vec![5]);
     }
 }

@@ -155,20 +155,6 @@ impl MemoryHierarchy {
         self.l1d.probe(addr) || self.l2.probe(addr)
     }
 
-    /// The latency a read *would* observe, without changing any state.
-    ///
-    /// Used to model timing measurements of the reload phase of
-    /// flush+reload when the attacker wants a clean probe.
-    pub fn peek_read_latency(&self, addr: u64) -> u64 {
-        if self.l1d.probe(addr) {
-            self.cfg.l1d.rt_latency
-        } else if self.l2.probe(addr) {
-            self.cfg.l1d.rt_latency + self.cfg.l2.rt_latency
-        } else {
-            self.cfg.l1d.rt_latency + self.cfg.l2.rt_latency + self.cfg.dram_latency
-        }
-    }
-
     /// `clflush`: evict the line from every level.
     pub fn flush(&mut self, addr: u64) {
         self.l1d.flush_line(addr);
@@ -245,14 +231,6 @@ mod tests {
         assert_eq!(m.read_classified(0x40).1, HitLevel::L1);
         m.l1d.flush_line(0x40);
         assert_eq!(m.read_classified(0x40).1, HitLevel::L2);
-    }
-
-    #[test]
-    fn peek_matches_subsequent_read() {
-        let mut m = mem();
-        m.read(0x880);
-        assert_eq!(m.peek_read_latency(0x880), 2);
-        assert_eq!(m.peek_read_latency(0x0dea_d000), 110);
     }
 
     #[test]

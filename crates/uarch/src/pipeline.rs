@@ -18,18 +18,30 @@
 //! `width` computed instructions per cycle in order. This is a standard
 //! dependency-DAG timing model: absolute IPC is approximate, relative
 //! overheads between schemes are meaningful.
+//!
+//! Each stage owns its state and its one decision: `frontend` (where and
+//! when fetch goes next), `lsq` (memory disambiguation), `rob` (program
+//! order and the execute stage's scheduler) and `stall` (how a cycle that
+//! commits nothing is counted). This file keeps the step loop and the
+//! execute, squash, visibility-point and commit stages.
+
+mod frontend;
+mod lsq;
+mod stall;
 
 use crate::checkpoint::SpecReturns;
 use crate::config::CoreConfig;
 use crate::hooks::HookHandler;
 use crate::isa::{Inst, Width, INST_BYTES, NUM_REGS};
 use crate::machine::{Machine, Mode};
-use crate::policy::{BlockSource, LoadCtx, LoadDecision, SpecPolicy};
+use crate::policy::{LoadCtx, LoadDecision, SpecPolicy};
 use crate::predictor::Predictors;
 use crate::retire::{retire, Flow};
-use crate::rob::{ReorderBuffer, RobEntry, Sched, SrcDep, SrcList, TaintSet};
+use crate::rob::{ReorderBuffer, Sched, SrcDep, TaintSet};
 use crate::sni::{RetiredInst, SniChecker};
 use crate::stats::SimStats;
+use frontend::FrontEnd;
+use lsq::{Forward, LoadStoreQueue, StoreData};
 use persp_mem::MemoryHierarchy;
 
 /// Errors terminating a simulation.
@@ -136,22 +148,6 @@ enum Attempt {
 
 const DEADLOCK_WINDOW: u64 = 50_000;
 
-/// One stall-attribution class (mirrors the fields of
-/// [`crate::stats::StallBreakdown`]); the classification half of stall
-/// accounting, factored out so the idle fast-forward can attribute a
-/// whole run of identical stall cycles in a single bump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StallClass {
-    IsvFence,
-    IsvMiss,
-    DsvFence,
-    DsvmtMiss,
-    VpWait,
-    Squash,
-    Frontend,
-    Backend,
-}
-
 /// The simulated out-of-order core.
 pub struct Core {
     /// Configuration (Table 7.1).
@@ -165,20 +161,12 @@ pub struct Core {
     policy: Box<dyn SpecPolicy>,
     hooks: Box<dyn HookHandler>,
 
+    front: FrontEnd,
     rob: ReorderBuffer,
+    lsq: LoadStoreQueue,
     now: u64,
     last_commit_cycle: u64,
     halted: bool,
-
-    fetch_pc: u64,
-    fetch_stall_until: u64,
-    /// End of the most recent mispredict-redirect penalty window — lets
-    /// stall attribution tell squash recovery apart from other front-end
-    /// stalls.
-    squash_redirect_until: u64,
-    fetch_halted: bool,
-    fetch_wait_indirect: Option<u64>,
-    last_fetch_line: u64,
 
     rename: [Option<u64>; NUM_REGS],
     /// Speculative call stack and the RSB's undo log (branch
@@ -235,16 +223,12 @@ impl Core {
             pred,
             policy,
             hooks,
+            front: FrontEnd::new(0, 0),
             rob: ReorderBuffer::new(cfg.rob_entries),
+            lsq: LoadStoreQueue::default(),
             now: 0,
             last_commit_cycle: 0,
             halted: false,
-            fetch_pc: 0,
-            fetch_stall_until: 0,
-            squash_redirect_until: 0,
-            fetch_halted: false,
-            fetch_wait_indirect: None,
-            last_fetch_line: u64::MAX,
             rename: [None; NUM_REGS],
             returns: SpecReturns::default(),
             made_progress: false,
@@ -321,13 +305,9 @@ impl Core {
         let start_stats = self.stats;
         let start_cycle = self.now;
         self.rob.clear();
+        self.lsq = LoadStoreQueue::default();
         self.halted = false;
-        self.fetch_pc = entry;
-        self.fetch_stall_until = self.now;
-        self.squash_redirect_until = self.now;
-        self.fetch_halted = false;
-        self.fetch_wait_indirect = None;
-        self.last_fetch_line = u64::MAX;
+        self.front = FrontEnd::new(entry, self.now);
         self.rename = [None; NUM_REGS];
         self.returns.reset(&self.machine.call_stack);
         self.last_commit_cycle = self.now;
@@ -376,15 +356,23 @@ impl Core {
         }
         self.fetch_stage()?;
         #[cfg(debug_assertions)]
-        self.rob.check_invariants(self.now);
-        if self.machine.mode == Mode::Kernel {
-            self.stats.kernel_cycles += 1;
-        } else {
-            self.stats.user_cycles += 1;
+        {
+            self.rob.check_invariants(self.now);
+            self.lsq.check_invariants(&self.rob);
         }
-        self.stats.cycles += 1;
-        self.now += 1;
+        self.advance_clock(1);
         Ok(())
+    }
+
+    /// Advance the clocks by `n` cycles in the current privilege mode.
+    fn advance_clock(&mut self, n: u64) {
+        if self.machine.mode == Mode::Kernel {
+            self.stats.kernel_cycles += n;
+        } else {
+            self.stats.user_cycles += n;
+        }
+        self.stats.cycles += n;
+        self.now += n;
     }
 
     // ----- helpers ------------------------------------------------------
@@ -447,7 +435,7 @@ impl Core {
         #[cfg(debug_assertions)]
         let mut attempted = Vec::new();
         let fence_cut = self.rob.fences().front().copied().unwrap_or(u64::MAX);
-        let mut store_cut = self.rob.oldest_unknown_store();
+        let mut store_cut = self.lsq.oldest_unknown_store();
         self.rob.start_pass(now);
         while let Some(i) = self.rob.pop_work() {
             let seq = self.rob[i].seq;
@@ -474,14 +462,17 @@ impl Core {
                 Attempt::Again => self.rob.carry(i),
                 Attempt::BehindStore => {
                     self.exec_waits.store_address += 1;
-                    self.rob.park_behind_store(i);
+                    self.rob[i].sched = Sched::StoreWait;
+                    self.lsq.park_behind_store(seq);
                 }
                 Attempt::Hinted => {
                     let e = &self.rob[i];
                     if e.computed {
                         if seq == store_cut {
-                            store_cut = self.rob.oldest_unknown_store();
-                            self.rob.release_store_waiters(store_cut);
+                            store_cut = self.lsq.oldest_unknown_store();
+                            for parked in self.lsq.release_store_waiters(store_cut) {
+                                self.rob.requeue(parked);
+                            }
                         }
                     } else if e.retry_at != u64::MAX {
                         let retry_at = e.retry_at;
@@ -627,27 +618,26 @@ impl Core {
                 e.mispred = e.pred_target != target;
                 e.ready_at = self.now + 1;
                 e.computed = true;
-                let ready_at = e.ready_at;
+                let extra = if self.policy.predict_indirect() {
+                    0
+                } else {
+                    self.cfg.retpoline_cost
+                };
                 // Resume a front-end stalled on this unpredicted indirect.
-                if self.fetch_wait_indirect == Some(seq) {
-                    self.fetch_wait_indirect = None;
-                    self.fetch_pc = target;
-                    let extra = if self.policy.predict_indirect() {
-                        0
-                    } else {
-                        self.cfg.retpoline_cost
-                    };
-                    self.fetch_stall_until = self.fetch_stall_until.max(ready_at + extra);
+                if self.front.resume_indirect(seq, target, e.ready_at + extra) {
                     self.rob[i].mispred = false;
                     self.rob[i].pred_target = target;
                 }
             }
-            Inst::Store { width, .. } => {
+            Inst::Store { offset, width, .. } => {
+                let data = StoreData {
+                    addr: vals[1].wrapping_add(offset as u64),
+                    width,
+                    value: vals[0],
+                    taint,
+                };
+                self.lsq.resolve_store(seq, data);
                 let e = &mut self.rob[i];
-                e.store_val = vals[0];
-                e.addr = vals[1].wrapping_add(store_offset(&inst) as u64);
-                e.width = width;
-                e.taint = taint;
                 e.ready_at = self.now + 1;
                 e.computed = true;
             }
@@ -666,42 +656,25 @@ impl Core {
                         Attempt::BehindStore
                     };
                 }
-                // Store-to-load forwarding from the youngest matching older
-                // store; overlap without exact match stalls until it drains.
-                // The store queue holds exactly the stores in the ROB.
-                let mut forward: Option<(u64, TaintSet)> = None;
-                let mut must_wait = false;
-                let stores = self.rob.stores();
-                let older = stores.partition_point(|&s| s < seq);
-                for &sseq in stores.range(..older).rev() {
-                    let s = self.rob.by_seq(sseq);
-                    let (sa, sw) = (s.addr, s.width.bytes());
-                    let (la, lw) = (addr, width.bytes());
-                    if sa == la && sw == lw {
-                        forward = Some((s.store_val, s.taint));
-                        break;
+                match self.lsq.forward(seq, addr, width) {
+                    Forward::Memory => {}
+                    Forward::Wait => {
+                        self.exec_waits.forward += 1;
+                        return Attempt::Again;
                     }
-                    if sa < la + lw && la < sa + sw {
-                        must_wait = true;
-                        break;
+                    Forward::Store(v, t) => {
+                        let e = &mut self.rob[i];
+                        e.value = v;
+                        e.addr = addr;
+                        e.width = width;
+                        e.ready_at = self.now + 1;
+                        e.taint = t;
+                        e.computed = true;
+                        e.issued_mem = false;
+                        self.made_progress = true;
+                        self.wake_waiters(i);
+                        return Attempt::Hinted;
                     }
-                }
-                if must_wait {
-                    self.exec_waits.forward += 1;
-                    return Attempt::Again;
-                }
-                if let Some((v, t)) = forward {
-                    let e = &mut self.rob[i];
-                    e.value = mask_width(v, width);
-                    e.addr = addr;
-                    e.width = width;
-                    e.ready_at = self.now + 1;
-                    e.taint = t;
-                    e.computed = true;
-                    e.issued_mem = false;
-                    self.made_progress = true;
-                    self.wake_waiters(i);
-                    return Attempt::Hinted;
                 }
                 // Policy gate.
                 let tainted_addr = self.taint_active(&taint, speculative) && speculative;
@@ -888,7 +861,8 @@ impl Core {
             self.pred.hist = hist_snapshot;
         }
 
-        // Drop younger entries.
+        // Drop younger entries, and purge their seqs from the LSQ before
+        // decode hands them out again.
         let stats = &mut self.stats;
         let sni = &mut self.sni;
         self.rob.truncate(i + 1, |dropped| {
@@ -900,6 +874,7 @@ impl Core {
                 stats.transient_loads_issued += 1;
             }
         });
+        self.lsq.truncate(self.rob.next_seq());
         self.stats.squashes += 1;
 
         // Rebuild the rename table from surviving entries.
@@ -910,12 +885,8 @@ impl Core {
             }
         }
 
-        self.fetch_pc = actual_target;
-        self.fetch_stall_until = self.now + self.cfg.mispredict_penalty;
-        self.squash_redirect_until = self.fetch_stall_until;
-        self.fetch_halted = false;
-        self.fetch_wait_indirect = None;
-        self.last_fetch_line = u64::MAX;
+        self.front
+            .redirect(actual_target, self.now + self.cfg.mispredict_penalty);
     }
 
     // ----- visibility points ---------------------------------------------
@@ -944,11 +915,8 @@ impl Core {
             }
             let i = self.rob.index_of(seq).expect("queued load in flight");
             if self.rob[i].blocked.is_some() {
-                let (addr, width, taint) = {
-                    let e = &self.rob[i];
-                    (e.addr, e.width, e.taint)
-                };
-                self.issue_load(i, addr, width, taint, false);
+                let e = &self.rob[i];
+                self.issue_load(i, e.addr, e.width, e.taint, false);
             }
             let e = &self.rob[i];
             if e.computed && e.issued_mem && !e.vp_notified {
@@ -973,136 +941,6 @@ impl Core {
             }
         }
         self.rob.set_loads_settled(settled);
-    }
-
-    // ----- stall attribution --------------------------------------------
-
-    /// Classify the mechanism holding the ROB head back at `self.now`.
-    /// Pure: shared by the per-cycle `record_stall` and by the idle
-    /// fast-forward, which accounts a whole run of identical stall cycles
-    /// in one step.
-    fn classify_stall(&self) -> StallClass {
-        let Some(head) = self.rob.front() else {
-            // Empty ROB: the front end is the bottleneck — either a
-            // squash-redirect penalty or an ordinary fetch stall.
-            return if self.now < self.squash_redirect_until {
-                StallClass::Squash
-            } else {
-                StallClass::Frontend
-            };
-        };
-        // A policy-blocked head load — or one still paying the memory
-        // latency of its delayed (post-VP) issue — blames the policy.
-        let policy_src = head.blocked.or((head.computed
-            && head.ready_at > self.now
-            && head.was_blocked)
-            .then_some(head.block_memo)
-            .flatten());
-        if let Some(src) = policy_src {
-            return match src {
-                BlockSource::Isv => StallClass::IsvFence,
-                BlockSource::IsvMiss => StallClass::IsvMiss,
-                BlockSource::Dsv | BlockSource::UnknownAlloc => StallClass::DsvFence,
-                BlockSource::DsvmtMiss => StallClass::DsvmtMiss,
-                BlockSource::Fence | BlockSource::Dom | BlockSource::Stt => StallClass::VpWait,
-            };
-        }
-        if !head.computed && head.fetch_ready > self.now {
-            StallClass::Frontend
-        } else {
-            StallClass::Backend
-        }
-    }
-
-    /// Account `n` stall cycles to `class`, keeping the invariant that
-    /// the breakdown sums to `stats.stall_cycles` exactly.
-    fn account_stalls(&mut self, class: StallClass, n: u64) {
-        self.stats.stall_cycles += n;
-        let b = &mut self.stats.stalls;
-        match class {
-            StallClass::IsvFence => b.isv_fence += n,
-            StallClass::IsvMiss => b.isv_miss += n,
-            StallClass::DsvFence => b.dsv_fence += n,
-            StallClass::DsvmtMiss => b.dsvmt_miss += n,
-            StallClass::VpWait => b.vp_wait += n,
-            StallClass::Squash => b.squash += n,
-            StallClass::Frontend => b.frontend += n,
-            StallClass::Backend => b.backend += n,
-        }
-    }
-
-    /// Account one stall cycle (nothing committed this cycle) to the
-    /// mechanism holding the ROB head back. Exactly one breakdown class
-    /// is bumped per call, so the breakdown always sums to
-    /// `stats.stall_cycles`.
-    fn record_stall(&mut self) {
-        self.account_stalls(self.classify_stall(), 1);
-    }
-
-    // ----- idle fast-forward --------------------------------------------
-
-    /// Earliest future cycle at which any time-threshold comparison in
-    /// `step` can change its outcome: an in-flight instruction leaving
-    /// the front end (`fetch_ready`) or finishing execution/memory
-    /// (`ready_at`), the front end coming out of a redirect/refill/
-    /// retpoline stall (`fetch_stall_until`), or the squash-attribution
-    /// window closing (`squash_redirect_until` — a pure classification
-    /// boundary, but `record_stall` reads it). `u64::MAX` when no future
-    /// event exists (a genuine deadlock; the watchdog deadline caps it).
-    fn next_wake(&self) -> u64 {
-        // The idle step just ran at `now - 1`; the next step runs at
-        // `now`. A threshold at exactly `now` can already flip a
-        // comparison for that step, so `t >= now` (not `t > now`) —
-        // thresholds strictly in the past are settled by monotonicity.
-        let now = self.now;
-        let mut wake = u64::MAX;
-        let mut consider = |t: u64| {
-            if t >= now && t < wake {
-                wake = t;
-            }
-        };
-        for e in self.rob.iter() {
-            if e.computed {
-                consider(e.ready_at);
-            } else {
-                consider(e.fetch_ready);
-            }
-        }
-        consider(self.fetch_stall_until);
-        consider(self.squash_redirect_until);
-        wake
-    }
-
-    /// Bulk-advance the clock over a run of idle cycles.
-    ///
-    /// Called right after a `step` that made no progress: such a step is
-    /// a pure function of `(state, now)` whose only effects are the
-    /// per-cycle clocks and one stall-attribution bump, and every time
-    /// comparison it performs is a monotone threshold check — so it stays
-    /// a no-op until [`Core::next_wake`]. Each skipped cycle is accounted
-    /// exactly as the slow path would have: `stall_cycles` and the (one,
-    /// constant over the interval) matching breakdown class, the
-    /// kernel/user cycle for the current (unchanging) privilege mode, and
-    /// `cycles`/`now`. The jump is capped at the cycle-budget and
-    /// deadlock-watchdog deadlines so both errors fire at the identical
-    /// cycle with identical counters as the slow path.
-    fn fast_forward(&mut self, start_cycle: u64, max_cycles: u64) {
-        let budget_deadline = start_cycle.saturating_add(max_cycles).saturating_add(1);
-        let deadlock_deadline = self.last_commit_cycle + DEADLOCK_WINDOW + 1;
-        let wake = self.next_wake().min(budget_deadline).min(deadlock_deadline);
-        let delta = wake.saturating_sub(self.now);
-        if delta == 0 {
-            return;
-        }
-        self.account_stalls(self.classify_stall(), delta);
-        if self.machine.mode == Mode::Kernel {
-            self.stats.kernel_cycles += delta;
-        } else {
-            self.stats.user_cycles += delta;
-        }
-        self.stats.cycles += delta;
-        self.now += delta;
-        self.ff_skipped += delta;
     }
 
     // ----- commit -------------------------------------------------------
@@ -1151,14 +989,21 @@ impl Core {
             self.stats.committed_insts += 1;
             committed += 1;
 
+            let (addr, width, store_val) = match entry.inst {
+                Inst::Store { .. } => {
+                    let d = self.lsq.retire_store(entry.seq);
+                    (d.addr, d.width, d.value)
+                }
+                _ => (entry.addr, entry.width, 0),
+            };
             let r = RetiredInst {
                 seq: entry.seq,
                 pc: entry.pc,
                 inst: entry.inst,
                 value: entry.value,
-                addr: entry.addr,
-                width: entry.width,
-                store_val: entry.store_val,
+                addr,
+                width,
+                store_val,
                 taken: entry.actual_taken,
                 target: entry.actual_target,
             };
@@ -1224,193 +1069,10 @@ impl Core {
                 Inst::RdTsc { .. } => 0,
                 _ => continue,
             };
-            self.fetch_pc = next_pc;
-            self.fetch_halted = false;
-            self.fetch_stall_until = self.now + 1 + extra;
+            self.front
+                .restart_after_serializing(next_pc, self.now + 1 + extra);
         }
         Ok(committed)
-    }
-
-    // ----- fetch / decode --------------------------------------------------
-
-    fn fetch_stage(&mut self) -> Result<(), SimError> {
-        if self.halted
-            || self.fetch_halted
-            || self.fetch_wait_indirect.is_some()
-            || self.now < self.fetch_stall_until
-        {
-            return Ok(());
-        }
-        for _ in 0..self.cfg.width {
-            if self.rob.len() >= self.cfg.rob_entries {
-                break;
-            }
-            let pc = self.fetch_pc;
-            let Some(inst) = self.machine.inst_at(pc) else {
-                // Wrong-path fetch into unmapped memory simply stalls the
-                // front-end until the squash redirects it. With an empty
-                // ROB the committed path itself is bad: a real fault.
-                if !self.rob.is_empty() {
-                    return Ok(());
-                }
-                return Err(SimError::UnmappedFetch { pc });
-            };
-
-            // Instruction-cache timing: one lookup per new line.
-            let line = pc & !63;
-            if line != self.last_fetch_line {
-                // The lookup itself mutates i-cache LRU/stats, even when
-                // it ends up stalling fetch instead of decoding.
-                self.made_progress = true;
-                let lat = self.mem.fetch(pc);
-                self.last_fetch_line = line;
-                if lat > self.mem.config().l1i.rt_latency {
-                    self.fetch_stall_until = self.now + lat;
-                    return Ok(());
-                }
-            }
-
-            // Capacity checks.
-            if matches!(inst, Inst::Load { .. }) && self.rob.loads().len() >= self.cfg.lq_entries {
-                break;
-            }
-            if matches!(inst, Inst::Store { .. }) && self.rob.stores().len() >= self.cfg.sq_entries
-            {
-                break;
-            }
-
-            self.decode_one(pc, inst);
-
-            if inst.is_serializing() {
-                self.fetch_halted = true;
-                break;
-            }
-            if self.fetch_wait_indirect.is_some() {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_one(&mut self, pc: u64, inst: Inst) {
-        self.made_progress = true;
-        let seq = self.rob.next_seq();
-
-        let srcs = SrcList::new(&inst.srcs(), |reg| match self.rename[reg as usize] {
-            Some(producer) => SrcDep::produced(reg, producer),
-            None => SrcDep::architectural(reg, self.machine.reg(reg)),
-        });
-
-        let fetch_ready = self.now + self.cfg.frontend_latency;
-        // Built in its ring slot: a ROB entry is never moved.
-        let entry = self.rob.next_slot();
-        *entry = RobEntry {
-            seq,
-            pc,
-            inst,
-            srcs,
-            fetch_ready,
-            hist_snapshot: self.pred.hist,
-            in_kernel: self.machine.mode == Mode::Kernel,
-            ..RobEntry::VACANT
-        };
-
-        match inst {
-            Inst::MovImm { imm, .. } => {
-                entry.value = imm;
-                entry.ready_at = fetch_ready + 1;
-                entry.computed = true;
-                self.fetch_pc = pc + INST_BYTES;
-            }
-            Inst::Branch { target, .. } => {
-                let taken = self.pred.dir.predict(pc, self.pred.hist);
-                entry.pred_target = if taken { target } else { pc + INST_BYTES };
-                entry.can_mispredict = true;
-                self.pred.hist = (self.pred.hist << 1) | u64::from(taken);
-                self.fetch_pc = entry.pred_target;
-            }
-            Inst::Jump { target } => {
-                entry.ready_at = fetch_ready + 1;
-                entry.computed = true;
-                self.fetch_pc = target;
-            }
-            Inst::Call { target } => {
-                self.returns.call(&mut self.pred.rsb, pc + INST_BYTES);
-                entry.ready_at = fetch_ready + 1;
-                entry.computed = true;
-                self.fetch_pc = target;
-            }
-            Inst::CallInd { .. } | Inst::JumpInd { .. } => {
-                if matches!(inst, Inst::CallInd { .. }) {
-                    self.returns.call(&mut self.pred.rsb, pc + INST_BYTES);
-                }
-                entry.can_mispredict = true;
-                let in_kernel = self.machine.mode == Mode::Kernel;
-                let prediction = if self.policy.predict_indirect() {
-                    self.pred.btb.predict(pc, self.pred.hist, in_kernel)
-                } else {
-                    None
-                };
-                match prediction {
-                    Some(t) => {
-                        entry.pred_target = t;
-                        self.fetch_pc = t;
-                    }
-                    None => {
-                        // No prediction: stall fetch until the target
-                        // resolves (also the retpoline path).
-                        self.fetch_wait_indirect = Some(seq);
-                        entry.pred_target = u64::MAX; // placeholder, fixed on resolve
-                    }
-                }
-            }
-            Inst::Ret => {
-                let (actual, rsb_prediction) = self.returns.ret(&mut self.pred.rsb);
-                let actual = actual.unwrap_or(u64::MAX);
-                let in_kernel = self.machine.mode == Mode::Kernel;
-                let predicted = rsb_prediction
-                    .or_else(|| self.pred.btb.predict(pc, self.pred.hist, in_kernel))
-                    .unwrap_or(pc + INST_BYTES);
-                entry.can_mispredict = true;
-                entry.actual_target = actual;
-                entry.pred_target = predicted;
-                entry.actual_taken = true;
-                entry.mispred = predicted != actual;
-                entry.ready_at = fetch_ready + self.cfg.ret_resolve_latency;
-                entry.computed = true;
-                self.fetch_pc = predicted;
-            }
-            _ => {
-                self.fetch_pc = pc + INST_BYTES;
-            }
-        }
-
-        // A squash by this entry restores the return state as it stands
-        // after the entry's own decode (a call's push, a return's pop).
-        entry.checkpoint = self.returns.checkpoint();
-        #[cfg(debug_assertions)]
-        if entry.can_mispredict {
-            entry.debug_returns = Some((self.pred.rsb.clone(), self.returns.stack().to_vec()));
-        }
-
-        if let Some(dst) = inst.dst() {
-            self.rename[dst as usize] = Some(seq);
-        }
-        self.rob.push();
-    }
-}
-
-fn store_offset(inst: &Inst) -> i64 {
-    match *inst {
-        Inst::Store { offset, .. } => offset,
-        _ => 0,
-    }
-}
-
-fn mask_width(v: u64, w: Width) -> u64 {
-    match w {
-        Width::B => v & 0xff,
-        Width::Q => v,
     }
 }
 

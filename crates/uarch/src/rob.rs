@@ -13,24 +13,23 @@
 //! seq below the front (committed) or at or above `next_seq` (squashed)
 //! is not in flight.
 //!
-//! Beside the entries, the ROB keeps four ascending seq queues that the
+//! Beside the entries, the ROB keeps three ascending seq queues that the
 //! pipeline stages walk instead of the whole buffer:
 //!
 //! * `control` — entries that can mispredict (conditional branches,
 //!   indirect jumps and calls, returns): the squash stage and the
 //!   control cut-off look only here;
-//! * `loads` and `stores` — the load and store queues: the
-//!   visibility-point stage walks loads, store-to-load forwarding walks
-//!   stores;
+//! * `loads` — the load queue, which the visibility-point stage walks;
 //! * `fences` — the fences in flight, which hold back every younger
 //!   entry's execution.
 //!
-//! Three cursors count a queue prefix known to need no more look, so a
+//! The store queue is not here: it lives in the pipeline's load/store
+//! queue, with memory disambiguation.
+//!
+//! Two cursors count a queue prefix known to need no more look, so a
 //! stage starts past it. Each prefix only grows while `now` advances,
 //! and a commit or squash shortens it with its queue:
 //!
-//! * over `stores`, the stores known to have computed, ahead of the
-//!   oldest store whose address is still unknown;
 //! * over `control`, the entries known to be resolved at `now`, ahead
 //!   of the oldest unresolved one — the cut-off the execute and
 //!   visibility-point stages share. An entry stays computed and its
@@ -46,17 +45,18 @@
 //! It also keeps the execute stage's scheduler (see `Core::exec_stage`):
 //! the fetch frontier (the oldest entry the execute stage has not yet
 //! seen), a calendar of `(cycle, seq)` retries, a carry list of entries
-//! to try again next pass, the loads parked behind the oldest
-//! unknown-address store, and the current pass's work list — a bitset
+//! to try again next pass, and the current pass's work list — a bitset
 //! over logical indices, popped lowest first with `trailing_zeros`
 //! (nothing commits or squashes during a pass, so an index names the
 //! same entry throughout). Each entry's [`Sched`] says which of these
-//! holds it, so a stale calendar entry is recognized and dropped.
+//! holds it — or that the load/store queue holds it, parked behind an
+//! unknown-address store — so a stale calendar entry is recognized and
+//! dropped.
 //!
 //! Seqs are reused after a squash, so [`ReorderBuffer::truncate`] purges
-//! every dropped seq from the queues, the carry and store-wait lists and
-//! the survivors' waiter lists, and pulls the frontier back, before a new
-//! entry can take the number.
+//! every dropped seq from the queues, the carry list and the survivors'
+//! waiter lists, and pulls the frontier back, before a new entry can take
+//! the number.
 
 use crate::isa::{Inst, Width};
 use crate::policy::BlockSource;
@@ -207,7 +207,8 @@ pub(crate) enum Sched {
     Queued,
     /// In the calendar for this cycle.
     At(u64),
-    /// Parked behind the oldest store whose address is unknown.
+    /// Parked in the load/store queue behind the oldest store whose
+    /// address is unknown.
     StoreWait,
 }
 
@@ -257,7 +258,6 @@ pub(crate) struct RobEntry {
     /// Memory bookkeeping.
     pub(crate) addr: u64,
     pub(crate) width: Width,
-    pub(crate) store_val: u64,
     pub(crate) issued_mem: bool,
     pub(crate) blocked: Option<BlockSource>,
     /// First blocking source, kept after the VP re-issue clears `blocked`
@@ -299,7 +299,6 @@ impl RobEntry {
         actual_taken: false,
         addr: 0,
         width: Width::Q,
-        store_val: 0,
         issued_mem: false,
         blocked: None,
         block_memo: None,
@@ -316,9 +315,6 @@ impl RobEntry {
 
     pub(crate) fn is_load(&self) -> bool {
         matches!(self.inst, Inst::Load { .. })
-    }
-    pub(crate) fn is_store(&self) -> bool {
-        matches!(self.inst, Inst::Store { .. })
     }
     /// Unresolved = could still redirect/squash younger instructions.
     pub(crate) fn unresolved_at(&self, now: u64) -> bool {
@@ -348,15 +344,10 @@ pub(crate) struct ReorderBuffer {
     next_seq: u64,
     control: VecDeque<u64>,
     loads: VecDeque<u64>,
-    stores: VecDeque<u64>,
     fences: VecDeque<u64>,
     /// Control entries that computed a misprediction and have not
     /// squashed yet, in no particular order.
     mispredicted: Vec<u64>,
-    /// How many stores at the front of `stores` are known to be
-    /// computed (a lower bound: [`ReorderBuffer::oldest_unknown_store`]
-    /// advances it lazily).
-    stores_known: usize,
     /// How many entries at the front of `control` are known to be
     /// resolved (a lower bound:
     /// [`ReorderBuffer::oldest_unresolved_control`] advances it lazily).
@@ -372,8 +363,6 @@ pub(crate) struct ReorderBuffer {
     calendar: BinaryHeap<Reverse<(u64, u64)>>,
     /// Entries to try again next pass.
     carry: Vec<u64>,
-    /// Loads parked behind the oldest unknown-address store.
-    store_wait: BinaryHeap<Reverse<u64>>,
     /// The current pass's work list: one bit per logical index, popped
     /// lowest first. The head cannot move during a pass, so an index
     /// names the same entry for the whole pass.
@@ -396,16 +385,13 @@ impl ReorderBuffer {
             next_seq: 0,
             control: VecDeque::new(),
             loads: VecDeque::new(),
-            stores: VecDeque::new(),
             fences: VecDeque::new(),
             mispredicted: Vec::new(),
-            stores_known: 0,
             controls_resolved: 0,
             loads_settled: 0,
             frontier: 0,
             calendar: BinaryHeap::new(),
             carry: Vec::new(),
-            store_wait: BinaryHeap::new(),
             work: vec![0; words].into_boxed_slice(),
             work_low: words,
         }
@@ -416,16 +402,13 @@ impl ReorderBuffer {
         self.len = 0;
         self.control.clear();
         self.loads.clear();
-        self.stores.clear();
         self.fences.clear();
         self.mispredicted.clear();
-        self.stores_known = 0;
         self.controls_resolved = 0;
         self.loads_settled = 0;
         self.frontier = self.next_seq;
         self.calendar.clear();
         self.carry.clear();
-        self.store_wait.clear();
         self.work.fill(0);
         self.work_low = self.work.len();
     }
@@ -496,26 +479,9 @@ impl ReorderBuffer {
         &self.loads
     }
 
-    /// The store queue, oldest first.
-    pub(crate) fn stores(&self) -> &VecDeque<u64> {
-        &self.stores
-    }
-
     /// The fences in flight, oldest first.
     pub(crate) fn fences(&self) -> &VecDeque<u64> {
         &self.fences
-    }
-
-    /// Seq of the oldest store that has not computed (whose address is
-    /// unknown), or `u64::MAX` when every store in flight has.
-    pub(crate) fn oldest_unknown_store(&mut self) -> u64 {
-        while let Some(&seq) = self.stores.get(self.stores_known) {
-            if !self.by_seq(seq).computed {
-                return seq;
-            }
-            self.stores_known += 1;
-        }
-        u64::MAX
     }
 
     /// Seq of the oldest control entry that is unresolved at `now`, or
@@ -664,29 +630,13 @@ impl ReorderBuffer {
         self.carry.push(seq);
     }
 
-    /// Park load `i` until the oldest unknown-address store is younger
-    /// than it.
-    pub(crate) fn park_behind_store(&mut self, i: usize) {
-        let e = &mut self[i];
-        e.sched = Sched::StoreWait;
-        let seq = e.seq;
-        self.store_wait.push(Reverse(seq));
-    }
-
-    /// The oldest unknown-address store is now `cut`: the loads parked
-    /// below it have no unknown-address store ahead of them any more,
-    /// so move them onto this pass's work list.
-    pub(crate) fn release_store_waiters(&mut self, cut: u64) {
-        while let Some(&Reverse(seq)) = self.store_wait.peek() {
-            if seq >= cut {
-                break;
-            }
-            self.store_wait.pop();
-            let i = self.index_of(seq).expect("parked loads are in flight");
-            debug_assert_eq!(self[i].sched, Sched::StoreWait);
-            self[i].sched = Sched::Queued;
-            self.queue_work(i);
-        }
+    /// The load/store queue released load `seq`, parked behind a store:
+    /// move it onto this pass's work list.
+    pub(crate) fn requeue(&mut self, seq: u64) {
+        let i = self.index_of(seq).expect("parked loads are in flight");
+        debug_assert_eq!(self[i].sched, Sched::StoreWait);
+        self[i].sched = Sched::Queued;
+        self.queue_work(i);
     }
 
     /// The slot the next decoded instruction is built in; it must get
@@ -709,9 +659,6 @@ impl ReorderBuffer {
         }
         if e.is_load() {
             self.loads.push_back(seq);
-        }
-        if e.is_store() {
-            self.stores.push_back(seq);
         }
         if matches!(e.inst, Inst::Fence) {
             self.fences.push_back(seq);
@@ -739,10 +686,6 @@ impl ReorderBuffer {
             self.loads.pop_front();
             self.loads_settled = self.loads_settled.saturating_sub(1);
         }
-        if self.stores.front() == Some(&seq) {
-            self.stores.pop_front();
-            self.stores_known = self.stores_known.saturating_sub(1);
-        }
         if self.fences.front() == Some(&seq) {
             self.fences.pop_front();
         }
@@ -755,8 +698,9 @@ impl ReorderBuffer {
 
     /// Squash every entry from index `keep` on, youngest first, handing
     /// each to `on_drop`; then rewind `next_seq`, purge the dropped seqs
-    /// from every queue, scheduler list and waiter list, and pull the
-    /// frontier back, so the seqs can be handed out again. The dropped
+    /// from every queue, the carry list and every waiter list, and pull
+    /// the frontier back, so the seqs can be handed out again (the
+    /// load/store queue purges its own). The dropped
     /// entries stay in their slots until decode reuses them. Stale
     /// calendar entries stay: a new entry with a reused seq starts out
     /// `Idle`.
@@ -768,23 +712,16 @@ impl ReorderBuffer {
         }
         let live = front + self.len as u64;
         self.next_seq = live;
-        for q in [
-            &mut self.control,
-            &mut self.loads,
-            &mut self.stores,
-            &mut self.fences,
-        ] {
+        for q in [&mut self.control, &mut self.loads, &mut self.fences] {
             while q.back().is_some_and(|&s| s >= live) {
                 q.pop_back();
             }
         }
-        self.stores_known = self.stores_known.min(self.stores.len());
         self.controls_resolved = self.controls_resolved.min(self.control.len());
         self.loads_settled = self.loads_settled.min(self.loads.len());
         self.frontier = self.frontier.min(live);
         self.mispredicted.retain(|&s| s < live);
         self.carry.retain(|&s| s < live);
-        self.store_wait.retain(|&Reverse(s)| s < live);
         for i in 0..self.len {
             let e = &mut self[i];
             let n = e.n_waiters as usize;
@@ -827,8 +764,8 @@ impl ReorderBuffer {
                     "scheduled seq is in the calendar"
                 ),
                 Sched::StoreWait => assert!(
-                    !e.computed && e.is_load() && self.store_wait.iter().any(|r| r.0 == e.seq),
-                    "store-waiting seq is parked"
+                    !e.computed && e.is_load(),
+                    "only uncomputed loads park behind a store"
                 ),
             }
         }
@@ -841,7 +778,6 @@ impl ReorderBuffer {
             "control queue"
         );
         assert_eq!(self.loads, filtered(RobEntry::is_load), "load queue");
-        assert_eq!(self.stores, filtered(RobEntry::is_store), "store queue");
         assert_eq!(
             self.fences,
             filtered(|e| matches!(e.inst, Inst::Fence)),
@@ -853,13 +789,6 @@ impl ReorderBuffer {
             VecDeque::from(mispredicted),
             filtered(|e| e.computed && e.mispred && !e.squash_done),
             "mispredicted list"
-        );
-        assert!(
-            self.stores
-                .iter()
-                .take(self.stores_known)
-                .all(|&s| self.by_seq(s).computed),
-            "known stores have computed"
         );
         assert!(
             self.control
@@ -887,9 +816,8 @@ impl ReorderBuffer {
             "no work outlives its pass"
         );
         assert!(
-            self.carry.iter().all(|&s| s < self.next_seq)
-                && self.store_wait.iter().all(|r| r.0 < self.next_seq),
-            "scheduler lists hold no squashed seqs"
+            self.carry.iter().all(|&s| s < self.next_seq),
+            "the carry list holds no squashed seqs"
         );
     }
 }
@@ -951,6 +879,17 @@ mod tests {
 
     fn seqs(rob: &ReorderBuffer) -> Vec<u64> {
         rob.iter().map(|e| e.seq).collect()
+    }
+
+    /// Every entry is read and written in place on the busy path, and
+    /// its size costs simulator time (about 2.4 % per 128 bytes when
+    /// measured). Debug builds add the checkpoint copies, so only release
+    /// builds are held to the bound.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_release_entry_fits_in_256_bytes() {
+        let size = std::mem::size_of::<RobEntry>();
+        assert!(size <= 256, "RobEntry is {size} bytes");
     }
 
     #[test]
@@ -1024,7 +963,7 @@ mod tests {
             rob[i].sched = Sched::Idle;
         }
         rob.carry(3);
-        rob.park_behind_store(4);
+        rob.carry(4);
         rob[1].waiters = [9, 12, 13, 0];
         rob[1].n_waiters = 3;
         let mut dropped = Vec::new();
@@ -1034,8 +973,7 @@ mod tests {
         assert_eq!(seqs(&rob), [6, 7, 8, 9]);
         assert_eq!(rob.loads(), &VecDeque::from([6, 8]));
         assert_eq!(rob.control(), &VecDeque::from([7, 9]));
-        assert_eq!(rob.carry, [9], "survivors stay carried");
-        assert!(rob.store_wait.is_empty(), "dropped seqs leave the lists");
+        assert_eq!(rob.carry, [9], "survivors stay carried, dropped seqs leave");
         assert_eq!(&rob[1].waiters[..rob[1].n_waiters as usize], [9]);
         // Seqs 10 and 11 are reused by new entries in the same slots.
         assert_eq!(push(&mut rob, Inst::Nop), 10);

@@ -213,10 +213,15 @@ impl ArchInstance {
             asid,
             scheme,
         } = self;
+        let baseline = || {
+            scheme
+                .build_baseline_policy()
+                .expect("Perspective schemes need the framework")
+        };
         let policy: Box<dyn SpecPolicy> = match &perspective {
             Some(p) if scheme.is_perspective() => wrap(Box::new(p.policy(pcfg)), p),
-            Some(p) => wrap(scheme.build_policy(None), p),
-            None => scheme.build_policy(None),
+            Some(p) => wrap(baseline(), p),
+            None => baseline(),
         };
         let core = Core::new(
             core_cfg,
